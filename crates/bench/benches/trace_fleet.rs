@@ -1,23 +1,17 @@
 //! E-O2 — **causal tracing at fleet scale**: telemetry v2 must keep the
-//! traced fleet engine inside the E-O1 overhead envelope while the
-//! sharded registries *beat* a single-cell (global contention point)
-//! registry under multi-shard write pressure.
+//! traced fleet engine inside the E-O1 overhead envelope.
 //!
-//! Three row families:
+//! Two row families:
 //! - `trace_fleet/span_primitives`: `span` vs `span_at` vs cached
 //!   reopen, isolating the cost of carrying a [`TraceContext`].
 //! - `trace_fleet/fleet_engine`: the sharded PON engine with causal
 //!   tracing enabled vs fully disabled; ratio asserted `< MAX_RATIO`.
-//! - `trace_fleet/registry_contention`: N writer threads hammering one
-//!   counter and one histogram through striped cells (default) vs a
-//!   single stripe (everyone on the same cache line); striped must win
-//!   on any multi-CPU host.
 
 use std::sync::Once;
 
 use genio_bench::print_experiment_once;
 use genio_pon::engine::{run_with, trace_root, EngineOptions, FleetSimConfig};
-use genio_telemetry::{Clock, Telemetry, TelemetryOptions};
+use genio_telemetry::Telemetry;
 use genio_testkit::bench::{BenchmarkId, Criterion, Throughput};
 
 static PRINTED: Once = Once::new();
@@ -26,13 +20,6 @@ static PRINTED: Once = Once::new();
 /// as E-O1).
 const MAX_RATIO: f64 = 1.15;
 
-/// Writer threads for the contention rows.
-const WRITERS: usize = 4;
-
-/// Metric updates per writer per iteration (one counter incr + one
-/// histogram observe each).
-const OPS_PER_WRITER: u64 = 8_192;
-
 fn fleet_config() -> FleetSimConfig {
     FleetSimConfig {
         trees: 48,
@@ -40,25 +27,6 @@ fn fleet_config() -> FleetSimConfig {
         cycles: 4,
         ..FleetSimConfig::default()
     }
-}
-
-/// One contention iteration: `WRITERS` threads each doing
-/// `OPS_PER_WRITER` counter increments and histogram observations
-/// against shared registry cells.
-fn hammer_registry(t: &Telemetry) {
-    std::thread::scope(|scope| {
-        for w in 0..WRITERS {
-            let tele = t.clone();
-            scope.spawn(move || {
-                let counter = tele.counter("bench.contention.frames");
-                let histogram = tele.histogram("bench.contention.latency");
-                for i in 0..OPS_PER_WRITER {
-                    counter.incr(1);
-                    histogram.observe(i ^ (w as u64) << 8);
-                }
-            });
-        }
-    });
 }
 
 fn bench(c: &mut Criterion) {
@@ -102,23 +70,6 @@ fn bench(c: &mut Criterion) {
     });
     group.finish();
 
-    // --- Registry contention: striped cells vs a single stripe. ---
-    let events = (WRITERS as u64) * OPS_PER_WRITER * 2;
-    let striped = Telemetry::enabled();
-    let global = Telemetry::with_options(
-        Clock::monotonic(),
-        TelemetryOptions { ring_capacity: 64, stripes: 1 },
-    );
-    let mut group = c.benchmark_group("trace_fleet/registry_contention");
-    group.throughput(Throughput::Elements(events));
-    group.bench_with_input(BenchmarkId::from_parameter("striped"), &striped, |b, t| {
-        b.iter(|| hammer_registry(t))
-    });
-    group.bench_with_input(BenchmarkId::from_parameter("global"), &global, |b, t| {
-        b.iter(|| hammer_registry(t))
-    });
-    group.finish();
-
     // --- E-O2 verdict. ---
     let median = |name: &str| {
         c.records()
@@ -126,9 +77,6 @@ fn bench(c: &mut Criterion) {
             .find(|r| r.name == name)
             .map(|r| r.median_ns)
     };
-    let cpus = std::thread::available_parallelism()
-        .map(std::num::NonZeroUsize::get)
-        .unwrap_or(1);
     let mut body = String::new();
     if let (Some(off_ns), Some(on_ns)) = (
         median("trace_fleet/fleet_engine/untraced"),
@@ -146,31 +94,9 @@ fn bench(c: &mut Criterion) {
             "E-O2 bound violated: traced/untraced fleet ratio {ratio:.3} >= {MAX_RATIO}"
         );
     }
-    if let (Some(striped_ns), Some(global_ns)) = (
-        median("trace_fleet/registry_contention/striped"),
-        median("trace_fleet/registry_contention/global"),
-    ) {
-        let speedup = global_ns / striped_ns;
-        body.push_str(&format!(
-            "registry contention ({WRITERS} writers x {OPS_PER_WRITER} ops): \
-             striped {:.1} us, single-stripe {:.1} us, speedup {speedup:.2}x \
-             ({cpus} CPUs)\n",
-            striped_ns / 1_000.0,
-            global_ns / 1_000.0,
-        ));
-        // Striping only helps when writers actually run in parallel; a
-        // single-CPU host serialises them and the row is informational.
-        if cpus > 1 {
-            assert!(
-                striped_ns < global_ns,
-                "E-O2: striped registry ({striped_ns:.0} ns) must beat the \
-                 single-stripe registry ({global_ns:.0} ns) on a {cpus}-CPU host"
-            );
-        }
-    }
     print_experiment_once(
         &PRINTED,
-        "E-O2 / Observability — causal tracing and sharded registries at fleet scale",
+        "E-O2 / Observability — causal tracing at fleet scale",
         &body,
     );
 }

@@ -433,7 +433,6 @@ pub fn run_shards(
 
     let base = config.trees / workers;
     let rem = config.trees % workers;
-    let mut outputs = Vec::with_capacity(workers as usize);
     thread::scope(|scope| {
         let mut handles = Vec::with_capacity(workers as usize);
         let mut start = 0u32;
@@ -446,12 +445,21 @@ pub fn run_shards(
             let ctx = root.child(TRACE_SLOT_SHARD | u64::from(w)).with_shard(w);
             handles.push(scope.spawn(move || run_shard(&cfg, lo, hi, &tele, ctx)));
         }
-        for handle in handles {
-            if let Ok(out) = handle.join() {
-                outputs.push(out);
-            }
+        join_in_order(handles)
+    })
+}
+
+/// Joins scoped workers in spawn order. A panicked worker's panic is
+/// resumed on the caller, so a failed shard fails the whole run instead
+/// of leaving its trees silently out of the result.
+fn join_in_order<T>(handles: Vec<thread::ScopedJoinHandle<'_, T>>) -> Vec<T> {
+    let mut outputs = Vec::with_capacity(handles.len());
+    for handle in handles {
+        match handle.join() {
+            Ok(out) => outputs.push(out),
+            Err(payload) => std::panic::resume_unwind(payload),
         }
-    });
+    }
     outputs
 }
 
@@ -811,6 +819,21 @@ mod tests {
         assert_eq!(one.log, three.log);
         assert_eq!(one.stats, three.stats);
         assert_eq!(one.log.digest(), three.log.digest());
+    }
+
+    #[test]
+    fn a_panicked_worker_fails_the_join() {
+        let joined = std::panic::catch_unwind(|| {
+            thread::scope(|scope| {
+                let handles = vec![scope.spawn(|| 1u32), scope.spawn(|| panic!("shard failed"))];
+                join_in_order(handles)
+            })
+        });
+        assert!(joined.is_err());
+        let in_order = thread::scope(|scope| {
+            join_in_order((0..4u32).map(|w| scope.spawn(move || w)).collect())
+        });
+        assert_eq!(in_order, [0, 1, 2, 3]);
     }
 
     #[test]

@@ -5,9 +5,10 @@
 //! The exporter is **canonical**: events are sorted by
 //! `(start_ns, trace_id, parent_id, span_id, name, dur_ns)` before
 //! rendering, so the output bytes depend only on what was recorded,
-//! never on which ring stripe or OS thread carried an event. Under
-//! `ManualClock` two same-seed fleet runs therefore export byte-identical
-//! documents — the verify.sh trace-determinism gate `cmp`s exactly this.
+//! never on which OS thread carried an event or when it reached the
+//! ring. Under `ManualClock` two same-seed fleet runs therefore export
+//! byte-identical documents — the verify.sh trace-determinism gate
+//! `cmp`s exactly this.
 //!
 //! The document loads directly into `chrome://tracing` / Perfetto:
 //! every span is a complete (`"ph":"X"`) event, the shard index becomes

@@ -5,18 +5,17 @@
 //! of that bound. It provides:
 //!
 //! - a **metrics registry** — atomic [`Counter`]s, [`Gauge`]s and
-//!   log-bucketed [`Histogram`]s with p50/p95/p99 extraction, striped
-//!   per thread so fleet shard workers never serialise on one lock or
-//!   cache line (stripe-merged reads are exact — see [`metrics`]);
+//!   log-bucketed [`Histogram`]s with p50/p95/p99 extraction, one shared
+//!   cell per metric (see [`metrics`]);
 //! - a **causal span API** — RAII guards ([`Span`], the [`span!`]
 //!   macro) timed by a pluggable [`Clock`] (deterministic
 //!   [`ManualClock`] in tests, monotonic in benches), carrying a
 //!   [`TraceContext`] (trace/span/parent IDs derived deterministically
 //!   from run seeds) so a fleet campaign yields a reconstructable
 //!   cross-thread span tree;
-//! - a **bounded trace ring** ([`TraceRing`]) that never blocks a hot
-//!   path: per-thread stripes, drops-oldest under pressure, counts
-//!   every drop;
+//! - a **bounded trace ring** ([`TraceRing`]) behind one lock: a span
+//!   is lost only when the ring is full (drops-oldest), and every drop
+//!   is counted;
 //! - a **flight recorder** ([`flight`]) — drained trace events exported
 //!   as Chrome-trace/Perfetto JSON (`genio-trace/v1`), canonically
 //!   sorted so same-seed runs export byte-identical trees, with a
@@ -41,7 +40,6 @@ pub mod flight;
 pub mod metrics;
 pub mod ring;
 pub mod span;
-mod stripe;
 pub mod trace;
 
 use std::cell::RefCell;
@@ -58,42 +56,11 @@ pub use ring::{RingStats, TraceEvent, TraceRing};
 pub use span::Span;
 pub use trace::TraceContext;
 
-use metrics::{HistogramCells, Registry};
+use metrics::Registry;
 
-/// Default trace ring capacity (per stripe) for [`Telemetry::enabled`].
+/// Trace ring capacity of [`Telemetry::enabled`] and
+/// [`Telemetry::with_manual_clock`] handles.
 pub const DEFAULT_RING_CAPACITY: usize = 4_096;
-
-/// Upper bound on registry/ring stripes an enabled handle will use.
-const MAX_STRIPES: usize = 16;
-
-/// Construction knobs for an enabled handle — see
-/// [`Telemetry::with_options`].
-#[derive(Clone, Copy, Debug)]
-pub struct TelemetryOptions {
-    /// Trace ring capacity **per stripe**.
-    pub ring_capacity: usize,
-    /// Counter/histogram/ring stripe count (rounded up to a power of
-    /// two, clamped to 1..=16). 1 reproduces the pre-v2 single-cell
-    /// registry — the oracle configuration the property tests compare
-    /// against.
-    pub stripes: usize,
-}
-
-impl Default for TelemetryOptions {
-    fn default() -> TelemetryOptions {
-        TelemetryOptions { ring_capacity: DEFAULT_RING_CAPACITY, stripes: default_stripes() }
-    }
-}
-
-/// Stripe count matched to the machine: enough to spread the fleet
-/// engine's shard workers, capped so snapshot merges stay cheap.
-fn default_stripes() -> usize {
-    std::thread::available_parallelism()
-        .map(std::num::NonZeroUsize::get)
-        .unwrap_or(1)
-        .next_power_of_two()
-        .min(MAX_STRIPES)
-}
 
 /// The observability handle threaded through instrumented constructors.
 /// Cloning is cheap (an `Option<Arc>`); the [`Default`] is disabled, so
@@ -117,7 +84,7 @@ struct Inner {
 
 static NEXT_INNER_ID: AtomicU64 = AtomicU64::new(1);
 
-/// Per-thread span-cell cache: (handle id, span-name address) → striped
+/// Per-thread span-cell cache: (handle id, span-name address) →
 /// histogram cell. Span names are `&'static str` literals, so the
 /// address is a stable identity and re-opening a known span takes no
 /// lock and allocates nothing. Bounded: the cache resets if it ever
@@ -126,7 +93,7 @@ static NEXT_INNER_ID: AtomicU64 = AtomicU64::new(1);
 const SPAN_CACHE_MAX: usize = 256;
 
 thread_local! {
-    static SPAN_CELLS: RefCell<Vec<((u64, usize), Arc<HistogramCells>)>> =
+    static SPAN_CELLS: RefCell<Vec<((u64, usize), Arc<HistogramCore>)>> =
         const { RefCell::new(Vec::new()) };
 }
 
@@ -136,37 +103,26 @@ impl Telemetry {
         Telemetry::default()
     }
 
-    /// An enabled handle on the OS monotonic clock with default options
-    /// — what benches and examples use.
+    /// An enabled handle on the OS monotonic clock — what benches and
+    /// examples use.
     pub fn enabled() -> Telemetry {
-        Telemetry::with_options(Clock::monotonic(), TelemetryOptions::default())
+        Telemetry::with_clock(Clock::monotonic(), DEFAULT_RING_CAPACITY)
     }
 
     /// An enabled handle on a deterministic manual clock — what tests
     /// use. Keep the `ManualClock` to advance time.
     pub fn with_manual_clock(source: &ManualClock) -> Telemetry {
-        Telemetry::with_options(Clock::manual(source), TelemetryOptions::default())
+        Telemetry::with_clock(Clock::manual(source), DEFAULT_RING_CAPACITY)
     }
 
-    /// An enabled handle with explicit clock and per-stripe ring
-    /// capacity, using the machine-default stripe count.
+    /// An enabled handle with an explicit clock and trace ring capacity.
     pub fn with_clock(clock: Clock, ring_capacity: usize) -> Telemetry {
-        Telemetry::with_options(clock, TelemetryOptions {
-            ring_capacity,
-            ..TelemetryOptions::default()
-        })
-    }
-
-    /// An enabled handle with explicit clock, ring capacity and stripe
-    /// count. `stripes: 1` reproduces the pre-v2 global-cell registry.
-    pub fn with_options(clock: Clock, options: TelemetryOptions) -> Telemetry {
-        let stripes = options.stripes.clamp(1, MAX_STRIPES).next_power_of_two();
         Telemetry {
             inner: Some(Arc::new(Inner {
                 id: NEXT_INNER_ID.fetch_add(1, Ordering::Relaxed),
                 clock,
-                registry: Registry::with_stripes(stripes),
-                ring: Arc::new(TraceRing::striped(options.ring_capacity, stripes)),
+                registry: Registry::default(),
+                ring: Arc::new(TraceRing::new(ring_capacity)),
             })),
         }
     }
@@ -240,9 +196,7 @@ impl Telemetry {
 
     /// Freezes the current state for export. Disabled handles yield an
     /// empty snapshot. Span-duration cells appear as `<name>_ns`
-    /// histograms; striped cells are merged bucket-wise (exactly — sums
-    /// commute), so the snapshot is indistinguishable from a single-cell
-    /// registry's.
+    /// histograms.
     pub fn snapshot(&self) -> Snapshot {
         let Some(inner) = &self.inner else {
             return Snapshot::default();
@@ -251,7 +205,7 @@ impl Telemetry {
         // sequence. A span named `x` renders as `x_ns`, which may
         // coincide with an explicitly created histogram `x_ns`; merging
         // their buckets preserves the pre-v2 shared-cell behaviour.
-        let mut merged: std::collections::BTreeMap<String, Vec<Arc<HistogramCells>>> =
+        let mut merged: std::collections::BTreeMap<String, Vec<Arc<HistogramCore>>> =
             std::collections::BTreeMap::new();
         for (name, cells) in inner.registry.histogram_cells() {
             merged.entry(name).or_default().push(cells);
@@ -292,7 +246,7 @@ impl Telemetry {
 /// Cached span-cell lookup: hit is a thread-local vector scan keyed by
 /// (handle id, name address); miss takes the registry lock once per
 /// (thread, handle, name).
-fn span_cell_for(inner: &Inner, name: &'static str) -> Arc<HistogramCells> {
+fn span_cell_for(inner: &Inner, name: &'static str) -> Arc<HistogramCore> {
     let key = (inner.id, name.as_ptr() as usize);
     let hit = SPAN_CELLS.with(|cache| {
         cache
@@ -417,19 +371,12 @@ mod tests {
     }
 
     #[test]
-    fn options_clamp_stripes_and_single_stripe_matches_legacy() {
+    fn ring_capacity_is_the_constructor_argument() {
         let source = ManualClock::new();
-        let t = Telemetry::with_options(
-            Clock::manual(&source),
-            TelemetryOptions { ring_capacity: 8, stripes: 1 },
-        );
-        assert_eq!(t.ring().map(|r| r.stripes()), Some(1));
-        assert_eq!(t.ring().map(|r| r.capacity()), Some(8));
-        let big = Telemetry::with_options(
-            Clock::manual(&source),
-            TelemetryOptions { ring_capacity: 8, stripes: 1_000 },
-        );
-        assert_eq!(big.ring().map(|r| r.stripes()), Some(MAX_STRIPES));
+        let t = Telemetry::with_clock(Clock::manual(&source), 8);
+        assert_eq!(t.ring().map(TraceRing::capacity), Some(8));
+        let default = Telemetry::with_manual_clock(&source);
+        assert_eq!(default.ring().map(TraceRing::capacity), Some(DEFAULT_RING_CAPACITY));
     }
 
     #[test]

@@ -1,81 +1,34 @@
 //! Metrics primitives: atomic counters, gauges, and log-bucketed
-//! histograms with quantile extraction — striped per thread so fleet
-//! shard workers never serialise on a shared cache line.
+//! histograms with quantile extraction.
 //!
 //! Handles are cheap clones around `Option<Arc<...>>`. A handle obtained
 //! from a disabled [`crate::Telemetry`] carries `None` and every
 //! operation on it is a branch on a `None` — no allocation, no lock, no
 //! atomic traffic. Enabled handles are resolved once by name against the
 //! registry (one `BTreeMap` lookup under a mutex) and from then on each
-//! update is a handful of relaxed atomic operations on a per-thread
-//! stripe, which is what keeps the E-O1/E-O2 overhead bounds honest.
-//!
-//! Striping (telemetry v2): a registry built with `stripes > 1` backs
-//! every counter and histogram with one cell per stripe; threads pick a
-//! stripe round-robin (see [`crate::stripe`]) and updates touch only
-//! that stripe. Reads merge: counter totals are stripe sums, histogram
-//! snapshots add bucket arrays element-wise. Sums and per-bucket counts
-//! are exact under merging (addition commutes), so a striped registry is
-//! observationally equal to a single-cell oracle — pinned by property
-//! tests.
+//! update is a handful of relaxed atomic operations on the metric's one
+//! shared cell, which is what keeps the E-O1/E-O2 overhead bounds honest.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 use crate::clock::Clock;
-use crate::stripe::thread_stripe;
 
 /// Number of power-of-two histogram buckets. Bucket `i` holds values
 /// whose highest set bit is `i`, i.e. the range `[2^i, 2^(i+1))`, with
 /// 0 landing in bucket 0. 64 buckets cover the full `u64` range.
 pub const HISTOGRAM_BUCKETS: usize = 64;
 
-/// One counter stripe, padded to a cache line so neighbouring stripes
-/// never false-share.
-#[derive(Debug, Default)]
-#[repr(align(64))]
-struct PaddedU64(AtomicU64);
-
-/// Striped counter storage: one padded atomic per stripe, summed on read.
-#[derive(Debug)]
-pub struct CounterCells {
-    stripes: Box<[PaddedU64]>,
-    mask: usize,
-}
-
-impl CounterCells {
-    fn new(stripes: usize) -> CounterCells {
-        let stripes = stripes.max(1).next_power_of_two();
-        CounterCells {
-            stripes: (0..stripes).map(|_| PaddedU64::default()).collect(),
-            mask: stripes - 1,
-        }
-    }
-
-    #[inline]
-    fn add(&self, n: u64) {
-        let idx = if self.mask == 0 { 0 } else { thread_stripe() & self.mask };
-        if let Some(cell) = self.stripes.get(idx) {
-            cell.0.fetch_add(n, Ordering::Relaxed);
-        }
-    }
-
-    /// Exact total across stripes (sums commute).
-    fn total(&self) -> u64 {
-        self.stripes.iter().map(|c| c.0.load(Ordering::Relaxed)).sum()
-    }
-}
-
 /// Monotonically increasing event count.
 #[derive(Clone, Debug, Default)]
 pub struct Counter {
-    cells: Option<Arc<CounterCells>>,
+    cell: Option<Arc<AtomicU64>>,
 }
 
 impl Counter {
-    pub(crate) fn enabled(cells: Arc<CounterCells>) -> Counter {
-        Counter { cells: Some(cells) }
+    pub(crate) fn enabled(cell: Arc<AtomicU64>) -> Counter {
+        Counter { cell: Some(cell) }
     }
 
     /// A no-op counter (what a disabled `Telemetry` hands out).
@@ -86,20 +39,18 @@ impl Counter {
     /// Adds `n` to the counter.
     #[inline]
     pub fn incr(&self, n: u64) {
-        if let Some(cells) = &self.cells {
-            cells.add(n);
+        if let Some(cell) = &self.cell {
+            cell.fetch_add(n, Ordering::Relaxed);
         }
     }
 
     /// Current value (0 when disabled).
     pub fn get(&self) -> u64 {
-        self.cells.as_ref().map_or(0, |c| c.total())
+        self.cell.as_ref().map_or(0, |c| c.load(Ordering::Relaxed))
     }
 }
 
 /// A value that can move both ways (queue depths, open sessions).
-/// Gauges keep a single cell: `set` is last-writer-wins, which has no
-/// meaningful stripe-merge, and no gauge sits on a fleet hot path.
 #[derive(Clone, Debug, Default)]
 pub struct Gauge {
     cell: Option<Arc<AtomicI64>>,
@@ -138,8 +89,7 @@ impl Gauge {
 }
 
 /// Shared histogram state: total count/sum/max plus one atomic slot per
-/// power-of-two bucket. Lock-free on the record path. This is both the
-/// single-stripe oracle and the per-stripe unit of [`HistogramCells`].
+/// power-of-two bucket. Lock-free on the record path.
 #[derive(Debug)]
 pub struct HistogramCore {
     count: AtomicU64,
@@ -173,7 +123,7 @@ fn bucket_index(v: u64) -> usize {
 /// is monotone in `q` by construction — the property the testkit harness
 /// pins. `max` is the fallback when the walk exhausts (can only happen
 /// if `total` overstates the bucket sum). Shared by single cores and
-/// stripe-merged snapshots so both paths agree bit-for-bit.
+/// merged snapshots so both paths agree bit-for-bit.
 pub fn quantile_from_buckets(
     buckets: &[u64; HISTOGRAM_BUCKETS],
     total: u64,
@@ -246,85 +196,15 @@ impl HistogramCore {
     }
 }
 
-/// Striped histogram storage: one [`HistogramCore`] per stripe (each
-/// core is already several cache lines, so no extra padding), merged
-/// element-wise on read.
-#[derive(Debug)]
-pub struct HistogramCells {
-    stripes: Box<[HistogramCore]>,
-    mask: usize,
-}
-
-impl HistogramCells {
-    fn new(stripes: usize) -> HistogramCells {
-        let stripes = stripes.max(1).next_power_of_two();
-        HistogramCells {
-            stripes: (0..stripes).map(|_| HistogramCore::default()).collect(),
-            mask: stripes - 1,
-        }
-    }
-
-    /// Records one observation into this thread's stripe.
-    #[inline]
-    pub fn record(&self, v: u64) {
-        let idx = if self.mask == 0 { 0 } else { thread_stripe() & self.mask };
-        if let Some(core) = self.stripes.get(idx) {
-            core.record(v);
-        }
-    }
-
-    /// Merged observation count (exact: sums commute).
-    pub fn count(&self) -> u64 {
-        self.stripes.iter().map(HistogramCore::count).sum()
-    }
-
-    /// Merged observation sum (exact).
-    pub fn sum(&self) -> u64 {
-        self.stripes.iter().map(HistogramCore::sum).sum()
-    }
-
-    /// Merged maximum (max of stripe maxima — exact).
-    pub fn max(&self) -> u64 {
-        self.stripes.iter().map(HistogramCore::max).max().unwrap_or(0)
-    }
-
-    /// Merged mean.
-    pub fn mean(&self) -> f64 {
-        let n = self.count();
-        if n == 0 {
-            0.0
-        } else {
-            self.sum() as f64 / n as f64
-        }
-    }
-
-    /// Element-wise sum of the stripe bucket arrays (exact).
-    pub fn bucket_counts(&self) -> [u64; HISTOGRAM_BUCKETS] {
-        let mut out = [0u64; HISTOGRAM_BUCKETS];
-        for core in self.stripes.iter() {
-            for (slot, v) in out.iter_mut().zip(core.bucket_counts().iter()) {
-                *slot += v;
-            }
-        }
-        out
-    }
-
-    /// Quantile over the merged buckets — identical to what a single
-    /// core holding the union of observations would report.
-    pub fn quantile(&self, q: f64) -> u64 {
-        quantile_from_buckets(&self.bucket_counts(), self.count(), self.max(), q)
-    }
-}
-
 /// A named distribution, usually of durations in nanoseconds. Cloning is
 /// cheap; disabled histograms are no-ops.
 #[derive(Clone, Debug, Default)]
 pub struct Histogram {
-    core: Option<(Arc<HistogramCells>, Clock)>,
+    core: Option<(Arc<HistogramCore>, Clock)>,
 }
 
 impl Histogram {
-    pub(crate) fn enabled(core: Arc<HistogramCells>, clock: Clock) -> Histogram {
+    pub(crate) fn enabled(core: Arc<HistogramCore>, clock: Clock) -> Histogram {
         Histogram { core: Some((core, clock)) }
     }
 
@@ -377,7 +257,7 @@ impl Histogram {
 /// RAII duration recorder returned by [`Histogram::start`].
 #[derive(Debug)]
 pub struct Timer {
-    inner: Option<(Arc<HistogramCells>, Clock, u64)>,
+    inner: Option<(Arc<HistogramCore>, Clock, u64)>,
 }
 
 impl Drop for Timer {
@@ -393,19 +273,12 @@ impl Drop for Timer {
 /// per-event update path. Span-duration histograms live in their own
 /// map keyed by the `&'static str` span name, so `Telemetry::span` never
 /// allocates a `String` to find its cell.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct Registry {
-    stripes: usize,
-    counters: Mutex<BTreeMap<String, Arc<CounterCells>>>,
+    counters: Mutex<BTreeMap<String, Arc<AtomicU64>>>,
     gauges: Mutex<BTreeMap<String, Arc<AtomicI64>>>,
-    histograms: Mutex<BTreeMap<String, Arc<HistogramCells>>>,
-    spans: Mutex<BTreeMap<&'static str, Arc<HistogramCells>>>,
-}
-
-impl Default for Registry {
-    fn default() -> Registry {
-        Registry::with_stripes(1)
-    }
+    histograms: Mutex<BTreeMap<String, Arc<HistogramCore>>>,
+    spans: Mutex<BTreeMap<&'static str, Arc<HistogramCore>>>,
 }
 
 /// Recover the guard from a poisoned mutex: metrics are monotone atomics,
@@ -416,73 +289,43 @@ fn relock<'a, T>(
     r.unwrap_or_else(|e| e.into_inner())
 }
 
+/// The cell named `name`, created zeroed on first use. A hit borrows
+/// `name` and allocates nothing.
+fn resolve<T: Default>(map: &Mutex<BTreeMap<String, Arc<T>>>, name: &str) -> Arc<T> {
+    let mut map = relock(map.lock());
+    if let Some(cell) = map.get(name) {
+        return Arc::clone(cell);
+    }
+    let cell = Arc::<T>::default();
+    map.insert(name.to_string(), Arc::clone(&cell));
+    cell
+}
+
 impl Registry {
-    /// A registry whose counter/histogram cells carry `stripes` stripes
-    /// each (rounded up to a power of two, minimum 1).
-    pub fn with_stripes(stripes: usize) -> Registry {
-        Registry {
-            stripes: stripes.max(1).next_power_of_two(),
-            counters: Mutex::new(BTreeMap::new()),
-            gauges: Mutex::new(BTreeMap::new()),
-            histograms: Mutex::new(BTreeMap::new()),
-            spans: Mutex::new(BTreeMap::new()),
-        }
-    }
-
-    /// Stripe count cells are created with.
-    pub fn stripes(&self) -> usize {
-        self.stripes
-    }
-
-    pub(crate) fn counter_cell(&self, name: &str) -> Arc<CounterCells> {
-        let mut map = relock(self.counters.lock());
-        match map.get(name) {
-            Some(cell) => Arc::clone(cell),
-            None => {
-                let cell = Arc::new(CounterCells::new(self.stripes));
-                map.insert(name.to_string(), Arc::clone(&cell));
-                cell
-            }
-        }
+    pub(crate) fn counter_cell(&self, name: &str) -> Arc<AtomicU64> {
+        resolve(&self.counters, name)
     }
 
     pub(crate) fn gauge_cell(&self, name: &str) -> Arc<AtomicI64> {
-        let mut map = relock(self.gauges.lock());
-        Arc::clone(map.entry(name.to_string()).or_default())
+        resolve(&self.gauges, name)
     }
 
-    pub(crate) fn histogram_cell(&self, name: &str) -> Arc<HistogramCells> {
-        let mut map = relock(self.histograms.lock());
-        match map.get(name) {
-            Some(cell) => Arc::clone(cell),
-            None => {
-                let cell = Arc::new(HistogramCells::new(self.stripes));
-                map.insert(name.to_string(), Arc::clone(&cell));
-                cell
-            }
-        }
+    pub(crate) fn histogram_cell(&self, name: &str) -> Arc<HistogramCore> {
+        resolve(&self.histograms, name)
     }
 
     /// Span-duration cell for the span `name`, keyed by the static name
     /// itself — no allocation on the open path. The snapshot renders it
     /// under `<name>_ns` alongside plain histograms.
-    pub(crate) fn span_cell(&self, name: &'static str) -> Arc<HistogramCells> {
-        let mut map = relock(self.spans.lock());
-        match map.get(name) {
-            Some(cell) => Arc::clone(cell),
-            None => {
-                let cell = Arc::new(HistogramCells::new(self.stripes));
-                map.insert(name, Arc::clone(&cell));
-                cell
-            }
-        }
+    pub(crate) fn span_cell(&self, name: &'static str) -> Arc<HistogramCore> {
+        Arc::clone(relock(self.spans.lock()).entry(name).or_default())
     }
 
-    /// Sorted (name, value) view of all counters (stripe-merged).
+    /// Sorted (name, value) view of all counters.
     pub fn counter_values(&self) -> Vec<(String, u64)> {
         relock(self.counters.lock())
             .iter()
-            .map(|(k, v)| (k.clone(), v.total()))
+            .map(|(k, v)| (k.clone(), v.load(Ordering::Relaxed)))
             .collect()
     }
 
@@ -494,16 +337,16 @@ impl Registry {
             .collect()
     }
 
-    /// Sorted (name, cells) view of all plain histograms.
-    pub fn histogram_cells(&self) -> Vec<(String, Arc<HistogramCells>)> {
+    /// Sorted (name, cell) view of all plain histograms.
+    pub fn histogram_cells(&self) -> Vec<(String, Arc<HistogramCore>)> {
         relock(self.histograms.lock())
             .iter()
             .map(|(k, v)| (k.clone(), Arc::clone(v)))
             .collect()
     }
 
-    /// Sorted (span name, cells) view of all span-duration histograms.
-    pub fn span_cells(&self) -> Vec<(&'static str, Arc<HistogramCells>)> {
+    /// Sorted (span name, cell) view of all span-duration histograms.
+    pub fn span_cells(&self) -> Vec<(&'static str, Arc<HistogramCore>)> {
         relock(self.spans.lock())
             .iter()
             .map(|(k, v)| (*k, Arc::clone(v)))
@@ -587,41 +430,24 @@ mod tests {
     }
 
     #[test]
-    fn striped_cells_merge_to_exact_totals() {
-        let reg = Registry::with_stripes(8);
-        assert_eq!(reg.stripes(), 8);
-        let cells = reg.counter_cell("striped");
+    fn concurrent_updates_to_one_cell_are_exact() {
+        let reg = Registry::default();
+        let counter = Counter::enabled(reg.counter_cell("shared"));
         let hist = reg.histogram_cell("lat");
         std::thread::scope(|scope| {
             for t in 0..4u64 {
-                let cells = Arc::clone(&cells);
-                let hist = Arc::clone(&hist);
+                let (counter, hist) = (counter.clone(), Arc::clone(&hist));
                 scope.spawn(move || {
                     for i in 0..100 {
-                        cells.add(1);
+                        counter.incr(1);
                         hist.record(t * 1_000 + i);
                     }
                 });
             }
         });
-        assert_eq!(cells.total(), 400);
+        assert_eq!(counter.get(), 400);
         assert_eq!(hist.count(), 400);
         assert_eq!(hist.bucket_counts().iter().sum::<u64>(), 400);
         assert_eq!(hist.max(), 3 * 1_000 + 99);
-    }
-
-    #[test]
-    fn striped_quantile_equals_single_core_oracle() {
-        let striped = HistogramCells::new(4);
-        let oracle = HistogramCore::default();
-        for v in [3u64, 17, 900, 900, 65_000, 1, 0, 2_000_000] {
-            striped.record(v);
-            oracle.record(v);
-        }
-        for q in [0.0, 0.5, 0.95, 0.99, 1.0] {
-            assert_eq!(striped.quantile(q), oracle.quantile(q));
-        }
-        assert_eq!(striped.bucket_counts(), oracle.bucket_counts());
-        assert_eq!(striped.sum(), oracle.sum());
     }
 }

@@ -1,27 +1,19 @@
-//! Bounded, striped ring buffer of trace events with explicit drop
-//! accounting.
+//! Bounded ring buffer of trace events with explicit drop accounting.
 //!
-//! The hot-path contract: `push` **never blocks**. Each stripe's buffer
-//! sits behind a mutex, but writers only `try_lock` — if another thread
-//! holds the lock the event is counted as dropped rather than waited
-//! for. When a stripe is full the oldest event is evicted (drops-oldest)
-//! and the drop counter says so. The accounting invariant, pinned by
-//! property tests, is `recorded == dropped + drained + buffered` at
-//! quiescence.
+//! One mutex guards the buffer and its counts. `push` waits for the lock
+//! rather than giving up on contention, so an event is lost only when the
+//! ring is full: the oldest event is evicted (drops-oldest) and the drop
+//! counter says so. Because the counts move under the same lock as the
+//! buffer, `recorded == dropped + drained + buffered` holds in every
+//! [`TraceRing::stats`] view, not only at quiescence.
 //!
-//! Striping (new in telemetry v2) is what makes the ring shard-native:
-//! each OS thread is assigned a stripe round-robin, so the fleet
-//! engine's shard workers push into disjoint buffers and the
-//! `try_lock`-contention drop path effectively never fires. `drain`
-//! walks the stripes in order; the flight recorder re-sorts events into
-//! canonical order anyway, so stripe assignment never leaks into
-//! exported bytes.
+//! The panic-dump hook ([`crate::install_panic_dump`]) drains this ring,
+//! so nothing may panic while the lock is held: the buffer is allocated
+//! at full capacity up front and `push` evicts before it appends, so the
+//! critical section never allocates.
 
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Mutex, TryLockError};
-
-use crate::stripe::thread_stripe;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 /// One completed span occurrence, carrying its causal identity.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -50,13 +42,12 @@ impl TraceEvent {
     }
 }
 
-/// Point-in-time accounting view of the ring (summed over stripes).
+/// Point-in-time accounting view of the ring.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct RingStats {
-    /// Events offered to the ring (accepted or not).
+    /// Events offered to the ring.
     pub recorded: u64,
-    /// Events lost: evicted-oldest on overflow, or rejected because the
-    /// stripe was contended at push time.
+    /// Events evicted, oldest first, because the ring was full.
     pub dropped: u64,
     /// Events handed out via [`TraceRing::drain`].
     pub drained: u64,
@@ -64,130 +55,79 @@ pub struct RingStats {
     pub buffered: u64,
 }
 
-/// One independently locked segment of the ring.
+/// The buffer and its counts, all guarded by the ring's one lock.
 #[derive(Debug)]
-struct RingStripe {
-    events: Mutex<VecDeque<TraceEvent>>,
-    recorded: AtomicU64,
-    dropped: AtomicU64,
-    drained: AtomicU64,
+struct RingState {
+    events: VecDeque<TraceEvent>,
+    recorded: u64,
+    dropped: u64,
+    drained: u64,
 }
 
-impl RingStripe {
-    fn new(capacity: usize) -> RingStripe {
-        RingStripe {
-            events: Mutex::new(VecDeque::with_capacity(capacity)),
-            recorded: AtomicU64::new(0),
-            dropped: AtomicU64::new(0),
-            drained: AtomicU64::new(0),
-        }
-    }
-
-    fn push(&self, capacity: usize, event: TraceEvent) {
-        self.recorded.fetch_add(1, Ordering::Relaxed);
-        match self.events.try_lock() {
-            Ok(mut queue) => {
-                if queue.len() >= capacity {
-                    queue.pop_front();
-                    self.dropped.fetch_add(1, Ordering::Relaxed);
-                }
-                queue.push_back(event);
-            }
-            Err(TryLockError::WouldBlock) => {
-                self.dropped.fetch_add(1, Ordering::Relaxed);
-            }
-            Err(TryLockError::Poisoned(poison)) => {
-                let mut queue = poison.into_inner();
-                if queue.len() >= capacity {
-                    queue.pop_front();
-                    self.dropped.fetch_add(1, Ordering::Relaxed);
-                }
-                queue.push_back(event);
-            }
-        }
-    }
-}
-
-/// Bounded, never-blocking trace event buffer, striped per thread.
+/// Bounded trace event buffer behind a single lock.
 #[derive(Debug)]
 pub struct TraceRing {
-    stripe_capacity: usize,
-    stripes: Box<[RingStripe]>,
-    /// `stripes.len() - 1`; stripe counts are powers of two so stripe
-    /// selection is a mask, not a modulo.
-    mask: usize,
+    capacity: usize,
+    state: Mutex<RingState>,
 }
 
 impl TraceRing {
-    /// A single-stripe ring holding at most `capacity` events (minimum
-    /// 1) — the pre-v2 shape, still what low-traffic handles use.
+    /// A ring holding at most `capacity` events (minimum 1).
     pub fn new(capacity: usize) -> TraceRing {
-        TraceRing::striped(capacity, 1)
-    }
-
-    /// A ring of `stripes` independently locked segments, each holding
-    /// at most `stripe_capacity` events. The stripe count is rounded up
-    /// to a power of two (minimum 1); threads are assigned stripes
-    /// round-robin at first push.
-    pub fn striped(stripe_capacity: usize, stripes: usize) -> TraceRing {
-        let stripe_capacity = stripe_capacity.max(1);
-        let stripes = stripes.max(1).next_power_of_two();
+        let capacity = capacity.max(1);
         TraceRing {
-            stripe_capacity,
-            stripes: (0..stripes).map(|_| RingStripe::new(stripe_capacity)).collect(),
-            mask: stripes - 1,
+            capacity,
+            state: Mutex::new(RingState {
+                events: VecDeque::with_capacity(capacity),
+                recorded: 0,
+                dropped: 0,
+                drained: 0,
+            }),
         }
     }
 
-    /// Maximum number of buffered events across all stripes.
+    /// Maximum number of buffered events.
     pub fn capacity(&self) -> usize {
-        self.stripe_capacity * self.stripes.len()
+        self.capacity
     }
 
-    /// Number of stripes.
-    pub fn stripes(&self) -> usize {
-        self.stripes.len()
+    /// Nothing panics while the lock is held, so a poisoned lock still
+    /// guards consistent state.
+    fn lock(&self) -> MutexGuard<'_, RingState> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// Offers an event. Never blocks: a contended stripe or a full
-    /// stripe costs a drop (of this event or the oldest one), never a
-    /// wait.
+    /// Offers an event. Waits for the lock; a full ring evicts its
+    /// oldest event (counted as dropped) to make room.
     pub fn push(&self, event: TraceEvent) {
-        let idx = thread_stripe() & self.mask;
-        if let Some(stripe) = self.stripes.get(idx) {
-            stripe.push(self.stripe_capacity, event);
+        let mut state = self.lock();
+        state.recorded += 1;
+        if state.events.len() >= self.capacity {
+            state.events.pop_front();
+            state.dropped += 1;
         }
+        state.events.push_back(event);
     }
 
-    /// Removes and returns all buffered events, stripe by stripe (oldest
-    /// first within a stripe). This is the reader side and may block
-    /// briefly; it never runs on a hot path. Cross-stripe order is
-    /// arbitrary — the flight recorder sorts canonically before export.
+    /// Removes and returns all buffered events, oldest first. The
+    /// flight recorder sorts canonically before export, so the order in
+    /// which concurrent pushes won the lock never reaches exported bytes.
     pub fn drain(&self) -> Vec<TraceEvent> {
-        let mut out = Vec::new();
-        for stripe in self.stripes.iter() {
-            let mut queue = stripe.events.lock().unwrap_or_else(|e| e.into_inner());
-            let before = out.len();
-            out.extend(queue.drain(..));
-            stripe.drained.fetch_add((out.len() - before) as u64, Ordering::Relaxed);
-        }
+        let mut state = self.lock();
+        let out: Vec<TraceEvent> = state.events.drain(..).collect();
+        state.drained += out.len() as u64;
         out
     }
 
-    /// Consistent accounting snapshot. Takes each stripe lock so
-    /// `buffered` lines up with the counters; at quiescence
-    /// `recorded == dropped + drained + buffered` (per stripe, hence in
-    /// aggregate).
+    /// Accounting snapshot, consistent with the buffer it describes.
     pub fn stats(&self) -> RingStats {
-        let mut total = RingStats::default();
-        for stripe in self.stripes.iter() {
-            let queue = stripe.events.lock().unwrap_or_else(|e| e.into_inner());
-            total.recorded += stripe.recorded.load(Ordering::Relaxed);
-            total.dropped += stripe.dropped.load(Ordering::Relaxed);
-            total.drained += stripe.drained.load(Ordering::Relaxed);
-            total.buffered += queue.len() as u64;
+        let state = self.lock();
+        RingStats {
+            recorded: state.recorded,
+            dropped: state.dropped,
+            drained: state.drained,
+            buffered: state.events.len() as u64,
         }
-        total
     }
 }
 
@@ -228,42 +168,5 @@ mod tests {
         let stats = ring.stats();
         assert_eq!(stats.recorded, 10);
         assert_eq!(stats.recorded, stats.dropped + stats.drained + stats.buffered);
-    }
-
-    #[test]
-    fn striped_ring_rounds_to_power_of_two_and_sums_capacity() {
-        let ring = TraceRing::striped(8, 3);
-        assert_eq!(ring.stripes(), 4);
-        assert_eq!(ring.capacity(), 32);
-        // Accounting holds across stripes even when one thread only ever
-        // touches its own stripe.
-        for i in 0..100 {
-            ring.push(ev("s", i));
-        }
-        let stats = ring.stats();
-        assert_eq!(stats.recorded, 100);
-        assert_eq!(stats.recorded, stats.dropped + stats.drained + stats.buffered);
-    }
-
-    #[test]
-    fn striped_drain_collects_from_every_stripe() {
-        let ring = std::sync::Arc::new(TraceRing::striped(64, 4));
-        let mut handles = Vec::new();
-        for t in 0..4u64 {
-            let ring = std::sync::Arc::clone(&ring);
-            handles.push(std::thread::spawn(move || {
-                for i in 0..16 {
-                    ring.push(ev("w", t * 100 + i));
-                }
-            }));
-        }
-        for h in handles {
-            drop(h.join());
-        }
-        let drained = ring.drain();
-        let stats = ring.stats();
-        assert_eq!(stats.recorded, 64);
-        assert_eq!(stats.drained + stats.dropped, 64);
-        assert_eq!(drained.len() as u64, stats.drained);
     }
 }

@@ -7,13 +7,12 @@
 //! `<name>_ns` and a [`TraceEvent`] — carrying the span's
 //! [`TraceContext`] — is offered to the ring. The histogram cell is
 //! resolved from a per-thread cache when the span opens, so dropping
-//! costs two atomic clock reads, a histogram record, and one ring
-//! `try_lock`.
+//! costs two atomic clock reads, a histogram record, and one ring lock.
 
 use std::sync::Arc;
 
 use crate::clock::Clock;
-use crate::metrics::HistogramCells;
+use crate::metrics::HistogramCore;
 use crate::ring::{TraceEvent, TraceRing};
 use crate::trace::TraceContext;
 
@@ -30,7 +29,7 @@ struct SpanInner {
     ctx: TraceContext,
     start_ns: u64,
     clock: Clock,
-    histogram: Arc<HistogramCells>,
+    histogram: Arc<HistogramCore>,
     ring: Arc<TraceRing>,
 }
 
@@ -39,7 +38,7 @@ impl Span {
         name: &'static str,
         ctx: TraceContext,
         clock: Clock,
-        histogram: Arc<HistogramCells>,
+        histogram: Arc<HistogramCore>,
         ring: Arc<TraceRing>,
     ) -> Span {
         let start_ns = clock.now_ns();

@@ -1,20 +1,22 @@
 //! Property-based tests over the telemetry spine: the accounting and
 //! ordering invariants the exporters and the E-O1 overhead proof rely
-//! on.
+//! on, and the flight recorder's canonical export.
 
-use std::sync::Arc;
+use std::sync::{Arc, Barrier};
 use std::thread;
 
 use genio_testkit::json;
 use genio_testkit::prelude::*;
 
-use genio_telemetry::{HistogramCore, ManualClock, Telemetry, TraceEvent, TraceRing};
+use genio_telemetry::flight::{chrome_trace, validate_tree};
+use genio_telemetry::{HistogramCore, ManualClock, Telemetry, TraceContext, TraceEvent, TraceRing};
 
 property! {
     /// Ring accounting under contention: however many writers race and
     /// however small the capacity, every recorded event is either
     /// delivered (drained or still buffered) or counted as dropped —
-    /// nothing is lost silently and nothing is double-counted.
+    /// nothing is lost silently and nothing is double-counted. Drops come
+    /// only from overflow, so exactly the excess over capacity is lost.
     fn ring_accounting_under_contention(capacity in 1usize..64,
                                         per_writer in 1usize..200,
                                         writers in 1usize..5) {
@@ -39,13 +41,40 @@ property! {
         prop_assert_eq!(stats.buffered, 0);
         prop_assert_eq!(stats.drained, delivered);
         prop_assert_eq!(stats.recorded, stats.dropped + delivered);
+        prop_assert_eq!(stats.dropped, stats.recorded.saturating_sub(capacity as u64));
     }
 }
 
+/// Writers released together on a barrier, each pushing enough to
+/// overlap the others, into a ring with room for every event: contention
+/// must cost waiting, never a span.
+#[test]
+fn ring_is_lossless_under_contention_below_capacity() {
+    const WRITERS: usize = 4;
+    const PER_WRITER: usize = 5_000;
+    let ring = TraceRing::new(WRITERS * PER_WRITER);
+    let start = Barrier::new(WRITERS);
+    thread::scope(|scope| {
+        for w in 0..WRITERS {
+            let (ring, start) = (&ring, &start);
+            scope.spawn(move || {
+                start.wait();
+                for i in 0..PER_WRITER {
+                    ring.push(TraceEvent::untraced("prop.race", (w * PER_WRITER + i) as u64, 1));
+                }
+            });
+        }
+    });
+    let stats = ring.stats();
+    assert_eq!(stats.recorded, (WRITERS * PER_WRITER) as u64);
+    assert_eq!(stats.dropped, 0, "a ring with room for every push lost spans to contention");
+    assert_eq!(ring.drain().len(), WRITERS * PER_WRITER);
+}
+
 property! {
-    /// Drop-oldest never blocks the writer and never exceeds capacity:
-    /// after any single-threaded burst the buffer holds at most
-    /// `capacity` events, and they are the most recent ones.
+    /// Drop-oldest never exceeds capacity: after any single-threaded
+    /// burst the buffer holds at most `capacity` events, and they are
+    /// the most recent ones.
     fn ring_drops_oldest(capacity in 1usize..32, burst in 0usize..128) {
         let ring = TraceRing::new(capacity);
         for i in 0..burst {
@@ -145,5 +174,49 @@ property! {
         let prom = snapshot.to_prometheus();
         prop_assert!(prom.contains("prop_gauge"));
         prop_assert!(prom.contains("prop_latency_ns_count"));
+    }
+}
+
+property! {
+    /// Flight-recorder canonical form: however the recorded events are
+    /// permuted (different thread/drain interleavings), the exported
+    /// document is byte-identical, parses as JSON, and the derived span
+    /// forest validates with every parent present.
+    fn trace_export_is_canonical_and_forest_valid(
+        spans_per_shard in vec(1usize..8, 1..5),
+        seed in 0u64..1_000
+    ) {
+        let clock = ManualClock::new();
+        let telemetry = Telemetry::with_manual_clock(&clock);
+        let root = TraceContext::root(seed);
+        {
+            let _run = telemetry.span_at("prop.run", root);
+            for (shard, &n) in spans_per_shard.iter().enumerate() {
+                let shard_ctx = root.child(shard as u64).with_shard(shard as u32);
+                let _shard = telemetry.span_at("prop.shard", shard_ctx);
+                for batch in 0..n {
+                    clock.advance(5);
+                    let _batch = telemetry.span_at("prop.batch", shard_ctx.child(batch as u64));
+                }
+            }
+        }
+        let events = telemetry.drain_trace();
+        let expected = 1 + spans_per_shard.len() + spans_per_shard.iter().sum::<usize>();
+        prop_assert_eq!(events.len(), expected, "nothing may drop at this volume");
+
+        let stats = validate_tree(&events).expect("span forest must validate");
+        prop_assert_eq!(stats.traced, expected);
+        prop_assert_eq!(stats.roots, 1);
+        prop_assert_eq!(stats.max_depth, 3);
+
+        // Any permutation exports the same bytes.
+        let doc = chrome_trace(&events);
+        let mut reversed = events.clone();
+        reversed.reverse();
+        prop_assert_eq!(&chrome_trace(&reversed), &doc);
+        let mut rotated = events.clone();
+        rotated.rotate_left(events.len() / 2);
+        prop_assert_eq!(&chrome_trace(&rotated), &doc);
+        prop_assert!(json::parse(&doc).is_ok(), "export must be valid JSON");
     }
 }

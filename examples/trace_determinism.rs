@@ -1,8 +1,7 @@
 //! Demonstrates telemetry v2's causal-trace determinism guarantee: the
 //! same seed, a [`ManualClock`] and a pinned worker count yield a
 //! byte-identical `genio-trace/v1` flight-recorder export, run after
-//! run — stripe scheduling and thread interleaving never leak into the
-//! canonical output.
+//! run — thread interleaving never leaks into the canonical output.
 //!
 //! `scripts/verify.sh` runs this example twice and diffs the outputs as
 //! the trace-determinism gate.
@@ -13,9 +12,7 @@
 
 use genio::core::fleet::simulate_pon_fleet;
 use genio::pon::engine::FleetSimConfig;
-use genio::telemetry::{
-    chrome_trace, validate_tree, Clock, ManualClock, Telemetry, TelemetryOptions,
-};
+use genio::telemetry::{chrome_trace, validate_tree, Clock, ManualClock, Telemetry};
 
 /// Workers are pinned: the shard span fan-out is part of the tree shape,
 /// so determinism is *per worker count* (E-S2 separately proves the
@@ -24,13 +21,9 @@ const WORKERS: usize = 2;
 
 fn traced_fleet_run() -> (String, genio::telemetry::TraceTreeStats) {
     let source = ManualClock::new();
-    let telemetry = Telemetry::with_options(
-        Clock::manual(&source),
-        // Stripes pinned (the export is canonical either way) and the
-        // ring sized so nothing can drop — a dropped event would make
-        // the export depend on scheduling.
-        TelemetryOptions { ring_capacity: 65_536, stripes: 4 },
-    );
+    // Ring sized so nothing can drop — a dropped event would make the
+    // export depend on scheduling.
+    let telemetry = Telemetry::with_clock(Clock::manual(&source), 65_536);
     let config = FleetSimConfig {
         trees: 8,
         onus_per_tree: 16,

@@ -36,6 +36,12 @@ cargo build --release
 echo "==> cargo test --workspace -q  (builds examples; includes the examples smoke test)"
 cargo test --workspace -q
 
+echo "==> trace-property rerun gate (fleet trace properties under 20 seeds, 4 shard workers)"
+for i in $(seq 1 20); do
+    GENIO_TEST_SEED=$i cargo test --release -q -p genio-pon --test trace_properties
+done
+echo "fleet span trees validate and re-export byte-identically under every seed"
+
 echo "==> GCM vector gate (committed KAT corpus, table AND reference backends)"
 cargo test --release -q -p genio-crypto --test gcm_vectors
 GENIO_CRYPTO_BACKEND=reference cargo test --release -q -p genio-crypto --test gcm_vectors
