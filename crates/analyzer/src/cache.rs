@@ -6,8 +6,8 @@
 //! a rule-set version. The cache stores, per file: the FNV-1a 64 hash
 //! of the source, the line count, the crate-root /
 //! `#![forbid(unsafe_code)]` facts R3 needs, the parsed `allow(...)`
-//! suppressions, and the *pre-bridge, pre-dataflow* findings, accesses
-//! and summary.
+//! suppressions, and the *pre-dataflow* findings, accesses and
+//! summary.
 //!
 //! The v3 document (v2 plus panic-site facts and call receivers in the
 //! summaries, consumed by dependency-aware invalidation and the R16/R17
@@ -18,13 +18,13 @@
 //! findings) fails the version check and degrades to a full rescan,
 //! while a matching version still serves every unchanged file.
 //!
-//! Cross-file stages (the sast bridge, R3, and the whole
-//! [`crate::dataflow`] pass) always re-run over the cached payloads:
-//! they depend on *other* files' contents, which a per-file hash cannot
-//! witness. Because everything downstream of the cache is deterministic,
-//! a warm scan produces a byte-identical report to a cold one — the
-//! property test in `tests/cache_and_parallel.rs` and the verify-gate
-//! determinism check both pin this down.
+//! Cross-file stages (R3 and the whole [`crate::dataflow`] pass)
+//! always re-run over the cached payloads: they depend on *other*
+//! files' contents, which a per-file hash cannot witness. Because
+//! everything downstream of the cache is deterministic, a warm scan
+//! produces a byte-identical report to a cold one — the property test
+//! in `tests/cache_and_parallel.rs` and the verify-gate determinism
+//! check both pin this down.
 //!
 //! Failure policy: a missing, unparsable or schema-mismatched cache file
 //! degrades to an empty cache (full rescan), never an error — a stale
@@ -53,7 +53,7 @@ pub struct FileEntry {
     pub is_crate_root: bool,
     /// Does the crate root carry `#![forbid(unsafe_code)]`?
     pub has_forbid: bool,
-    /// Per-file findings, before the bridge and the dataflow pass.
+    /// Per-file findings, before the dataflow pass.
     pub findings: Vec<Finding>,
     /// R4/R5 access records.
     pub accesses: Vec<Access>,

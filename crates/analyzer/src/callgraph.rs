@@ -29,7 +29,7 @@ pub struct FileFacts {
     pub rel_path: String,
     /// The file's item/function summary.
     pub summary: FileSummary,
-    /// Per-file findings after the sast bridge ran.
+    /// Per-file findings from the lexical pass.
     pub findings: Vec<Finding>,
     /// R4/R5 access records from the lexical pass.
     pub accesses: Vec<Access>,

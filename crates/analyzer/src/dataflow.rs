@@ -1,7 +1,6 @@
 //! Interprocedural taint walk over the workspace call graph.
 //!
-//! Three jobs, all running *after* the per-file rules and the sast
-//! bridge:
+//! Three jobs, all running *after* the per-file rules:
 //!
 //! 1. **Discharge R4/R5 findings whose bounds are provable across
 //!    function boundaries.** Four discharge arguments, each requiring

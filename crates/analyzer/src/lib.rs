@@ -43,22 +43,19 @@
 //!    do not dominate them;
 //! 10. [`lifecycle`] — the R17 pass: secret collection-escape and
 //!     missing-zeroize-in-teardown checks over the R8 type registry;
-//! 11. [`bridge`] — lowers R4/R5 candidates into the
-//!     `genio_appsec::sast` taint IR so an independent engine confirms
-//!     reachability before a finding is kept;
-//! 12. [`cache`] — content-hash incremental cache
+//! 11. [`cache`] — content-hash incremental cache
 //!     (`genio-analyzer-cache/v3` JSON under `target/`, carrying the
 //!     rule-set version hash so caches from older binaries
 //!     self-invalidate, with call-graph dependency invalidation) so warm
 //!     re-scans skip lexing/summarising unchanged files;
-//! 13. [`baseline`] — `genio-analyzer/v1` JSON reports and the ratchet:
+//! 12. [`baseline`] — `genio-analyzer/v1` JSON reports and the ratchet:
 //!     committed findings are grandfathered, new ones fail
 //!     `scripts/verify.sh`, and the baseline only ever shrinks;
-//! 14. [`diff`] — diff-aware incremental scanning: `--diff <git-ref>`
+//! 13. [`diff`] — diff-aware incremental scanning: `--diff <git-ref>`
 //!     re-scans the base contents of changed files, diffs the finding
 //!     multisets to report only what the change introduced, and exports
 //!     `genio-analyzer-sarif/v1` for CI interop;
-//! 15. [`workspace`] — walks every crate's `src/` tree (sharded across
+//! 14. [`workspace`] — walks every crate's `src/` tree (sharded across
 //!     `std::thread` workers, instrumented with `genio-telemetry`
 //!     spans), applies `allow(...)` suppressions, and assembles the
 //!     report the CLI, the verify gate, and benches `lesson7_selfscan`
@@ -79,7 +76,6 @@
 #![warn(missing_docs)]
 
 pub mod baseline;
-pub mod bridge;
 pub mod cache;
 pub mod callgraph;
 pub mod cfg;

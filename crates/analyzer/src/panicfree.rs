@@ -8,7 +8,8 @@
 //!
 //! 1. seed the walk with every definition of a [`HOT_ENTRIES`] name
 //!    (the GCM batch sealers, the fleet engine drivers, the MACsec
-//!    batchers, the fleet merge);
+//!    batchers, the fleet merge, and the subscriber path's GEM,
+//!    handshake-record and alert-correlation entry points);
 //! 2. take the call-graph closure — edges resolve when the callee name
 //!    is unique workspace-wide or unique within the caller's crate
 //!    ([`crate::callgraph::CallGraph::resolve_from`]), std method names
@@ -38,8 +39,15 @@ use crate::rules::{Access, Finding, Rule};
 /// are defined (the workspace's data-plane surface; fixtures and tests
 /// can declare their own by reusing a name).
 pub const HOT_ENTRIES: &[&str] = &[
+    "correlate",
+    "correlate_traced",
+    "decrypt_many",
+    "encrypt_downstream_burst",
+    "encrypt_downstream_many",
     "merge_shards",
+    "open_client_many",
     "open_many",
+    "open_server_many",
     "protect_many",
     "run_shards",
     "seal_many",

@@ -2,12 +2,11 @@
 //!
 //! Nine rules, mirroring the failure classes Lesson 7 calls out for
 //! immature SAST on custom stacks. R1–R7 are *lexical* checks (fast, no
-//! type information) whose parser-facing classes (R4, R5) are then
-//! confirmed through the `genio_appsec::sast` taint engine by
-//! [`crate::bridge`] and re-examined across function boundaries by
-//! [`crate::dataflow`]; R8 and R9 are *interprocedural* rules evaluated
-//! entirely in [`crate::dataflow`] over the workspace call graph built
-//! from [`crate::summary`] records:
+//! type information) whose parser-facing classes (R4, R5) are
+//! re-examined across function boundaries by [`crate::dataflow`]; R8
+//! and R9 are *interprocedural* rules evaluated entirely in
+//! [`crate::dataflow`] over the workspace call graph built from
+//! [`crate::summary`] records:
 //!
 //! * **R1** `unwrap`/`expect`/`panic!`/`unreachable!`/`todo!` in
 //!   non-test library code — abort paths a production service must not
@@ -218,8 +217,8 @@ a compiler guarantee. Fix: add the attribute to `src/lib.rs`/`src/main.rs`.",
 integers) in the frame/feed parser crates (`pon`, `netsec`, `vulnmgmt`). `as` \
 silently truncates attacker-controlled lengths and identifiers — the classic \
 packet-parser bug. Fix: use `try_from` with an error path, or mask explicitly when \
-truncation is the intent. The sast bridge confirms which casts are reachable from \
-parser entry points.",
+truncation is the intent. The interprocedural pass discharges casts whose callers \
+all pass literals.",
             Rule::R5UnguardedIndex => "R5 flags dynamic slice indexing with no \
 dominating bounds guard (`x.len()`, `x.get(..)`, a `< len` comparison, or a \
 literal-bounded loop) in the AEAD/frame hot-path files. Each unguarded index is a \
@@ -287,8 +286,10 @@ or delete the call. A guard consumed by an enclosing expression (`drop(..)`, \
 named `_`-prefixed binding.",
             Rule::R16PanicReachable => "R16 certifies panic-freedom of the declared \
 hot-path entry points (`seal_many`/`open_many`, `run_shards`/`merge_shards`, \
-`protect_many`/`validate_many`, `simulate_pon_fleet`). The pass takes the call-graph \
-closure from every entry and flags any reachable `.unwrap()`/`.expect(..)`, \
+`protect_many`/`validate_many`, `simulate_pon_fleet`, \
+`encrypt_downstream_many`/`encrypt_downstream_burst`/`decrypt_many`, \
+`open_client_many`/`open_server_many`, `correlate`/`correlate_traced`). The pass takes \
+the call-graph closure from every entry and flags any reachable `.unwrap()`/`.expect(..)`, \
 `panic!`-family macro, or dynamically-indexed slice access whose dominating guard \
 cannot be discharged path-sensitively: an `is_some`/`is_ok` check only covers the \
 branch it dominates (the `if` body, or — when the body diverges — the rest of the \
@@ -397,12 +398,13 @@ pub struct Finding {
     pub function: String,
     /// Stable, line-free description (part of the ratchet key).
     pub detail: String,
-    /// For R4/R5: did the sast taint bridge confirm reachability?
+    /// Whether reachability is confirmed: `Some(true)` for flow rules and
+    /// for R4/R5, `Some(false)` once [`crate::dataflow`] discharges an
+    /// R4/R5 finding, `None` for the other lexical rules.
     pub confirmed: Option<bool>,
 }
 
-/// A (possibly guarded) parser-input access that [`crate::bridge`]
-/// lowers into the `genio_appsec::sast` IR and [`crate::dataflow`]
+/// A (possibly guarded) parser-input access that [`crate::dataflow`]
 /// re-examines across function boundaries.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Access {
@@ -818,7 +820,7 @@ pub fn has_forbid_unsafe(tokens: &[Token]) -> bool {
 }
 
 /// Runs every per-file rule. Returns the findings plus the R4/R5 access
-/// records for the sast bridge (R3 is a per-crate rule and lives in
+/// records for [`crate::dataflow`] (R3 is a per-crate rule and lives in
 /// [`crate::workspace`]).
 pub fn scan_tokens(ctx: &FileContext<'_>, ann: &Annotated) -> (Vec<Finding>, Vec<Access>) {
     let mut findings = Vec::new();
@@ -863,7 +865,9 @@ fn push(
         line,
         function: function.to_string(),
         detail,
-        confirmed: None,
+        // R4/R5 findings are pushed beside an unguarded `Access` of their
+        // own function, so each is reachable by construction.
+        confirmed: matches!(rule, Rule::R4NarrowingCast | Rule::R5UnguardedIndex).then_some(true),
     });
 }
 
@@ -1041,7 +1045,7 @@ fn rule_r4(
         if !NARROW_TARGETS.contains(&target.text.as_str()) {
             continue;
         }
-        // Cast subject: nearest identifier to the left (for the bridge).
+        // Cast subject: nearest identifier to the left.
         let var = i
             .checked_sub(1)
             .and_then(|p| {

@@ -22,12 +22,11 @@
 //!    contiguous chunks over `std::thread` scoped workers and the
 //!    results merged back *in job order*, so the thread count can never
 //!    change the report;
-//! 4. **cross-file passes** (serial, always fresh) — R3 per crate, the
-//!    sast bridge per file, then the interprocedural
-//!    [`crate::dataflow`] walk, the [`crate::sidechannel`] pass
-//!    (R10–R12), the [`crate::concurrency`] pass (R13–R14), the
-//!    [`crate::panicfree`] closure (R16) and the [`crate::lifecycle`]
-//!    pass (R17) over the whole workspace;
+//! 4. **cross-file passes** (serial, always fresh) — R3 per crate, then
+//!    the interprocedural [`crate::dataflow`] walk, the
+//!    [`crate::sidechannel`] pass (R10–R12), the [`crate::concurrency`]
+//!    pass (R13–R14), the [`crate::panicfree`] closure (R16) and the
+//!    [`crate::lifecycle`] pass (R17) over the whole workspace;
 //! 5. **suppression + filter** — findings covered by a line-scoped
 //!    `// genio-analyzer: allow(...)` comment are dropped (counted in
 //!    the report's `allowed` field), then an optional
@@ -56,7 +55,6 @@ use std::path::{Path, PathBuf};
 use genio_telemetry::Telemetry;
 
 use crate::baseline::{sort_findings, Report};
-use crate::bridge;
 use crate::cache::{content_hash, Cache, FileEntry};
 use crate::callgraph::FileFacts;
 use crate::concurrency;
@@ -602,7 +600,7 @@ fn assemble_report(
         }
     }
 
-    // Stage 3b: sast bridge per file, then the interprocedural walks.
+    // Stage 3b: the interprocedural walks over every file's facts.
     let mut facts: Vec<FileFacts> = Vec::with_capacity(processed.len());
     let mut allow_map: std::collections::BTreeMap<String, Vec<Allow>> =
         std::collections::BTreeMap::new();
@@ -616,7 +614,7 @@ fn assemble_report(
             crate_name: p.crate_name.clone(),
             rel_path: p.rel.clone(),
             summary: p.entry.summary.clone(),
-            findings: bridge::confirm(p.entry.findings.clone(), &p.entry.accesses),
+            findings: p.entry.findings.clone(),
             accesses: p.entry.accesses.clone(),
         });
     }
@@ -704,5 +702,29 @@ mod tests {
         assert_eq!(sa.threads, 1);
         assert!(sb.threads >= 1);
         assert_eq!(a.to_json().to_string(), b.to_json().to_string());
+    }
+
+    /// R16 seeds its closure by name, so a renamed hot entry would
+    /// silently shrink the certified set; every name must still resolve.
+    #[test]
+    fn every_hot_entry_is_defined_in_the_workspace() {
+        let here = Path::new(env!("CARGO_MANIFEST_DIR"));
+        let root = find_root(here).expect("workspace root");
+        let (_, _, snapshot) =
+            scan_snapshot(&root, &ScanOptions::default()).expect("scan succeeds");
+        let defined: std::collections::BTreeSet<&str> = snapshot
+            .processed
+            .iter()
+            .flat_map(|p| p.entry.summary.functions.iter().map(|f| f.name.as_str()))
+            .collect();
+        let missing: Vec<&str> = crate::panicfree::HOT_ENTRIES
+            .iter()
+            .copied()
+            .filter(|name| !defined.contains(name))
+            .collect();
+        assert!(
+            missing.is_empty(),
+            "hot entries with no definition: {missing:?}"
+        );
     }
 }

@@ -183,7 +183,7 @@ fn negatives_stay_silent() {
 }
 
 #[test]
-fn r4_r5_findings_carry_bridge_confirmation() {
+fn r4_r5_findings_are_confirmed_reachable() {
     let report = workspace::scan(&fixture_root()).expect("fixture scan");
     for f in &report.findings {
         match f.rule {
@@ -191,7 +191,7 @@ fn r4_r5_findings_carry_bridge_confirmation() {
                 assert_eq!(
                     f.confirmed,
                     Some(true),
-                    "taint bridge should confirm {}:{}",
+                    "R4/R5 findings sit beside an unguarded access {}:{}",
                     f.file,
                     f.line
                 );

@@ -2,16 +2,16 @@
 //! within a bounded overhead envelope on the hot paths it instruments.
 //!
 //! Expected shape: disabled-mode primitives cost a branch (sub-ns to a
-//! few ns), enabled-mode primitives stay in the tens of ns, and the two
-//! end-to-end workloads (PON downstream simulation, runtime detection
-//! pipeline) run within `MAX_RATIO` of their uninstrumented baselines.
+//! few ns), enabled-mode primitives stay in the tens of ns, and the three
+//! end-to-end workloads (sharded PON fleet engine, batched AES-GCM data
+//! plane, runtime detection pipeline) run within `MAX_RATIO` of their
+//! uninstrumented baselines.
 //! The ratio is asserted here so a regression fails `cargo bench`.
 
 use std::sync::Once;
 
 use genio_bench::print_experiment_once;
 use genio_pon::engine::{run_with, EngineOptions, FleetSimConfig};
-use genio_pon::sim::{run_instrumented, SimConfig};
 use genio_runtime::events::mixed_trace;
 use genio_runtime::falco::{Engine, RuleSetTier};
 use genio_telemetry::Telemetry;
@@ -21,17 +21,6 @@ static PRINTED: Once = Once::new();
 
 /// Acceptance bound: enabled/disabled throughput ratio per workload.
 const MAX_RATIO: f64 = 1.15;
-
-fn sim_config() -> SimConfig {
-    SimConfig {
-        ticks: 40,
-        onus: 8,
-        encrypt: true,
-        certificate_admission: true,
-        replay_every: 10,
-        greedy_onu: false,
-    }
-}
 
 fn bench(c: &mut Criterion) {
     c.experiment_id("E-O1");
@@ -62,22 +51,7 @@ fn bench(c: &mut Criterion) {
     }
     group.finish();
 
-    // --- Workload 1: PON downstream simulation (E-T1..T8 hot loop). ---
-    let cfg = sim_config();
-    let frames = u64::from(cfg.ticks) * u64::from(cfg.onus);
-    let mut group = c.benchmark_group("telemetry_overhead/pon_sim");
-    group.throughput(Throughput::Elements(frames));
-    group.bench_with_input(BenchmarkId::from_parameter("disabled"), &cfg, |b, cfg| {
-        let t = Telemetry::disabled();
-        b.iter(|| std::hint::black_box(run_instrumented(cfg, &t)))
-    });
-    group.bench_with_input(BenchmarkId::from_parameter("enabled"), &cfg, |b, cfg| {
-        let t = Telemetry::enabled();
-        b.iter(|| std::hint::black_box(run_instrumented(cfg, &t)))
-    });
-    group.finish();
-
-    // --- Workload 2: sharded fleet engine (E-S2 hot loop): wheel
+    // --- Workload 1: sharded fleet engine (E-S2 hot loop): wheel
     // advance, shard step and merge spans plus per-batch counters. ---
     let fleet_cfg = FleetSimConfig {
         trees: 48,
@@ -112,7 +86,7 @@ fn bench(c: &mut Criterion) {
     );
     group.finish();
 
-    // --- Workload 4: batched AES-GCM data plane. The seal_many/open_many
+    // --- Workload 2: batched AES-GCM data plane. The seal_many/open_many
     // spans and frame/byte counters amortize across a whole burst, so the
     // instrumented batch must stay within the same bound. ---
     const GCM_BURST: usize = 32;
@@ -186,7 +160,6 @@ fn bench(c: &mut Criterion) {
     ));
     let mut checked = 0usize;
     for (workload, events) in [
-        ("pon_sim", frames),
         ("fleet_engine", fleet_frames),
         ("runtime_pipeline", trace.len() as u64),
         ("gcm_batch", GCM_BURST as u64),
@@ -217,7 +190,7 @@ fn bench(c: &mut Criterion) {
         checked += 1;
     }
     body.push_str(&format!(
-        "\n{checked}/4 workloads checked against the {MAX_RATIO:.2}x bound \
+        "\n{checked}/3 workloads checked against the {MAX_RATIO:.2}x bound \
          (per-event = (enabled - disabled) / events)\n"
     ));
     print_experiment_once(

@@ -15,36 +15,6 @@ pub const BLOCK_LEN: usize = 16;
 /// A single 16-byte AES block.
 pub type Block = [u8; BLOCK_LEN];
 
-/// Which implementation the dispatching entry points (`encrypt_block`,
-/// `ctr_xor`, and the GCM seal/open family) run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Backend {
-    /// Table-driven fast path: fused T-table rounds, 8-way interleaved CTR
-    /// keystream, windowed GHASH tables. The default.
-    Table,
-    /// The straight FIPS 197 S-box + bitwise-GF(2^128) path. Slow, but
-    /// transparently equal to the specification; kept as the differential
-    /// oracle and selectable at run time for A/B verification.
-    Reference,
-}
-
-/// Resolves the process-wide backend, once: the `force-reference` cargo
-/// feature wins, then the `GENIO_CRYPTO_BACKEND` environment variable
-/// (`reference` or `table`, case-insensitive); anything else — including the
-/// common case of no configuration at all — selects the fast table path.
-pub fn backend() -> Backend {
-    static BACKEND: OnceLock<Backend> = OnceLock::new();
-    *BACKEND.get_or_init(|| {
-        if cfg!(feature = "force-reference") {
-            return Backend::Reference;
-        }
-        match std::env::var("GENIO_CRYPTO_BACKEND") {
-            Ok(v) if v.eq_ignore_ascii_case("reference") => Backend::Reference,
-            _ => Backend::Table,
-        }
-    })
-}
-
 fn gf_mul(mut a: u8, mut b: u8) -> u8 {
     let mut p = 0u8;
     for _ in 0..8 {
@@ -256,23 +226,14 @@ impl Aes {
         self.size
     }
 
-    /// Encrypts one 16-byte block via the configured [`backend`]: the
-    /// T-table fast path by default, the straight FIPS 197 reference path
-    /// under `GENIO_CRYPTO_BACKEND=reference` or the `force-reference`
-    /// feature.
+    /// Encrypts one 16-byte block through the fused T-table rounds.
+    ///
+    /// Side-channel note (analyzer rule R11): the table indices are bytes
+    /// of the evolving cipher state — key material only enters through the
+    /// XORed round keys, never as an index — so the secret-index taint R11
+    /// tracks does not arise; see `ghash.rs` for the full argument and the
+    /// residual cache-timing caveat.
     pub fn encrypt_block(&self, block: Block) -> Block {
-        match backend() {
-            Backend::Table => self.encrypt_block_table(block),
-            Backend::Reference => self.encrypt_block_reference(block),
-        }
-    }
-
-    /// T-table fast path. Side-channel note (analyzer rule R11): the table
-    /// indices are bytes of the evolving cipher state — key material only
-    /// enters through the XORed round keys, never as an index — so the
-    /// secret-index taint R11 tracks does not arise; see `ghash.rs` for the
-    /// full argument and the residual cache-timing caveat.
-    fn encrypt_block_table(&self, block: Block) -> Block {
         let te = te_tables();
         let s = sbox();
         let nr = self.size.rounds();
@@ -309,8 +270,8 @@ impl Aes {
         out
     }
 
-    /// Reference (straight FIPS 197) encryption used to cross-check the
-    /// T-table fast path in tests.
+    /// Reference (straight FIPS 197) encryption: the differential oracle
+    /// twin of [`Aes::encrypt_block`].
     #[doc(hidden)]
     pub fn encrypt_block_reference(&self, mut block: Block) -> Block {
         let s = sbox();
@@ -402,15 +363,11 @@ impl Aes {
     /// Encrypts `data` in CTR mode with the given 16-byte initial counter
     /// block, XORing the keystream in place.
     ///
-    /// CTR encryption and decryption are the same operation. The default
-    /// backend generates the keystream in interleaved batches of
-    /// [`KS_LANES`] blocks (see [`Aes::keystream8`]); the reference backend
-    /// falls through to [`Aes::ctr_xor_reference`].
+    /// CTR encryption and decryption are the same operation. The keystream
+    /// is generated in interleaved batches of [`KS_LANES`] blocks (see
+    /// [`Aes::keystream8`]); [`Aes::ctr_xor_reference`] is the one-block-
+    /// at-a-time oracle twin.
     pub fn ctr_xor(&self, initial_counter: Block, data: &mut [u8]) {
-        if backend() == Backend::Reference {
-            self.ctr_xor_reference(initial_counter, data);
-            return;
-        }
         let ic = initial_counter;
         let prefix = [
             u32::from_be_bytes([ic[0], ic[1], ic[2], ic[3]]),
@@ -436,7 +393,7 @@ impl Aes {
         let mut counter = ic;
         counter[12..16].copy_from_slice(&ctr.to_be_bytes());
         for chunk in rest.chunks_mut(BLOCK_LEN) {
-            let keystream = self.encrypt_block_table(counter);
+            let keystream = self.encrypt_block(counter);
             for (b, k) in chunk.iter_mut().zip(keystream.iter()) {
                 *b ^= k;
             }

@@ -7,23 +7,22 @@
 //!
 //! Two implementations share one key object:
 //!
-//! * the **fast path** (default): T-table AES rounds with an 8-way
-//!   interleaved CTR keystream ([`crate::aes`]) and 8-bit windowed GHASH
-//!   tables built once per key ([`crate::ghash`]), plus batched
-//!   [`AesGcm::seal_many`]/[`AesGcm::open_many`] so callers amortize
-//!   per-frame overhead across a whole TDMA burst;
+//! * the **fast path**, which every plain entry point runs: T-table AES
+//!   rounds with an 8-way interleaved CTR keystream ([`crate::aes`]) and
+//!   8-bit windowed GHASH tables built once per key ([`crate::ghash`]),
+//!   plus batched [`AesGcm::seal_many`]/[`AesGcm::open_many`] so callers
+//!   amortize per-frame overhead across a whole TDMA burst;
 //! * the **reference path**: straight FIPS 197 S-box rounds and the bitwise
 //!   GF(2^128) multiply. Every fast entry point has a `_reference` twin
-//!   (`seal_reference`, `open_many_reference`, …) used as the differential
-//!   oracle, and `GENIO_CRYPTO_BACKEND=reference` (or the `force-reference`
-//!   feature) reroutes the plain entry points onto it process-wide.
+//!   (`seal_reference`, `open_many_reference`, …) that the tests and the
+//!   E-L2 bench call directly as the differential oracle.
 //!
 //! Both paths are validated against the McGrew–Viega test cases here and the
 //! committed NIST/RFC vector corpus in `tests/gcm_vectors.rs`; the
 //! differential property suite in `tests/gcm_differential.rs` proves them
 //! byte-identical on randomized inputs.
 
-use crate::aes::{backend, increment_counter, Aes, Backend, Block};
+use crate::aes::{increment_counter, Aes, Block};
 use crate::ghash::{ghash_reference, GhashKey};
 use crate::{ct, CryptoError};
 use genio_telemetry::{Counter, Histogram, Telemetry, TraceContext};
@@ -154,9 +153,6 @@ impl AesGcm {
     pub fn seal(&self, nonce: &[u8; NONCE_LEN], plaintext: &[u8], aad: &[u8]) -> Vec<u8> {
         let _timer = self.seal_time.start();
         self.sealed_bytes.incr(plaintext.len() as u64);
-        if backend() == Backend::Reference {
-            return self.seal_reference(nonce, plaintext, aad);
-        }
         self.seal_one(nonce, plaintext, aad)
     }
 
@@ -208,11 +204,6 @@ impl AesGcm {
         aad: &[u8],
     ) -> crate::Result<Vec<u8>> {
         let _timer = self.open_time.start();
-        if backend() == Backend::Reference {
-            let pt = self.open_reference(nonce, sealed, aad)?;
-            self.opened_bytes.incr(pt.len() as u64);
-            return Ok(pt);
-        }
         let pt = self.open_one(nonce, sealed, aad)?;
         self.opened_bytes.incr(pt.len() as u64);
         Ok(pt)
@@ -272,8 +263,8 @@ impl AesGcm {
     /// Seals a whole burst of frames in one call: frame `i` is sealed with
     /// `nonces[i]`, `plaintexts[i]`, `aads[i]`, exactly as `seal` would, and
     /// the outputs are byte-identical to looping `seal` — the batch form
-    /// exists so MACsec/PON callers pay telemetry and dispatch once per
-    /// TDMA burst instead of once per frame.
+    /// exists so MACsec/PON callers pay telemetry once per TDMA burst
+    /// instead of once per frame.
     ///
     /// # Errors
     ///
@@ -290,14 +281,9 @@ impl AesGcm {
         self.sealed_frames.incr(nonces.len() as u64);
         self.sealed_bytes
             .incr(plaintexts.iter().map(|p| p.len() as u64).sum());
-        let reference = backend() == Backend::Reference;
         let mut out = Vec::with_capacity(nonces.len());
         for ((nonce, pt), aad) in nonces.iter().zip(plaintexts).zip(aads) {
-            out.push(if reference {
-                self.seal_reference(nonce, pt, aad)
-            } else {
-                self.seal_one(nonce, pt, aad)
-            });
+            out.push(self.seal_one(nonce, pt, aad));
         }
         Ok(out)
     }
@@ -339,15 +325,10 @@ impl AesGcm {
         Self::check_batch(nonces.len(), sealed.len(), aads.len())?;
         let _span = self.telemetry.span_at("crypto.gcm.open_many", self.batch_ctx());
         self.opened_frames.incr(nonces.len() as u64);
-        let reference = backend() == Backend::Reference;
         let mut out = Vec::with_capacity(nonces.len());
         let mut opened = 0u64;
         for ((nonce, ct), aad) in nonces.iter().zip(sealed).zip(aads) {
-            let frame = if reference {
-                self.open_reference(nonce, ct, aad)
-            } else {
-                self.open_one(nonce, ct, aad)
-            };
+            let frame = self.open_one(nonce, ct, aad);
             if let Ok(pt) = &frame {
                 opened += pt.len() as u64;
             }

@@ -24,8 +24,7 @@
 //! material therefore never flows into an index expression, which is the
 //! taint R11 tracks. (Like all table-driven GHASH/AES software, lookups are
 //! still observable to a cache-timing adversary co-resident on the core; the
-//! simulation trades that residual channel for throughput, as the reference
-//! path remains available via `GENIO_CRYPTO_BACKEND=reference`.)
+//! simulation accepts that residual channel for throughput.)
 
 use std::sync::OnceLock;
 
@@ -195,8 +194,8 @@ impl GhashKey {
 }
 
 /// Reference GHASH: the bitwise multiply chain, no tables. This is the
-/// differential oracle for [`GhashKey::ghash`] and the implementation the
-/// `GENIO_CRYPTO_BACKEND=reference` path runs.
+/// differential oracle for [`GhashKey::ghash`] and the GHASH the
+/// `_reference` GCM twins run.
 pub fn ghash_reference(h: u128, aad: &[u8], ct: &[u8]) -> u128 {
     let mut y = 0u128;
     for chunk in aad.chunks(16) {

@@ -1,9 +1,9 @@
 //! Known-answer replay of the committed GCM vector corpus
-//! (`vectors/gcm_kat.txt`) against BOTH implementations: the dispatched
-//! path (table-driven by default, or whatever `GENIO_CRYPTO_BACKEND`
-//! selects — `scripts/verify.sh` runs this test once per backend) and the
-//! explicit `_reference` twins. Every vector must produce the exact
-//! ciphertext and tag, open back to the plaintext, and reject tampering.
+//! (`vectors/gcm_kat.txt`) against BOTH implementations: the table-driven
+//! entry points (`seal`/`open` and the batched `seal_many`/`open_many`) and
+//! every one of their `_reference` twins. Every vector must produce the
+//! exact ciphertext and tag, open back to the plaintext, and reject
+//! tampering.
 
 use genio_crypto::gcm::{AesGcm, TAG_LEN};
 use genio_crypto::hex;
@@ -78,6 +78,7 @@ fn corpus_is_complete() {
     assert!(vectors.iter().any(|v| v.pt.len() % 16 != 0));
 }
 
+/// The plain `seal`/`open` entry points, which always run the table path.
 #[test]
 fn dispatched_path_reproduces_every_vector() {
     for v in parse_corpus() {
@@ -126,17 +127,29 @@ fn batched_path_reproduces_every_vector() {
         let pts: Vec<&[u8]> = group.iter().map(|v| v.pt.as_slice()).collect();
         let aads: Vec<&[u8]> = group.iter().map(|v| v.aad.as_slice()).collect();
         let sealed = gcm.seal_many(&nonces, &pts, &aads).unwrap();
-        for (v, s) in group.iter().zip(sealed.iter()) {
-            let (ct, tag) = s.split_at(s.len() - TAG_LEN);
-            assert_eq!(ct, v.ct, "{}: batched ciphertext", v.name);
-            assert_eq!(tag, v.tag, "{}: batched tag", v.name);
+        let reference_sealed = gcm.seal_many_reference(&nonces, &pts, &aads).unwrap();
+        for (path, batch) in [
+            ("seal_many", &sealed),
+            ("seal_many_reference", &reference_sealed),
+        ] {
+            for (v, s) in group.iter().zip(batch) {
+                let (ct, tag) = s.split_at(s.len() - TAG_LEN);
+                assert_eq!(ct, v.ct, "{}: {path} ciphertext", v.name);
+                assert_eq!(tag, v.tag, "{}: {path} tag", v.name);
+            }
         }
         let sealed_refs: Vec<&[u8]> = sealed.iter().map(Vec::as_slice).collect();
-        for (v, opened) in group
-            .iter()
-            .zip(gcm.open_many(&nonces, &sealed_refs, &aads).unwrap())
-        {
-            assert_eq!(opened.unwrap(), v.pt, "{}: batched open", v.name);
+        let opened = gcm.open_many(&nonces, &sealed_refs, &aads).unwrap();
+        let reference_opened = gcm
+            .open_many_reference(&nonces, &sealed_refs, &aads)
+            .unwrap();
+        for (path, batch) in [
+            ("open_many", opened),
+            ("open_many_reference", reference_opened),
+        ] {
+            for (v, frame) in group.iter().zip(batch) {
+                assert_eq!(frame.unwrap(), v.pt, "{}: {path}", v.name);
+            }
         }
     }
 }

@@ -1,8 +1,8 @@
 //! Fleet-scale PON simulation: a sharded, struct-of-arrays
 //! discrete-event engine.
 //!
-//! The object-per-ONU stepper in [`crate::sim`] is fine for one tree
-//! with a handful of ONUs, but the paper's architecture serves
+//! The object-per-ONU stepper in [`crate::reference`] is fine for one
+//! tree with a handful of ONUs, but the paper's architecture serves
 //! operator-scale fleets — thousands of PON trees, a million ONUs. This
 //! module rebuilds the simulation core for that scale:
 //!

@@ -28,16 +28,16 @@
 //!   ITU-T G.987.3.
 //! * [`attack`] — attack injectors for the paper's T1 threats: fiber taps,
 //!   replay, ONU impersonation and downstream hijack.
-//! * [`sim`] — the original tick-driven single-tree simulation with an
-//!   attacker on the fiber (experiment E-S1).
 //! * [`wheel`] — a hierarchical timer wheel (4 levels × 64 slots) with
 //!   deterministic timestamp-then-insertion-order firing.
 //! * [`engine`] — the fleet-scale sharded discrete-event engine
 //!   (experiment E-S2): struct-of-arrays ONU state, per-tree event
 //!   streams on shard workers, batched TDMA, deterministic merge.
-//! * [`reference`] — the legacy object-per-ONU stepper retained as the
-//!   oracle for the differential test harness
-//!   (`tests/engine_differential.rs`).
+//! * [`reference`] — the object-per-ONU stepper retained as the oracle
+//!   for the differential test harness (`tests/engine_differential.rs`);
+//!   a one-tree reference run is also the system-level T1 view (a fiber
+//!   tap, a replay attacker and a rogue ONU against the real mechanism
+//!   objects) that the attack-campaign example prints.
 //!
 //! # Example
 //!
@@ -62,7 +62,6 @@ pub mod engine;
 pub mod frame;
 pub mod reference;
 pub mod security;
-pub mod sim;
 pub mod tdma;
 pub mod topology;
 pub mod wheel;

@@ -12,13 +12,11 @@
 //! * identical aggregate stats, including bitwise-equal fairness sums;
 //! * shard-count invariance: 1, 2 and 8 workers produce byte-identical
 //!   merged logs and telemetry counter totals;
-//! * verdict agreement with the original single-tree `sim` across the
-//!   full mitigation matrix;
+//! * the M3/M4 verdict matrix, pinned case by case on both paths;
 //! * the batched struct-of-arrays DBA against the per-call map DBA.
 
 use genio_pon::engine::{self, EngineOptions, EventKind, FleetSimConfig};
 use genio_pon::reference;
-use genio_pon::sim::{self, SimConfig};
 use genio_pon::tdma::{
     compute_grants_into, compute_map, BandwidthRequest, BatchGrants, DbaConfig, ServiceClass,
 };
@@ -189,17 +187,14 @@ fn shard_count_invariance_1_2_8_workers() {
     );
 }
 
-/// Attack-detection verdicts agree with the legacy single-tree `sim`
-/// across the full M3/M4 mitigation matrix.
+/// The M3/M4 mitigation matrix, case by case on both paths: M3 alone
+/// blinds the tap and defeats replay, M4 alone keeps the rogue out, and
+/// neither depends on the other (encryption without admission still
+/// blinds the tap but admits the rogue).
 #[test]
-fn verdicts_match_legacy_sim_across_mitigation_matrix() {
+fn verdict_matrix_holds_on_reference_and_engine() {
     for (encrypt, cert) in [(false, false), (false, true), (true, false), (true, true)] {
-        let legacy = sim::run(&SimConfig {
-            encrypt,
-            certificate_admission: cert,
-            ..SimConfig::default()
-        });
-        let fleet = engine::run(&FleetSimConfig {
+        let cfg = FleetSimConfig {
             trees: 1,
             onus_per_tree: 8,
             cycles: 20,
@@ -209,22 +204,54 @@ fn verdicts_match_legacy_sim_across_mitigation_matrix() {
             replay_every: 10,
             rogue_per_tree: true,
             greedy_every: 0,
-        });
-        let v = fleet.stats.verdicts();
+        };
+        for (path, stats) in [
+            ("reference", reference::run(&cfg).stats),
+            ("engine", engine::run(&cfg).stats),
+        ] {
+            let v = stats.verdicts();
+            let case = format!("{path} at encrypt={encrypt} cert={cert}");
+            assert!(stats.replays_attempted > 0, "no replay attempted: {case}");
+            assert_eq!(v.eavesdropping_succeeded, !encrypt, "eavesdropping: {case}");
+            assert_eq!(v.replay_succeeded, !encrypt, "replay: {case}");
+            assert_eq!(v.impersonation_succeeded, !cert, "impersonation: {case}");
+        }
+    }
+}
+
+/// M3 without M4 on both paths: encryption alone still blinds the tap,
+/// but without certificate admission the rogue gets in.
+#[test]
+fn encryption_without_admission_blinds_the_tap_but_admits_the_rogue() {
+    let cfg = FleetSimConfig {
+        trees: 2,
+        onus_per_tree: 8,
+        cycles: 20,
+        seed: 42,
+        encrypt: true,
+        certificate_admission: false,
+        replay_every: 10,
+        rogue_per_tree: true,
+        greedy_every: 0,
+    };
+    for (path, stats) in [
+        ("reference", reference::run(&cfg).stats),
+        ("engine", engine::run(&cfg).stats),
+    ] {
+        assert!(stats.frames_sent > 0, "{path}: no traffic");
         assert_eq!(
-            v.eavesdropping_succeeded,
-            legacy.attacker_readable > 0,
-            "eavesdropping verdict diverged at encrypt={encrypt} cert={cert}"
+            stats.attacker_observed, stats.frames_sent,
+            "{path}: broadcast medium"
         );
         assert_eq!(
-            v.replay_succeeded,
-            legacy.replays_accepted > 0,
-            "replay verdict diverged at encrypt={encrypt} cert={cert}"
+            stats.attacker_readable, 0,
+            "{path}: M3 alone still blinds the tap"
         );
         assert_eq!(
-            v.impersonation_succeeded, legacy.rogue_admitted,
-            "impersonation verdict diverged at encrypt={encrypt} cert={cert}"
+            stats.rogues_admitted, stats.rogues_attempted,
+            "{path}: M4's absence admits every rogue"
         );
+        assert!(stats.rogues_admitted > 0, "{path}: no rogue attempted");
     }
 }
 
@@ -248,7 +275,8 @@ fn event_counts_follow_the_closed_form() {
     // Per tree: onus activations + 1 rogue attempt + cycles grant
     // events + ceil(cycles / replay_every) replay events.
     let replays_per_tree = (cfg.cycles + cfg.replay_every - 1) / cfg.replay_every;
-    let per_tree = u64::from(cfg.onus_per_tree) + 1 + u64::from(cfg.cycles) + u64::from(replays_per_tree);
+    let per_tree =
+        u64::from(cfg.onus_per_tree) + 1 + u64::from(cfg.cycles) + u64::from(replays_per_tree);
     assert_eq!(result.stats.events, u64::from(cfg.trees) * per_tree);
     assert_eq!(result.log.len() as u64, result.stats.events);
 }

@@ -17,7 +17,7 @@ use genio::orchestrator::admission::{evaluate_instrumented, AdmissionLevel};
 use genio::orchestrator::cluster::Cluster;
 use genio::orchestrator::scheduler::schedule_instrumented;
 use genio::orchestrator::workload::PodSpec;
-use genio::pon::sim::{run_instrumented, SimConfig};
+use genio::pon::engine::{run_with, EngineOptions, FleetSimConfig};
 use genio::runtime::correlate::correlate_instrumented;
 use genio::runtime::events::mixed_trace;
 use genio::runtime::falco::{Engine, RuleSetTier};
@@ -44,10 +44,15 @@ fn main() {
         fleet.nodes.len()
     );
 
-    // pon: downstream simulation with an active replay attacker.
-    let stats = run_instrumented(&SimConfig::default(), &telemetry);
+    // pon: a fleet engine run with an active replay attacker.
+    let stats = run_with(
+        &FleetSimConfig::default(),
+        &EngineOptions { workers: 1 },
+        &telemetry,
+    )
+    .stats;
     println!(
-        "pon sim: {} frames sent, {} delivered, {} replays attempted",
+        "pon fleet: {} frames sent, {} delivered, {} replays attempted",
         stats.frames_sent, stats.frames_delivered, stats.replays_attempted
     );
 

@@ -36,16 +36,9 @@ cargo build --release
 echo "==> cargo test --workspace -q  (builds examples; includes the examples smoke test)"
 cargo test --workspace -q
 
-echo "==> trace-property rerun gate (fleet trace properties under 20 seeds, 4 shard workers)"
-for i in $(seq 1 20); do
-    GENIO_TEST_SEED=$i cargo test --release -q -p genio-pon --test trace_properties
-done
-echo "fleet span trees validate and re-export byte-identically under every seed"
-
-echo "==> GCM vector gate (committed KAT corpus, table AND reference backends)"
+echo "==> GCM vector gate (committed KAT corpus, table paths AND their _reference twins)"
 cargo test --release -q -p genio-crypto --test gcm_vectors
-GENIO_CRYPTO_BACKEND=reference cargo test --release -q -p genio-crypto --test gcm_vectors
-echo "both AES-GCM backends reproduce vectors/gcm_kat.txt"
+echo "both AES-GCM implementations reproduce vectors/gcm_kat.txt"
 
 echo "==> genio-analyzer determinism gate (cold vs warm scan must be byte-identical)"
 rm -rf target/genio-analyzer
@@ -86,6 +79,24 @@ echo "==> genio-analyzer SARIF export gate (document re-parses with the testkit 
 cargo test --release -q -p genio-analyzer --test sarif_export
 echo "SARIF 2.1.0 export validated"
 
+echo "==> determinism-under-load gate (trace properties under 64 seeds in 4 concurrent loops)"
+# Build once, then call the test binary directly so the four loops
+# really overlap; the same-seed fleet and trace pairs below run while
+# the loops load the scheduler.
+cargo build --release -q --example fleet_determinism --example trace_determinism
+trace_properties=$(cargo test --release -q -p genio-pon --test trace_properties --no-run \
+    --message-format=json | sed -n 's/.*"executable":"\([^"]*\)".*/\1/p')
+[ -x "$trace_properties" ] || { echo "trace_properties test binary not found" >&2; exit 1; }
+loop_pids=()
+trap 'kill "${loop_pids[@]}" 2>/dev/null || true' EXIT
+for lane in 1 2 3 4; do
+    for seed in $(seq "$lane" 4 64); do
+        GENIO_TEST_SEED=$seed "$trace_properties" -q >/dev/null ||
+            { echo "trace_properties failed under GENIO_TEST_SEED=$seed" >&2; exit 1; }
+    done &
+    loop_pids+=("$!")
+done
+
 echo "==> fleet-determinism gate (two same-seed engine runs must be byte-identical)"
 rm -rf target/genio-fleet
 mkdir -p target/genio-fleet
@@ -99,6 +110,12 @@ cargo run --release -q --example trace_determinism > target/genio-fleet/trace-a.
 cargo run --release -q --example trace_determinism > target/genio-fleet/trace-b.txt
 cmp target/genio-fleet/trace-a.txt target/genio-fleet/trace-b.txt
 echo "same-seed traced runs export byte-identical genio-trace/v1 documents"
+
+for pid in "${loop_pids[@]}"; do
+    wait "$pid" || { echo "trace properties failed under concurrent load" >&2; exit 1; }
+done
+trap - EXIT
+echo "fleet span trees validate and re-export byte-identically under all 64 seeds, under load"
 
 echo "==> bench sentinel self-check (committed BENCH_genio.json diffs clean against itself)"
 cargo run --release -q -p genio-sentinel --bin genio-sentinel -- \
