@@ -17,23 +17,28 @@ pub fn extract(salt: &[u8], ikm: &[u8]) -> [u8; MAC_LEN] {
 /// Performs the HKDF-Expand step, producing `out.len()` bytes of keying
 /// material from `prk` and `info`.
 ///
+/// `prk` is keyed once; each 32-byte block then MACs from a clone of that
+/// keyed state.
+///
 /// # Panics
 ///
 /// Panics if `out.len() > 255 * 32` (the RFC 5869 maximum).
 pub fn expand(prk: &[u8], info: &[u8], out: &mut [u8]) {
     assert!(out.len() <= 255 * MAC_LEN, "hkdf expand output too long");
-    let mut t: Vec<u8> = Vec::new();
+    let keyed = HmacSha256::new(prk);
+    let mut t = [0u8; MAC_LEN];
     let mut counter = 1u8;
     for chunk in out.chunks_mut(MAC_LEN) {
-        let mut mac = HmacSha256::new(prk);
-        mac.update(&t);
+        let mut mac = keyed.clone();
+        if counter > 1 {
+            mac.update(&t);
+        }
         mac.update(info);
         mac.update(&[counter]);
-        let block = mac.finalize();
-        for (dst, src) in chunk.iter_mut().zip(block.iter()) {
+        t = mac.finalize();
+        for (dst, src) in chunk.iter_mut().zip(t.iter()) {
             *dst = *src;
         }
-        t = block.to_vec();
         counter = counter.wrapping_add(1);
     }
 }

@@ -8,6 +8,11 @@ pub const MAC_LEN: usize = DIGEST_LEN;
 
 /// Incremental HMAC-SHA256 computation.
 ///
+/// A context holds the hash states after the key's ipad and opad blocks,
+/// so a clone of a freshly keyed context MACs a short message in two
+/// compressions instead of four: callers that MAC many messages under one
+/// key (HMAC-DRBG, HKDF-Expand) key once and clone per message.
+///
 /// # Example
 ///
 /// ```
@@ -18,10 +23,17 @@ pub const MAC_LEN: usize = DIGEST_LEN;
 /// let tag = mac.finalize();
 /// assert!(HmacSha256::verify(b"shared-secret", b"frame payload", &tag));
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Clone)]
 pub struct HmacSha256 {
     inner: Sha256,
-    opad_key: [u8; BLOCK_LEN],
+    outer: Sha256,
+}
+
+// Both hash states are derived from the key, so none is printed.
+impl std::fmt::Debug for HmacSha256 {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("HmacSha256").finish_non_exhaustive()
+    }
 }
 
 impl HmacSha256 {
@@ -35,18 +47,11 @@ impl HmacSha256 {
         } else {
             k[..key.len()].copy_from_slice(key);
         }
-        let mut ipad = [0u8; BLOCK_LEN];
-        let mut opad = [0u8; BLOCK_LEN];
-        for i in 0..BLOCK_LEN {
-            ipad[i] = k[i] ^ 0x36;
-            opad[i] = k[i] ^ 0x5c;
-        }
         let mut inner = Sha256::new();
-        inner.update(&ipad);
-        HmacSha256 {
-            inner,
-            opad_key: opad,
-        }
+        let mut outer = Sha256::new();
+        inner.update(&k.map(|b| b ^ 0x36));
+        outer.update(&k.map(|b| b ^ 0x5c));
+        HmacSha256 { inner, outer }
     }
 
     /// Absorbs message data.
@@ -56,10 +61,8 @@ impl HmacSha256 {
 
     /// Consumes the context and returns the 32-byte tag.
     pub fn finalize(self) -> [u8; MAC_LEN] {
-        let inner_digest = self.inner.finalize();
-        let mut outer = Sha256::new();
-        outer.update(&self.opad_key);
-        outer.update(&inner_digest);
+        let mut outer = self.outer;
+        outer.update(&self.inner.finalize());
         outer.finalize()
     }
 
@@ -134,6 +137,13 @@ mod tests {
         h.update(b"part one ");
         h.update(b"part two");
         assert_eq!(h.finalize(), HmacSha256::mac(key, b"part one part two"));
+    }
+
+    #[test]
+    fn debug_does_not_depend_on_the_key() {
+        let a = format!("{:?}", HmacSha256::new(b"key-a"));
+        assert_eq!(a, format!("{:?}", HmacSha256::new(b"key-b")));
+        assert_eq!(a, "HmacSha256 { .. }");
     }
 
     #[test]

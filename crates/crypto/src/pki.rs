@@ -243,10 +243,15 @@ pub const MAX_CHAIN_LEN: usize = 8;
 
 /// Validates a certificate chain ordered leaf-first.
 ///
-/// Checks, in order: chain shape, signatures (each element signed by its
-/// parent; the last element self-signed and present in `trust_anchors`),
-/// validity windows at time `now`, CA key usage on non-leaf elements, and
-/// revocation.
+/// Every cheap check runs over the whole chain before any signature is
+/// verified, so a chain that fails one costs no hashing: chain shape; then
+/// for each element its validity window at time `now`, revocation, and —
+/// for every element but the last — that its issuer names the next
+/// element, which must grant [`KeyUsage::CertSign`]; then that the last
+/// element's key is in `trust_anchors`. Only then are the signatures
+/// verified, leaf first: each element under its parent's key, the last
+/// under its own (self-signed). A chain that fails several checks reports
+/// the first in that order.
 ///
 /// # Errors
 ///
@@ -258,42 +263,39 @@ pub fn validate_chain(
     crl: &RevocationList,
     now: u64,
 ) -> crate::Result<()> {
-    if chain.is_empty() {
-        return Err(CryptoError::CertificateInvalid(CertError::EmptyChain));
-    }
+    let invalid = |reason| Err(CryptoError::CertificateInvalid(reason));
+    let Some(root) = chain.last() else {
+        return invalid(CertError::EmptyChain);
+    };
     if chain.len() > MAX_CHAIN_LEN {
-        return Err(CryptoError::CertificateInvalid(CertError::ChainTooLong));
+        return invalid(CertError::ChainTooLong);
     }
     for (i, cert) in chain.iter().enumerate() {
         if now < cert.tbs.not_before {
-            return Err(CryptoError::CertificateInvalid(CertError::NotYetValid));
+            return invalid(CertError::NotYetValid);
         }
         if now > cert.tbs.not_after {
-            return Err(CryptoError::CertificateInvalid(CertError::Expired));
+            return invalid(CertError::Expired);
         }
         if crl.is_revoked(cert) {
-            return Err(CryptoError::CertificateInvalid(CertError::Revoked));
+            return invalid(CertError::Revoked);
         }
         if let Some(parent) = chain.get(i + 1) {
             if cert.tbs.issuer != parent.tbs.subject {
-                return Err(CryptoError::CertificateInvalid(CertError::IssuerMismatch));
+                return invalid(CertError::IssuerMismatch);
             }
             if !parent.allows(KeyUsage::CertSign) {
-                return Err(CryptoError::CertificateInvalid(
-                    CertError::KeyUsageViolation,
-                ));
+                return invalid(CertError::KeyUsageViolation);
             }
-            if !cert.verify_signature(&parent.tbs.public_key) {
-                return Err(CryptoError::CertificateInvalid(CertError::BadSignature));
-            }
-        } else {
-            // Root: self-signed and anchored.
-            if !cert.verify_signature(&cert.tbs.public_key) {
-                return Err(CryptoError::CertificateInvalid(CertError::BadSignature));
-            }
-            if !trust_anchors.contains(&cert.tbs.public_key) {
-                return Err(CryptoError::CertificateInvalid(CertError::UntrustedRoot));
-            }
+        }
+    }
+    if !trust_anchors.contains(&root.tbs.public_key) {
+        return invalid(CertError::UntrustedRoot);
+    }
+    for (i, cert) in chain.iter().enumerate() {
+        let issuer = chain.get(i + 1).unwrap_or(cert);
+        if !cert.verify_signature(&issuer.tbs.public_key) {
+            return invalid(CertError::BadSignature);
         }
     }
     Ok(())
@@ -415,6 +417,49 @@ mod tests {
         assert_eq!(
             err,
             Err(CryptoError::CertificateInvalid(CertError::UntrustedRoot))
+        );
+    }
+
+    #[test]
+    fn untrusted_root_is_refused_before_its_signature_is_checked() {
+        let ca = root();
+        let rogue =
+            CertificateAuthority::self_signed("rogue", b"rogue-seed", (0, 10_000), 2).unwrap();
+        let mut forged = rogue.certificate().clone();
+        forged.tbs.serial += 1; // the self-signature no longer matches
+        assert!(!forged.verify_signature(&forged.tbs.public_key));
+        let crl = RevocationList::new();
+        let err = validate_chain(&[forged.clone()], &[ca.public()], &crl, 100);
+        assert_eq!(
+            err,
+            Err(CryptoError::CertificateInvalid(CertError::UntrustedRoot))
+        );
+        // Anchored, the same certificate fails on its signature.
+        let err = validate_chain(&[forged], &[rogue.public()], &crl, 100);
+        assert_eq!(
+            err,
+            Err(CryptoError::CertificateInvalid(CertError::BadSignature))
+        );
+    }
+
+    #[test]
+    fn windows_are_checked_along_the_chain_before_signatures() {
+        let mut ca = root();
+        let signer = MerkleSigner::from_seed(b"k", 1);
+        let mut leaf = ca
+            .issue(
+                "onu-1",
+                signer.public(),
+                (0, 5_000),
+                vec![KeyUsage::ClientAuth],
+            )
+            .unwrap();
+        leaf.tbs.subject = "onu-666".into(); // bad leaf signature
+        let chain = vec![leaf, ca.certificate().clone()];
+        let err = validate_chain(&chain, &[ca.public()], &RevocationList::new(), 20_000);
+        assert_eq!(
+            err,
+            Err(CryptoError::CertificateInvalid(CertError::Expired))
         );
     }
 

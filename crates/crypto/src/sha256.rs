@@ -75,94 +75,132 @@ impl Sha256 {
     }
 
     /// Absorbs `data` into the hash state.
+    ///
+    /// Full blocks are compressed straight from `data`; only a partial
+    /// block is copied into the internal buffer.
     pub fn update(&mut self, data: &[u8]) {
         self.total_len = self.total_len.wrapping_add(data.len() as u64);
         let mut rest = data;
         if self.buf_len > 0 {
             let take = (BLOCK_LEN - self.buf_len).min(rest.len());
-            self.buf[self.buf_len..self.buf_len + take].copy_from_slice(&rest[..take]);
+            let (head, tail) = rest.split_at(take);
+            self.buf[self.buf_len..self.buf_len + take].copy_from_slice(head);
             self.buf_len += take;
-            rest = &rest[take..];
-            if self.buf_len == BLOCK_LEN {
-                let block = self.buf;
-                self.compress(&block);
-                self.buf_len = 0;
-            }
-        }
-        while rest.len() >= BLOCK_LEN {
-            let (block, tail) = rest.split_at(BLOCK_LEN);
-            let mut b = [0u8; BLOCK_LEN];
-            b.copy_from_slice(block);
-            self.compress(&b);
             rest = tail;
+            if self.buf_len < BLOCK_LEN {
+                return;
+            }
+            compress(&mut self.state, &self.buf);
+            self.buf_len = 0;
         }
-        if !rest.is_empty() {
-            self.buf[..rest.len()].copy_from_slice(rest);
-            self.buf_len = rest.len();
+        let (blocks, tail) = rest.as_chunks::<BLOCK_LEN>();
+        for block in blocks {
+            compress(&mut self.state, block);
         }
+        self.buf[..tail.len()].copy_from_slice(tail);
+        self.buf_len = tail.len();
     }
 
     /// Consumes the hasher and returns the 32-byte digest.
     pub fn finalize(mut self) -> Digest {
         let bit_len = self.total_len.wrapping_mul(8);
-        // Padding: 0x80, zeros, 64-bit big-endian bit length.
-        self.update(&[0x80]);
-        // Note: update() already bumped total_len for the 0x80 byte, but we
-        // captured bit_len beforehand, so the encoded length is correct.
-        while self.buf_len != 56 {
-            self.update(&[0u8]);
-        }
-        self.update(&bit_len.to_be_bytes());
+        // Padding, absorbed in one call: 0x80, then the zeros that bring
+        // the buffer to 56 bytes (mod 64), then the 64-bit big-endian bit
+        // length captured above.
+        let end = 1 + (BLOCK_LEN + 55 - self.buf_len) % BLOCK_LEN + 8;
+        let mut pad = [0u8; BLOCK_LEN + 8];
+        pad[0] = 0x80;
+        pad[end - 8..end].copy_from_slice(&bit_len.to_be_bytes());
+        self.update(&pad[..end]);
         debug_assert_eq!(self.buf_len, 0);
         let mut out = [0u8; DIGEST_LEN];
-        for (i, word) in self.state.iter().enumerate() {
-            out[i * 4..i * 4 + 4].copy_from_slice(&word.to_be_bytes());
+        for (chunk, word) in out.chunks_exact_mut(4).zip(self.state) {
+            chunk.copy_from_slice(&word.to_be_bytes());
         }
         out
     }
+}
 
-    fn compress(&mut self, block: &[u8; BLOCK_LEN]) {
-        let mut w = [0u32; 64];
-        for (i, chunk) in block.chunks_exact(4).enumerate() {
-            w[i] = u32::from_be_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]);
-        }
-        for i in 16..64 {
-            let s0 = w[i - 15].rotate_right(7) ^ w[i - 15].rotate_right(18) ^ (w[i - 15] >> 3);
-            let s1 = w[i - 2].rotate_right(17) ^ w[i - 2].rotate_right(19) ^ (w[i - 2] >> 10);
-            w[i] = w[i - 16]
-                .wrapping_add(s0)
-                .wrapping_add(w[i - 7])
-                .wrapping_add(s1);
-        }
-        let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = self.state;
-        for i in 0..64 {
-            let s1 = e.rotate_right(6) ^ e.rotate_right(11) ^ e.rotate_right(25);
-            let ch = (e & f) ^ (!e & g);
-            let temp1 = h
-                .wrapping_add(s1)
-                .wrapping_add(ch)
-                .wrapping_add(K[i])
-                .wrapping_add(w[i]);
-            let s0 = a.rotate_right(2) ^ a.rotate_right(13) ^ a.rotate_right(22);
-            let maj = (a & b) ^ (a & c) ^ (b & c);
-            let temp2 = s0.wrapping_add(maj);
-            h = g;
-            g = f;
-            f = e;
-            e = d.wrapping_add(temp1);
-            d = c;
-            c = b;
-            b = a;
-            a = temp1.wrapping_add(temp2);
-        }
-        self.state[0] = self.state[0].wrapping_add(a);
-        self.state[1] = self.state[1].wrapping_add(b);
-        self.state[2] = self.state[2].wrapping_add(c);
-        self.state[3] = self.state[3].wrapping_add(d);
-        self.state[4] = self.state[4].wrapping_add(e);
-        self.state[5] = self.state[5].wrapping_add(f);
-        self.state[6] = self.state[6].wrapping_add(g);
-        self.state[7] = self.state[7].wrapping_add(h);
+/// One SHA-256 round. Each invocation names the working variables in
+/// rotated order, so a round writes two of them instead of shifting all
+/// eight. `Ch` and `Maj` use their shorter equivalent forms, and
+/// `K[t] + W[t]` is added first, off the dependency chain through `e`.
+macro_rules! round {
+    ($a:ident, $b:ident, $c:ident, $d:ident, $e:ident, $f:ident, $g:ident, $h:ident, $kw:expr) => {
+        let t1 = $h
+            .wrapping_add($kw)
+            .wrapping_add($g ^ ($e & ($f ^ $g)))
+            .wrapping_add($e.rotate_right(6) ^ $e.rotate_right(11) ^ $e.rotate_right(25));
+        let t2 = ($a.rotate_right(2) ^ $a.rotate_right(13) ^ $a.rotate_right(22))
+            .wrapping_add(($a & $b) | ($c & ($a | $b)));
+        $d = $d.wrapping_add(t1);
+        $h = t1.wrapping_add(t2);
+    };
+}
+
+/// `W[t]` for `t < 16`: word `$i` of the block.
+macro_rules! block_word {
+    ($w:ident, $i:literal) => {
+        $w[$i]
+    };
+}
+
+/// `W[t]` for `t >= 16`, computed in the round that uses it so the
+/// schedule overlaps the round arithmetic. Slot `$i` of the rolling
+/// schedule holds `W[t - 16]` and is overwritten with `W[t]`; by then the
+/// slots read below hold `W[t - 15]`, `W[t - 7]` and `W[t - 2]`.
+macro_rules! next_word {
+    ($w:ident, $i:literal) => {{
+        let w15 = $w[($i + 1) % 16];
+        let w2 = $w[($i + 14) % 16];
+        $w[$i] = $w[$i]
+            .wrapping_add(w15.rotate_right(7) ^ w15.rotate_right(18) ^ (w15 >> 3))
+            .wrapping_add($w[($i + 9) % 16])
+            .wrapping_add(w2.rotate_right(17) ^ w2.rotate_right(19) ^ (w2 >> 10));
+        $w[$i]
+    }};
+}
+
+/// Rounds `16 * $j` to `16 * $j + 15`, taking each round's message word
+/// from `$word`; the eight-round rotation of names runs twice.
+#[rustfmt::skip]
+macro_rules! sixteen_rounds {
+    ($j:literal, $word:ident, $w:ident,
+     $a:ident, $b:ident, $c:ident, $d:ident, $e:ident, $f:ident, $g:ident, $h:ident) => {
+        round!($a, $b, $c, $d, $e, $f, $g, $h, K[$j * 16].wrapping_add($word!($w, 0)));
+        round!($h, $a, $b, $c, $d, $e, $f, $g, K[$j * 16 + 1].wrapping_add($word!($w, 1)));
+        round!($g, $h, $a, $b, $c, $d, $e, $f, K[$j * 16 + 2].wrapping_add($word!($w, 2)));
+        round!($f, $g, $h, $a, $b, $c, $d, $e, K[$j * 16 + 3].wrapping_add($word!($w, 3)));
+        round!($e, $f, $g, $h, $a, $b, $c, $d, K[$j * 16 + 4].wrapping_add($word!($w, 4)));
+        round!($d, $e, $f, $g, $h, $a, $b, $c, K[$j * 16 + 5].wrapping_add($word!($w, 5)));
+        round!($c, $d, $e, $f, $g, $h, $a, $b, K[$j * 16 + 6].wrapping_add($word!($w, 6)));
+        round!($b, $c, $d, $e, $f, $g, $h, $a, K[$j * 16 + 7].wrapping_add($word!($w, 7)));
+        round!($a, $b, $c, $d, $e, $f, $g, $h, K[$j * 16 + 8].wrapping_add($word!($w, 8)));
+        round!($h, $a, $b, $c, $d, $e, $f, $g, K[$j * 16 + 9].wrapping_add($word!($w, 9)));
+        round!($g, $h, $a, $b, $c, $d, $e, $f, K[$j * 16 + 10].wrapping_add($word!($w, 10)));
+        round!($f, $g, $h, $a, $b, $c, $d, $e, K[$j * 16 + 11].wrapping_add($word!($w, 11)));
+        round!($e, $f, $g, $h, $a, $b, $c, $d, K[$j * 16 + 12].wrapping_add($word!($w, 12)));
+        round!($d, $e, $f, $g, $h, $a, $b, $c, K[$j * 16 + 13].wrapping_add($word!($w, 13)));
+        round!($c, $d, $e, $f, $g, $h, $a, $b, K[$j * 16 + 14].wrapping_add($word!($w, 14)));
+        round!($b, $c, $d, $e, $f, $g, $h, $a, K[$j * 16 + 15].wrapping_add($word!($w, 15)));
+    };
+}
+
+/// The SHA-256 compression function: folds one 64-byte block into
+/// `state`. The 64 rounds are unrolled over a 16-word rolling message
+/// schedule instead of a 64-word array built up front.
+fn compress(state: &mut [u32; 8], block: &[u8; BLOCK_LEN]) {
+    let mut w = [0u32; 16];
+    for (word, bytes) in w.iter_mut().zip(block.chunks_exact(4)) {
+        *word = u32::from_be_bytes([bytes[0], bytes[1], bytes[2], bytes[3]]);
+    }
+    let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = *state;
+    sixteen_rounds!(0, block_word, w, a, b, c, d, e, f, g, h);
+    sixteen_rounds!(1, next_word, w, a, b, c, d, e, f, g, h);
+    sixteen_rounds!(2, next_word, w, a, b, c, d, e, f, g, h);
+    sixteen_rounds!(3, next_word, w, a, b, c, d, e, f, g, h);
+    for (acc, v) in state.iter_mut().zip([a, b, c, d, e, f, g, h]) {
+        *acc = acc.wrapping_add(v);
     }
 }
 

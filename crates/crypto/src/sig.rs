@@ -12,10 +12,26 @@
 //!   compact public key).
 //! * [`MerkleSigner`] — `2^h` Lamport leaves under one Merkle root, good for
 //!   `2^h` signatures under a single 32-byte public key.
+//!
+//! # Cost model, in SHA-256 compressions
+//!
+//! Each leaf's 512 preimages are drawn from an [`HmacDrbg`] at 8
+//! compressions per 32-byte draw, and every other hash here is of at most
+//! 64 bytes.
+//!
+//! * Sign: `512 × 8` for the preimage draws, plus 256 to hash the
+//!   complements the signature reveals — about 4.4k. A leaf's preimages
+//!   are drawn once per signature; the signer keeps only the Merkle tree.
+//! * Verify: 256 to hash the revealed preimages, 257 to hash the 16 KiB
+//!   compact-public-key preimage, and 2 per auth-path level: about
+//!   `256 + 257 + 2h`.
+//! * Key generation: per leaf, `512 × 8` draws, 512 preimage hashes and
+//!   257 for the compact public key — about 4.9k — plus `2^h − 1` node
+//!   hashes for the tree.
 
 use crate::drbg::HmacDrbg;
 use crate::hmac::HmacSha256;
-use crate::sha256::{sha256, sha256_pair, Digest};
+use crate::sha256::{sha256, sha256_pair, Digest, Sha256};
 use crate::CryptoError;
 
 /// Number of message bits signed (SHA-256 output).
@@ -25,13 +41,21 @@ const BITS: usize = 256;
 ///
 /// The private key is 256 pairs of 32-byte preimages; the compact public key
 /// is the SHA-256 digest of the 512 preimage hashes.
-#[derive(Debug, Clone)]
+#[derive(Clone)]
 pub struct LamportKeyPair {
     // preimages[i][b] signs bit i having value b.
     preimages: Vec<[[u8; 32]; 2]>,
-    hashes: Vec<[[u8; 32]; 2]>,
     public: Digest,
     used: bool,
+}
+
+// The preimages are the private key, so only `used` is printed.
+impl std::fmt::Debug for LamportKeyPair {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("LamportKeyPair")
+            .field("used", &self.used)
+            .finish_non_exhaustive()
+    }
 }
 
 /// A Lamport signature: for each message bit, the revealed preimage plus the
@@ -46,19 +70,10 @@ pub struct LamportSignature {
 impl LamportKeyPair {
     /// Derives a key pair deterministically from `seed`.
     pub fn from_seed(seed: &[u8]) -> Self {
-        let mut rng = HmacDrbg::new(seed);
-        let mut preimages = Vec::with_capacity(BITS);
-        let mut hashes = Vec::with_capacity(BITS);
-        for _ in 0..BITS {
-            let p0 = rng.array32();
-            let p1 = rng.array32();
-            preimages.push([p0, p1]);
-            hashes.push([sha256(&p0), sha256(&p1)]);
-        }
-        let public = compact_public(&hashes);
+        let preimages: Vec<_> = preimage_pairs(seed).collect();
+        let public = compact_public(preimages.iter().copied());
         LamportKeyPair {
             preimages,
-            hashes,
             public,
             used: false,
         }
@@ -81,18 +96,7 @@ impl LamportKeyPair {
             return Err(CryptoError::KeyExhausted);
         }
         self.used = true;
-        let digest = sha256(message);
-        let mut revealed = Vec::with_capacity(BITS);
-        let mut complements = Vec::with_capacity(BITS);
-        for i in 0..BITS {
-            let bit = bit_at(&digest, i);
-            revealed.push(self.preimages[i][bit]);
-            complements.push(self.hashes[i][1 - bit]);
-        }
-        Ok(LamportSignature {
-            revealed,
-            complements,
-        })
+        Ok(sign_with(message, self.preimages.iter().copied()))
     }
 }
 
@@ -102,16 +106,14 @@ impl LamportSignature {
     /// the signature.
     pub fn recover_public(&self, message: &[u8]) -> Digest {
         let digest = sha256(message);
-        let mut hashes: Vec<[[u8; 32]; 2]> = Vec::with_capacity(BITS);
-        for i in 0..BITS {
-            let bit = bit_at(&digest, i);
-            let revealed_hash = sha256(&self.revealed[i]);
-            let mut pair = [[0u8; 32]; 2];
-            pair[bit] = revealed_hash;
-            pair[1 - bit] = self.complements[i];
-            hashes.push(pair);
+        let mut h = Sha256::new();
+        for (i, (revealed, complement)) in self.revealed.iter().zip(&self.complements).enumerate() {
+            let mut pair = [*complement; 2];
+            pair[bit_at(&digest, i)] = sha256(revealed);
+            h.update(&pair[0]);
+            h.update(&pair[1]);
         }
-        compact_public(&hashes)
+        h.finalize()
     }
 
     /// Verifies this signature over `message` against `public`.
@@ -125,13 +127,39 @@ fn bit_at(digest: &Digest, i: usize) -> usize {
     ((digest[i / 8] >> (7 - (i % 8))) & 1) as usize
 }
 
-fn compact_public(hashes: &[[[u8; 32]; 2]]) -> Digest {
-    let mut h = crate::sha256::Sha256::new();
-    for pair in hashes {
-        h.update(&pair[0]);
-        h.update(&pair[1]);
+/// The 256 preimage pairs of the Lamport key derived from `seed`, in bit
+/// order. Key generation and Merkle signing both draw them here.
+fn preimage_pairs(seed: &[u8]) -> impl Iterator<Item = [[u8; 32]; 2]> {
+    let mut rng = HmacDrbg::new(seed);
+    (0..BITS).map(move |_| [rng.array32(), rng.array32()])
+}
+
+/// The compact public key: SHA-256 over the hashes of every preimage,
+/// streamed into one hasher.
+fn compact_public(pairs: impl Iterator<Item = [[u8; 32]; 2]>) -> Digest {
+    let mut h = Sha256::new();
+    for [p0, p1] in pairs {
+        h.update(&sha256(&p0));
+        h.update(&sha256(&p1));
     }
     h.finalize()
+}
+
+/// Signs `message` with the key whose preimage pairs are `pairs`: reveals
+/// one preimage per digest bit and hashes only the other one.
+fn sign_with(message: &[u8], pairs: impl Iterator<Item = [[u8; 32]; 2]>) -> LamportSignature {
+    let digest = sha256(message);
+    let mut revealed = Vec::with_capacity(BITS);
+    let mut complements = Vec::with_capacity(BITS);
+    for (i, pair) in pairs.enumerate() {
+        let bit = bit_at(&digest, i);
+        revealed.push(pair[bit]);
+        complements.push(sha256(&pair[1 - bit]));
+    }
+    LamportSignature {
+        revealed,
+        complements,
+    }
 }
 
 /// A Merkle many-time signer: `2^height` Lamport leaves under one root.
@@ -149,13 +177,24 @@ fn compact_public(hashes: &[[[u8; 32]; 2]]) -> Digest {
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Clone)]
 pub struct MerkleSigner {
     seed: Vec<u8>,
     height: u32,
     next_leaf: u64,
     // tree[0] = leaves, tree[h] = [root]
     tree: Vec<Vec<Digest>>,
+}
+
+// The seed is the whole private key, so only the key's shape and its use
+// are printed.
+impl std::fmt::Debug for MerkleSigner {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("MerkleSigner")
+            .field("height", &self.height)
+            .field("next_leaf", &self.next_leaf)
+            .finish_non_exhaustive()
+    }
 }
 
 /// The 32-byte public key of a [`MerkleSigner`] (the Merkle root).
@@ -183,8 +222,10 @@ pub struct MerkleSignature {
 impl MerkleSigner {
     /// Builds a signer with `2^height` one-time leaves from `seed`.
     ///
-    /// Key generation hashes `2^height * 512` preimages, so keep `height`
-    /// modest (≤ 10) in tests.
+    /// Key generation derives every leaf's compact public key: per leaf
+    /// 512 DRBG draws (8 compressions each), 512 preimage hashes and the
+    /// 257-compression compact-key hash, about 4.9k SHA-256 compressions
+    /// in all, so keep `height` modest (≤ 10) in tests.
     ///
     /// # Panics
     ///
@@ -193,7 +234,7 @@ impl MerkleSigner {
         assert!(height <= 20, "merkle tree height too large");
         let leaves = 1u64 << height;
         let mut level: Vec<Digest> = (0..leaves)
-            .map(|i| LamportKeyPair::from_seed(&leaf_seed(seed, i)).public())
+            .map(|i| compact_public(preimage_pairs(&leaf_seed(seed, i))))
             .collect();
         let mut tree = vec![level.clone()];
         while level.len() > 1 {
@@ -239,8 +280,7 @@ impl MerkleSigner {
         }
         let index = self.next_leaf;
         self.next_leaf += 1;
-        let mut leaf_key = LamportKeyPair::from_seed(&leaf_seed(&self.seed, index));
-        let ots = leaf_key.sign(message)?;
+        let ots = sign_with(message, preimage_pairs(&leaf_seed(&self.seed, index)));
         let mut auth_path = Vec::with_capacity(self.height as usize);
         let mut node = index as usize;
         for level in 0..self.height as usize {
@@ -259,8 +299,16 @@ impl MerkleSigner {
 impl MerkleSignature {
     /// Verifies the signature over `message` against the Merkle root
     /// `public`.
+    ///
+    /// A `leaf_index` with bits above the auth path's height names no
+    /// leaf of the tree, so it fails: otherwise those bits could be set
+    /// freely and one signature would have many valid encodings.
     #[must_use]
     pub fn verify(&self, message: &[u8], public: &MerklePublicKey) -> bool {
+        let height = u32::try_from(self.auth_path.len()).unwrap_or(u32::MAX);
+        if self.leaf_index.checked_shr(height).unwrap_or(0) != 0 {
+            return false;
+        }
         let mut node = self.ots.recover_public(message);
         let mut index = self.leaf_index;
         for sibling in &self.auth_path {
@@ -432,6 +480,52 @@ mod tests {
         let mut huge_path = bytes.clone();
         huge_path[8..12].copy_from_slice(&u32::MAX.to_be_bytes());
         assert!(MerkleSignature::from_bytes(&huge_path).is_err());
+    }
+
+    #[test]
+    fn leaf_index_above_the_tree_does_not_verify() {
+        let mut signer = MerkleSigner::from_seed(b"malleable", 2);
+        let public = signer.public();
+        let bytes = signer.sign(b"payload").unwrap().to_bytes();
+        let mut flipped = bytes.clone();
+        flipped[0] ^= 0x80; // bit 63 of the big-endian leaf index
+        let parsed = MerkleSignature::from_bytes(&flipped).unwrap();
+        assert_eq!(parsed.leaf_index(), 1 << 63);
+        assert!(!parsed.verify(b"payload", &public));
+        let mut leaf_4 = bytes;
+        leaf_4[7] |= 4; // leaf 4 of a 4-leaf tree
+        assert!(!MerkleSignature::from_bytes(&leaf_4)
+            .unwrap()
+            .verify(b"payload", &public));
+    }
+
+    #[test]
+    fn full_height_path_does_not_overflow_the_index_check() {
+        // With 64 auth-path entries every u64 index fits, and the check
+        // must not shift by 64.
+        let mut signer = MerkleSigner::from_seed(b"tall", 1);
+        let mut sig = signer.sign(b"m").unwrap();
+        sig.auth_path.resize(64, [0u8; 32]);
+        sig.leaf_index = u64::MAX;
+        let parsed = MerkleSignature::from_bytes(&sig.to_bytes()).unwrap();
+        assert_eq!(parsed, sig);
+        assert!(!parsed.verify(b"m", &signer.public()));
+    }
+
+    #[test]
+    fn debug_does_not_depend_on_the_seed() {
+        let a = MerkleSigner::from_seed(b"seed-a", 1);
+        let b = MerkleSigner::from_seed(b"seed-b", 1);
+        assert_ne!(a.public(), b.public());
+        assert_eq!(format!("{a:?}"), format!("{b:?}"));
+        assert_eq!(
+            format!("{a:?}"),
+            "MerkleSigner { height: 1, next_leaf: 0, .. }"
+        );
+        let a = LamportKeyPair::from_seed(b"seed-a");
+        let b = LamportKeyPair::from_seed(b"seed-b");
+        assert_eq!(format!("{a:?}"), format!("{b:?}"));
+        assert_eq!(format!("{a:?}"), "LamportKeyPair { used: false, .. }");
     }
 
     #[test]

@@ -121,7 +121,7 @@ echo "==> bench sentinel self-check (committed BENCH_genio.json diffs clean agai
 cargo run --release -q -p genio-sentinel --bin genio-sentinel -- \
     --baseline BENCH_genio.json --candidate BENCH_genio.json \
     --anchor fleet_sim --anchor telemetry_overhead --anchor trace_fleet/fleet_engine \
-    --anchor lesson2/dataplane
+    --anchor lesson2/dataplane --anchor lesson2/control_plane
 echo "sentinel parses and passes the committed document"
 
 if [ "$QUICK" -eq 1 ]; then
@@ -159,7 +159,7 @@ if [ "$QUICK" -eq 1 ]; then
         --baseline BENCH_genio.json \
         --candidate target/genio-bench/BENCH_candidate.json \
         --anchor fleet_sim --anchor telemetry_overhead --anchor trace_fleet/fleet_engine \
-        --anchor lesson2/dataplane \
+        --anchor lesson2/dataplane --anchor lesson2/control_plane \
         --json target/genio-bench/sentinel-report.json
 
     mv target/genio-bench/BENCH_candidate.json BENCH_genio.json
