@@ -10,8 +10,8 @@
 //! summary.
 //!
 //! The v3 document (v2 plus panic-site facts and call receivers in the
-//! summaries, consumed by dependency-aware invalidation and the R16/R17
-//! passes) carries [`crate::rules::rules_version`] — an FNV
+//! summaries, consumed by the R16/R17 passes) carries
+//! [`crate::rules::rules_version`] — an FNV
 //! hash over every rule's id, title and catalog entry. A cache written
 //! by an analyzer binary with a different rule set (the latent v1 bug:
 //! such caches were reused verbatim, so a new rule saw stale per-file
@@ -20,7 +20,10 @@
 //!
 //! Cross-file stages (R3 and the whole [`crate::dataflow`] pass)
 //! always re-run over the cached payloads: they depend on *other*
-//! files' contents, which a per-file hash cannot witness. Because
+//! files' contents, which a per-file hash cannot witness. Nothing else
+//! needs to: no cached entry depends on another file, so an edit
+//! invalidates exactly the edited file's entry, even when other files
+//! call into it. Because
 //! everything downstream of the cache is deterministic, a warm scan
 //! produces a byte-identical report to a cold one — the property test
 //! in `tests/cache_and_parallel.rs` and the verify-gate determinism

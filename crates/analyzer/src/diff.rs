@@ -12,13 +12,14 @@
 //! baseline gate uses, so a pure line shift is never "introduced" and
 //! an empty git diff yields an empty finding diff by construction.
 //!
-//! The cost model: the base scan re-lexes only the changed files and
-//! reuses every other file's facts from the live scan's snapshot (no
-//! file I/O, hashing or cache traffic), so a one-file change costs one
-//! incremental scan plus one in-memory rebase instead of two full
-//! scans. [`crate::workspace::scan_with_base`] remains the from-disk
-//! reference implementation the differential test pins the rebase
-//! against.
+//! The cost model: the live scan misses the cache only on the changed
+//! files, and the base scan re-lexes only those files and reuses every
+//! other file's facts from the live scan's snapshot (no file I/O,
+//! hashing or cache traffic), so a one-file change costs one
+//! incremental scan with one cache miss plus one in-memory rebase
+//! instead of two full scans. [`crate::workspace::scan_with_base`]
+//! remains the from-disk reference implementation the differential
+//! test pins the rebase against.
 //!
 //! [`to_sarif`] renders any [`Report`] as a minimal SARIF 2.1.0
 //! document (tagged `genio-analyzer-sarif/v1` in the run properties)

@@ -46,8 +46,8 @@
 //! 11. [`cache`] — content-hash incremental cache
 //!     (`genio-analyzer-cache/v3` JSON under `target/`, carrying the
 //!     rule-set version hash so caches from older binaries
-//!     self-invalidate, with call-graph dependency invalidation) so warm
-//!     re-scans skip lexing/summarising unchanged files;
+//!     self-invalidate) so warm re-scans skip lexing/summarising
+//!     unchanged files and a one-file edit re-scans one file;
 //! 12. [`baseline`] — `genio-analyzer/v1` JSON reports and the ratchet:
 //!     committed findings are grandfathered, new ones fail
 //!     `scripts/verify.sh`, and the baseline only ever shrinks;
@@ -58,9 +58,8 @@
 //! 14. [`workspace`] — walks every crate's `src/` tree (sharded across
 //!     `std::thread` workers, instrumented with `genio-telemetry`
 //!     spans), applies `allow(...)` suppressions, and assembles the
-//!     report the CLI, the verify gate, and benches `lesson7_selfscan`
-//!     (E-A1) / `analyzer_scan` (E-A2) / `analyzer_passes` (E-A3) /
-//!     `analyzer_pathsense` (E-A4) consume.
+//!     report the CLI, the verify gate and the `analyzer` bench (E-A)
+//!     consume.
 //!
 //! ```
 //! use genio_analyzer::{rules, lexer};

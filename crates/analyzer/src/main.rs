@@ -232,8 +232,8 @@ fn diff_mode(
         d.findings.len()
     );
     println!(
-        "  workers: {} | cache: {} hit(s), {} miss(es) ({} dep-invalidated)",
-        d.stats.threads, d.stats.cache_hits, d.stats.cache_misses, d.stats.dep_invalidated
+        "  workers: {} | cache: {} hit(s), {} miss(es)",
+        d.stats.threads, d.stats.cache_hits, d.stats.cache_misses
     );
     for f in &d.findings {
         println!(

@@ -10,13 +10,11 @@
 //!
 //! 1. **discover** — enumerate crate src trees and their `.rs` files
 //!    into a sorted, deterministic job list;
-//! 2. **hash + invalidate** (main thread) — read and content-hash every
-//!    file, look up the [`crate::cache`] entry, then *dependency-aware
-//!    invalidation*: a changed file's cached function definitions are
-//!    collected, and any cached entry whose summary calls one of those
-//!    names is dropped back into the re-scan set (tracked in
-//!    [`ScanStats::dep_invalidated`]) — the call-graph edge, not just
-//!    the content hash, decides freshness;
+//! 2. **hash + look up** (main thread) — read and content-hash every
+//!    file and look up its [`crate::cache`] entry. Per-file facts are a
+//!    pure function of the file's bytes and the rule set, so the content
+//!    hash alone decides freshness: a one-file edit is exactly one miss,
+//!    however many other files call into it;
 //! 3. **per-file pass** (parallel) — for every miss, tokenize,
 //!    annotate, rule-scan and summarize. Misses are split into
 //!    contiguous chunks over `std::thread` scoped workers and the
@@ -80,7 +78,7 @@ pub struct ScanOptions {
     pub telemetry: Telemetry,
     /// Restrict the report to these rules (`None` keeps all). Passes
     /// whose every rule is filtered out are skipped entirely, which is
-    /// what the E-A3 bench uses to price the new passes.
+    /// how the `analyzer` bench prices the R10–R14 and R16–R18 passes.
     pub rules: Option<Vec<Rule>>,
 }
 
@@ -99,10 +97,6 @@ pub struct ScanStats {
     pub cache_hits: u64,
     /// Files re-scanned.
     pub cache_misses: u64,
-    /// Cache entries dropped by dependency-aware invalidation: their
-    /// content was unchanged, but they call a function defined in a
-    /// changed file (counted inside `cache_misses` too).
-    pub dep_invalidated: u64,
     /// Worker threads actually used.
     pub threads: usize,
 }
@@ -426,12 +420,9 @@ fn run_pipeline(
         None => Cache::default(),
     };
 
-    // Stage 2: read + hash on the main thread, then dependency-aware
-    // invalidation — a changed file's (previously cached) function
-    // definitions drag every cached caller back into the re-scan set.
-    // Per-file facts are purely local, so this is output-neutral; it
-    // keeps the cache honest about what a change *touches* and feeds
-    // the `--diff` cost model.
+    // Stage 2: read + hash on the main thread. Per-file facts depend on
+    // nothing but the file's bytes (and the rule set the cache is
+    // versioned by), so an unchanged hash is a hit whatever else moved.
     let mut prepared: Vec<Prepared> = Vec::with_capacity(jobs.len());
     for job in jobs {
         let src = match &job.content {
@@ -441,29 +432,6 @@ fn run_pipeline(
         let hash = content_hash(src.as_bytes());
         let cached = cache.lookup(&job.rel, &hash).cloned();
         prepared.push(Prepared { src, hash, cached });
-    }
-    let mut changed_defs: std::collections::BTreeSet<&str> = std::collections::BTreeSet::new();
-    for (job, prep) in jobs.iter().zip(&prepared) {
-        if prep.cached.is_none() {
-            // The *old* definitions: what callers compiled against.
-            if let Some(stale) = cache.entries.get(&job.rel) {
-                changed_defs.extend(stale.summary.functions.iter().map(|f| f.name.as_str()));
-            }
-        }
-    }
-    let mut dep_invalidated = 0u64;
-    if !changed_defs.is_empty() {
-        for prep in &mut prepared {
-            let calls_changed = prep.cached.as_ref().is_some_and(|entry| {
-                entry.summary.functions.iter().any(|f| {
-                    f.calls.iter().any(|c| changed_defs.contains(c.callee.as_str()))
-                })
-            });
-            if calls_changed {
-                prep.cached = None;
-                dep_invalidated += 1;
-            }
-        }
     }
 
     // Stage 3: parallel per-file pass over the misses, contiguous
@@ -540,7 +508,6 @@ fn run_pipeline(
         files: processed.len() as u64,
         cache_hits: processed.iter().filter(|p| p.hit).count() as u64,
         cache_misses: processed.iter().filter(|p| !p.hit).count() as u64,
-        dep_invalidated,
         threads,
     };
 

@@ -126,6 +126,20 @@ fn editing_a_file_invalidates_exactly_that_entry() {
         reverted.to_json().to_string(),
         before.to_json().to_string()
     );
+
+    // `demo/src/ops.rs` calls `verify_peer` and `install_key`, defined
+    // in the handshake module. Editing the callee still costs one miss:
+    // no cached entry depends on another file's contents.
+    let callee = ws.join("crates/netsec/src/handshake.rs");
+    let mut text = fs::read_to_string(&callee).expect("read fixture");
+    text.push_str("\n// callee edit: callers' cache entries stay valid\n");
+    fs::write(&callee, text).expect("write fixture");
+
+    let (warm, stats) = scan_with(&ws, &opts).expect("rescan after callee edit");
+    assert_eq!(stats.cache_misses, 1, "only the edited callee rescans");
+    assert_eq!(stats.cache_hits, before.files - 1);
+    let (cold, _) = scan_with(&ws, &ScanOptions::default()).expect("cold scan");
+    assert_eq!(warm.to_json().to_string(), cold.to_json().to_string());
 }
 
 #[test]

@@ -3,15 +3,15 @@
 //!
 //! Expected shape: disabled-mode primitives cost a branch (sub-ns to a
 //! few ns), enabled-mode primitives stay in the tens of ns, and the three
-//! end-to-end workloads (sharded PON fleet engine, batched AES-GCM data
-//! plane, runtime detection pipeline) run within `MAX_RATIO` of their
-//! uninstrumented baselines.
+//! end-to-end workloads (sharded PON fleet engine with causal tracing,
+//! batched AES-GCM data plane, runtime detection pipeline) run within
+//! `MAX_RATIO` of their uninstrumented baselines.
 //! The ratio is asserted here so a regression fails `cargo bench`.
 
 use std::sync::Once;
 
 use genio_bench::print_experiment_once;
-use genio_pon::engine::{run_with, EngineOptions, FleetSimConfig};
+use genio_pon::engine::{run_with, trace_root, EngineOptions, FleetSimConfig};
 use genio_runtime::events::mixed_trace;
 use genio_runtime::falco::{Engine, RuleSetTier};
 use genio_telemetry::Telemetry;
@@ -49,10 +49,19 @@ fn bench(c: &mut Criterion) {
             |b, t| b.iter(|| std::hint::black_box(t.span("bench.span"))),
         );
     }
+    // Causal spans: a traced child, and one name reopened every
+    // iteration (a span-cell cache hit, no registry lookup).
+    let root = trace_root(7);
+    group.bench_with_input(BenchmarkId::from_parameter("span_at"), &on, |b, t| {
+        b.iter(|| std::hint::black_box(t.span_at("bench.trace.span_at", root.child(1))))
+    });
+    group.bench_with_input(BenchmarkId::from_parameter("span_reopen"), &on, |b, t| {
+        b.iter(|| std::hint::black_box(t.span_at("bench.trace.reopen", root)))
+    });
     group.finish();
 
-    // --- Workload 1: sharded fleet engine (E-S2 hot loop): wheel
-    // advance, shard step and merge spans plus per-batch counters. ---
+    // --- Workload 1: sharded fleet engine (E-S2 hot loop): causal
+    // spans through every shard worker and wheel batch, batch counters. ---
     let fleet_cfg = FleetSimConfig {
         trees: 48,
         onus_per_tree: 24,

@@ -94,10 +94,17 @@ pub fn pow(mut base: u128, mut exp: u128) -> u128 {
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Clone)]
 pub struct KeyPair {
     private: u128,
     public: u128,
+}
+
+// The private exponent is the key, so no field is printed.
+impl std::fmt::Debug for KeyPair {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("KeyPair").finish_non_exhaustive()
+    }
 }
 
 impl KeyPair {
@@ -153,6 +160,15 @@ pub fn validate_public(value: u128) -> crate::Result<()> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn debug_does_not_depend_on_the_key() {
+        let a = KeyPair::generate(&mut HmacDrbg::new(b"seed-a"));
+        let b = KeyPair::generate(&mut HmacDrbg::new(b"seed-b"));
+        assert_ne!(a.public(), b.public());
+        assert_eq!(format!("{a:?}"), format!("{b:?}"));
+        assert_eq!(format!("{a:?}"), "KeyPair { .. }");
+    }
 
     #[test]
     fn small_multiplications() {

@@ -11,9 +11,13 @@
 //! configured threshold on an **anchored** bench is a hard regression.
 //!
 //! Quick-mode runs are noisy, so by default only anchored benches can
-//! fail the gate — everything else lands in a warn-only envelope. With
-//! no anchors configured the sentinel never fails, which makes the
-//! self-check (`BENCH_genio.json` vs itself) a cheap schema/logic gate.
+//! fail the gate — everything else lands in a warn-only envelope. An
+//! anchored bench that the candidate no longer has fails it too, so a
+//! renamed or deleted hot-path row cannot silently stop being gated;
+//! [`unmatched_anchors`] lets the CLI refuse an anchor that gates
+//! nothing. With no anchors configured the sentinel never fails, which
+//! makes the self-check (`BENCH_genio.json` vs itself) a cheap
+//! schema/logic gate.
 
 #![forbid(unsafe_code)]
 
@@ -121,7 +125,8 @@ pub enum Status {
     Warn,
     /// Anchored bench above both the noise band and the threshold.
     Regression,
-    /// Present in the baseline, absent from the candidate.
+    /// Present in the baseline, absent from the candidate (fails the
+    /// gate when anchored).
     Missing,
     /// Present in the candidate only (new bench; informational).
     New,
@@ -193,9 +198,18 @@ impl SentinelReport {
         self.deltas.iter().filter(|d| d.status == status).count()
     }
 
-    /// Gate verdict: no anchored regressions (or warn-only mode).
+    /// Anchored baseline benches the candidate no longer has.
+    pub fn missing_anchored(&self) -> usize {
+        self.deltas
+            .iter()
+            .filter(|d| d.anchored && d.status == Status::Missing)
+            .count()
+    }
+
+    /// Gate verdict: no anchored regression and no anchored bench gone
+    /// missing (or warn-only mode).
     pub fn passes(&self) -> bool {
-        self.warn_only || self.count(Status::Regression) == 0
+        self.warn_only || (self.count(Status::Regression) == 0 && self.missing_anchored() == 0)
     }
 
     /// The report's `genio-sentinel/v1` JSON document.
@@ -256,9 +270,10 @@ impl SentinelReport {
             ));
         }
         out.push_str(&format!(
-            "sentinel: {} benches, {} regressions, {} warnings, {} improved -> {}\n",
+            "sentinel: {} benches, {} regressions, {} anchored missing, {} warnings, {} improved -> {}\n",
             self.deltas.len(),
             self.count(Status::Regression),
+            self.missing_anchored(),
             self.count(Status::Warn),
             self.count(Status::Improved),
             if self.passes() { "PASS" } else { "FAIL" }
@@ -283,10 +298,29 @@ fn relative_spread(r: &Record) -> f64 {
     ((r.p95_ns - r.min_ns) / r.median_ns).clamp(0.0, NOISE_CEIL)
 }
 
+fn anchor_matches(anchor: &str, experiment: &str, name: &str) -> bool {
+    name.contains(anchor) || experiment.contains(anchor)
+}
+
 fn is_anchored(cfg: &SentinelConfig, experiment: &str, name: &str) -> bool {
     cfg.anchors
         .iter()
-        .any(|a| name.contains(a.as_str()) || experiment.contains(a.as_str()))
+        .any(|a| anchor_matches(a, experiment, name))
+}
+
+/// The configured anchors that match no bench in `baseline`: each one
+/// gates nothing, which is a typo or a stale name, never intent.
+pub fn unmatched_anchors<'a>(baseline: &BenchDoc, cfg: &'a SentinelConfig) -> Vec<&'a str> {
+    cfg.anchors
+        .iter()
+        .map(String::as_str)
+        .filter(|a| {
+            !baseline
+                .benches
+                .iter()
+                .any(|b| anchor_matches(a, &b.experiment, &b.record.name))
+        })
+        .collect()
 }
 
 /// Diffs `candidate` against `baseline` under `cfg`.
@@ -503,6 +537,22 @@ mod tests {
         assert_eq!(report.count(Status::Missing), 1);
         assert_eq!(report.count(Status::New), 1);
         assert!(report.passes());
+    }
+
+    #[test]
+    fn anchored_bench_missing_from_candidate_fails_the_gate() {
+        let base = doc(&[("E-S2", "fleet_sim", 5_000.0), ("E-A", "other", 100.0)]);
+        let cand = doc(&[("E-A", "other", 100.0)]);
+        let mut cfg = SentinelConfig {
+            anchors: vec!["fleet_sim".to_string()],
+            ..SentinelConfig::default()
+        };
+        let report = compare(&base, &cand, &cfg);
+        assert_eq!(report.count(Status::Missing), 1);
+        assert!(!report.passes(), "a deleted anchored row must fail");
+        assert!(report.render_text().contains("FAIL"));
+        cfg.warn_only = true;
+        assert!(compare(&base, &cand, &cfg).passes());
     }
 
     #[test]

@@ -7,15 +7,16 @@
 //!     [--threshold 1.25] [--warn-only] [--json report.json]
 //! ```
 //!
-//! Exit codes: `0` pass, `1` anchored regression, `2` usage or I/O
-//! error.
+//! Exit codes: `0` pass, `1` anchored regression or anchored bench
+//! missing from the candidate, `2` usage or I/O error, or an `--anchor`
+//! that matches no baseline bench.
 
 #![forbid(unsafe_code)]
 
 use std::fs;
 use std::process::ExitCode;
 
-use genio_sentinel::{compare, BenchDoc, SentinelConfig};
+use genio_sentinel::{compare, unmatched_anchors, BenchDoc, SentinelConfig};
 
 struct Args {
     baseline: String,
@@ -76,6 +77,10 @@ fn run(argv: &[String]) -> Result<bool, String> {
     let args = parse_args(argv)?;
     let base = load_doc(&args.baseline)?;
     let cand = load_doc(&args.candidate)?;
+    let unmatched = unmatched_anchors(&base, &args.cfg);
+    if !unmatched.is_empty() {
+        return Err(format!("--anchor {unmatched:?} matches no baseline bench"));
+    }
     let report = compare(&base, &cand, &args.cfg);
     print!("{}", report.render_text());
     if let Some(path) = &args.json_out {
@@ -127,5 +132,27 @@ mod tests {
             .is_err());
         assert!(parse_args(&sv(&["--frobnicate"])).is_err());
         assert!(run(&sv(&["--baseline", "/nonexistent", "--candidate", "/nonexistent"])).is_err());
+    }
+
+    #[test]
+    fn anchor_matching_no_baseline_bench_is_a_usage_error() {
+        let path =
+            std::env::temp_dir().join(format!("sentinel-anchor-{}.json", std::process::id()));
+        fs::write(
+            &path,
+            "{\"schema\":\"genio-bench/v1\",\"experiment\":\"E-S2\",\"target\":\"t\",\
+             \"benches\":[{\"name\":\"fleet_sim/full\",\"iters_per_sample\":1,\"samples\":5,\
+             \"min_ns\":90,\"median_ns\":100,\"p95_ns\":110,\"max_ns\":120,\"mean_ns\":100}]}",
+        )
+        .expect("write fixture");
+        let doc = path.to_string_lossy().into_owned();
+        let with_anchor = |anchor: &str| {
+            let args = ["--baseline", &doc, "--candidate", &doc, "--anchor", anchor];
+            run(&sv(&args))
+        };
+        assert_eq!(with_anchor("fleet_sim"), Ok(true));
+        let err = with_anchor("trace_fleet").expect_err("an anchor that gates nothing");
+        assert!(err.contains("trace_fleet"), "{err}");
+        let _ = fs::remove_file(&path);
     }
 }

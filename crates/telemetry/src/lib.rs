@@ -28,9 +28,9 @@
 //! [`Telemetry::disabled`]: handles it creates carry `None` and every
 //! operation is a single branch, so instrumented code paths cost nothing
 //! when observability is off — which is why every pre-existing test in
-//! the workspace passes unchanged. Experiments E-O1/E-O2 (benches
-//! `telemetry_overhead`, `trace_fleet`) pin the enabled/disabled
-//! throughput ratio of the instrumented hot paths under 1.15×.
+//! the workspace passes unchanged. Experiment E-O1 (bench
+//! `telemetry_overhead`) pins the enabled/disabled throughput ratio of
+//! the instrumented hot paths, causal tracing included, under 1.15×.
 
 #![forbid(unsafe_code)]
 

@@ -7,7 +7,7 @@
 //! atomic traffic. Enabled handles are resolved once by name against the
 //! registry (one `BTreeMap` lookup under a mutex) and from then on each
 //! update is a handful of relaxed atomic operations on the metric's one
-//! shared cell, which is what keeps the E-O1/E-O2 overhead bounds honest.
+//! shared cell, which is what keeps the E-O1 overhead bound honest.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};

@@ -120,7 +120,7 @@ echo "fleet span trees validate and re-export byte-identically under all 64 seed
 echo "==> bench sentinel self-check (committed BENCH_genio.json diffs clean against itself)"
 cargo run --release -q -p genio-sentinel --bin genio-sentinel -- \
     --baseline BENCH_genio.json --candidate BENCH_genio.json \
-    --anchor fleet_sim --anchor telemetry_overhead --anchor trace_fleet/fleet_engine \
+    --anchor fleet_sim --anchor telemetry_overhead \
     --anchor lesson2/dataplane --anchor lesson2/control_plane
 echo "sentinel parses and passes the committed document"
 
@@ -153,12 +153,13 @@ if [ "$QUICK" -eq 1 ]; then
 
     echo "==> bench sentinel regression gate (candidate vs committed BENCH_genio.json)"
     # Anchored hot paths hard-fail above max(1.25x, the per-bench noise
-    # band); everything else is a warn-only envelope — quick-mode medians
-    # on unanchored micro-benches are too jittery to gate on.
+    # band), and so does an anchored bench missing from the candidate;
+    # everything else is a warn-only envelope — quick-mode medians on
+    # unanchored micro-benches are too jittery to gate on.
     cargo run --release -q -p genio-sentinel --bin genio-sentinel -- \
         --baseline BENCH_genio.json \
         --candidate target/genio-bench/BENCH_candidate.json \
-        --anchor fleet_sim --anchor telemetry_overhead --anchor trace_fleet/fleet_engine \
+        --anchor fleet_sim --anchor telemetry_overhead \
         --anchor lesson2/dataplane --anchor lesson2/control_plane \
         --json target/genio-bench/sentinel-report.json
 
