@@ -131,6 +131,22 @@ pub fn diff(current: &[Finding], baseline: &[Finding]) -> Diff {
     Diff { new, fixed }
 }
 
+/// One finding as the JSON object shared by the `genio-analyzer/v1`
+/// report and the `genio-analyzer-diff/v1` document.
+pub fn finding_to_json(f: &Finding) -> Value {
+    let mut fields = vec![
+        ("rule".to_string(), Value::Str(f.rule.id().to_string())),
+        ("file".to_string(), Value::Str(f.file.clone())),
+        ("line".to_string(), Value::Num(f.line as f64)),
+        ("function".to_string(), Value::Str(f.function.clone())),
+        ("detail".to_string(), Value::Str(f.detail.clone())),
+    ];
+    if let Some(c) = f.confirmed {
+        fields.push(("confirmed".to_string(), Value::Bool(c)));
+    }
+    Value::Obj(fields)
+}
+
 impl Report {
     /// Per-rule finding counts, in [`Rule::ALL`] order.
     pub fn rule_counts(&self) -> Vec<(Rule, usize)> {
@@ -142,23 +158,7 @@ impl Report {
 
     /// Serializes to the `genio-analyzer/v1` JSON document.
     pub fn to_json(&self) -> Value {
-        let findings = self
-            .findings
-            .iter()
-            .map(|f| {
-                let mut fields = vec![
-                    ("rule".to_string(), Value::Str(f.rule.id().to_string())),
-                    ("file".to_string(), Value::Str(f.file.clone())),
-                    ("line".to_string(), Value::Num(f.line as f64)),
-                    ("function".to_string(), Value::Str(f.function.clone())),
-                    ("detail".to_string(), Value::Str(f.detail.clone())),
-                ];
-                if let Some(c) = f.confirmed {
-                    fields.push(("confirmed".to_string(), Value::Bool(c)));
-                }
-                Value::Obj(fields)
-            })
-            .collect();
+        let findings = self.findings.iter().map(finding_to_json).collect();
         let rules = self
             .rule_counts()
             .into_iter()

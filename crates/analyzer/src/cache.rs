@@ -1,4 +1,4 @@
-//! Content-hash incremental scan cache (`genio-analyzer-cache/v3`).
+//! Content-hash incremental scan cache (`genio-analyzer-cache/v4`).
 //!
 //! The per-file pipeline stages — tokenize, annotate, rule scan,
 //! summarize — are pure functions of the file's bytes **and of the rule
@@ -9,14 +9,16 @@
 //! suppressions, and the *pre-dataflow* findings, accesses and
 //! summary.
 //!
-//! The v3 document (v2 plus panic-site facts and call receivers in the
-//! summaries, consumed by the R16/R17 passes) carries
-//! [`crate::rules::rules_version`] — an FNV
-//! hash over every rule's id, title and catalog entry. A cache written
-//! by an analyzer binary with a different rule set (the latent v1 bug:
-//! such caches were reused verbatim, so a new rule saw stale per-file
-//! findings) fails the version check and degrades to a full rescan,
-//! while a matching version still serves every unchanged file.
+//! The file is positional binary, written and read by one `Codec`
+//! trait: the schema tag, [`crate::rules::rules_version`] as 8
+//! little-endian bytes, then the entries. Integers are LEB128 varints,
+//! so every `u64` loads back exactly (the v3 JSON document rounded
+//! constants above 2^53 through `f64`), and a [`Rule`] is its index in
+//! [`Rule::ALL`]. Decoding builds each cached struct from its one field
+//! list, so a new field does not compile until it is encoded. The
+//! version hashes every rule's id, title and catalog entry in
+//! [`Rule::ALL`] order, so a cache from a binary with a different or
+//! reordered rule set degrades to a full rescan.
 //!
 //! Cross-file stages (R3 and the whole [`crate::dataflow`] pass)
 //! always re-run over the cached payloads: they depend on *other*
@@ -29,21 +31,25 @@
 //! in `tests/cache_and_parallel.rs` and the verify-gate determinism
 //! check both pin this down.
 //!
-//! Failure policy: a missing, unparsable or schema-mismatched cache file
+//! Failure policy: a missing, truncated, foreign or stale cache file
 //! degrades to an empty cache (full rescan), never an error — a stale
-//! cache must not be able to break a build.
+//! cache must not be able to break a build. The decoder never panics,
+//! never allocates ahead of the input, and rejects trailing bytes,
+//! invalid UTF-8, bools other than 0 and 1, rule indexes outside
+//! [`Rule::ALL`] and lengths past the end.
 
 use std::collections::BTreeMap;
 use std::fs;
 use std::path::Path;
 
-use genio_testkit::json::{parse, Value};
-
 use crate::rules::{rules_version, Access, Allow, Finding, Rule};
-use crate::summary::FileSummary;
+use crate::summary::{
+    Arg, AtomicUse, CallSite, CondUse, Discard, FileSummary, FnSummary, HeldCall, IndexUse,
+    LockAcq, LockPair, OpUse, PanicSite, SinkUse,
+};
 
-/// Cache document schema tag.
-pub const CACHE_SCHEMA: &str = "genio-analyzer-cache/v3";
+/// Cache file schema tag, the first field of every cache file.
+pub const CACHE_SCHEMA: &str = "genio-analyzer-cache/v4";
 
 /// Everything the per-file pipeline produced for one source file.
 #[derive(Debug, Clone, PartialEq)]
@@ -87,10 +93,10 @@ impl Cache {
     /// Loads a cache file, degrading to an empty cache on any problem —
     /// including a cache written by a binary with a different rule set.
     pub fn load(path: &Path) -> Cache {
-        let Ok(text) = fs::read_to_string(path) else {
+        let Ok(bytes) = fs::read(path) else {
             return Cache::default();
         };
-        Cache::from_json_text(&text, rules_version()).unwrap_or_default()
+        Cache::decode(&bytes, rules_version()).unwrap_or_default()
     }
 
     /// Serializes and writes the cache, creating parent directories.
@@ -99,7 +105,7 @@ impl Cache {
         if let Some(parent) = path.parent() {
             fs::create_dir_all(parent)?;
         }
-        fs::write(path, self.to_json().to_string())
+        fs::write(path, self.encode(rules_version()))
     }
 
     /// The entry for `rel_path`, but only if its hash still matches.
@@ -109,317 +115,390 @@ impl Cache {
             .filter(|e| e.hash == hash)
     }
 
-    fn to_json(&self) -> Value {
-        let files = self
-            .entries
-            .iter()
-            .map(|(path, e)| {
-                Value::Obj(vec![
-                    ("path".to_string(), Value::Str(path.clone())),
-                    ("hash".to_string(), Value::Str(e.hash.clone())),
-                    ("lines".to_string(), Value::Num(e.lines as f64)),
-                    ("crate_root".to_string(), Value::Bool(e.is_crate_root)),
-                    ("forbid".to_string(), Value::Bool(e.has_forbid)),
-                    (
-                        "findings".to_string(),
-                        Value::Arr(e.findings.iter().map(finding_to_json).collect()),
-                    ),
-                    (
-                        "accesses".to_string(),
-                        Value::Arr(e.accesses.iter().map(access_to_json).collect()),
-                    ),
-                    (
-                        "allows".to_string(),
-                        Value::Arr(e.allows.iter().map(allow_to_json).collect()),
-                    ),
-                    ("summary".to_string(), e.summary.to_json()),
-                ])
-            })
-            .collect();
-        Value::Obj(vec![
-            ("schema".to_string(), Value::Str(CACHE_SCHEMA.to_string())),
-            (
-                "rules_version".to_string(),
-                Value::Str(format!("{:016x}", rules_version())),
-            ),
-            ("files".to_string(), Value::Arr(files)),
-        ])
+    fn encode(&self, version: u64) -> Vec<u8> {
+        let mut out = Vec::new();
+        CACHE_SCHEMA.to_string().put(&mut out);
+        out.extend_from_slice(&version.to_le_bytes());
+        (self.entries.len() as u64).put(&mut out);
+        for (path, entry) in &self.entries {
+            path.put(&mut out);
+            entry.put(&mut out);
+        }
+        out
     }
 
-    fn from_json_text(text: &str, expected_version: u64) -> Result<Cache, String> {
-        let v = parse(text)?;
-        if v.get("schema").and_then(Value::as_str) != Some(CACHE_SCHEMA) {
-            return Err(format!("not a {CACHE_SCHEMA} document"));
+    fn decode(bytes: &[u8], expected_version: u64) -> Option<Cache> {
+        let mut r = Reader { rest: bytes };
+        if String::take(&mut r)? != CACHE_SCHEMA {
+            return None;
         }
-        let want = format!("{expected_version:016x}");
-        if v.get("rules_version").and_then(Value::as_str) != Some(&want) {
-            return Err("cache written under a different rule-set version".to_string());
+        if r.bytes(8)? != expected_version.to_le_bytes() {
+            return None;
         }
-        let mut entries = BTreeMap::new();
-        for item in v.get("files").and_then(Value::as_arr).ok_or("missing files")? {
-            let s = |key: &str| -> Result<String, String> {
-                item.get(key)
-                    .and_then(Value::as_str)
-                    .map(str::to_string)
-                    .ok_or_else(|| format!("entry missing {key:?}"))
-            };
-            let flag = |key: &str| matches!(item.get(key), Some(Value::Bool(true)));
-            let mut findings = Vec::new();
-            for f in item.get("findings").and_then(Value::as_arr).unwrap_or(&[]) {
-                findings.push(finding_from_json(f)?);
-            }
-            let mut accesses = Vec::new();
-            for a in item.get("accesses").and_then(Value::as_arr).unwrap_or(&[]) {
-                accesses.push(access_from_json(a)?);
-            }
-            let mut allows = Vec::new();
-            for a in item.get("allows").and_then(Value::as_arr).unwrap_or(&[]) {
-                allows.push(allow_from_json(a)?);
-            }
-            entries.insert(
-                s("path")?,
-                FileEntry {
-                    hash: s("hash")?,
-                    lines: item.get("lines").and_then(Value::as_f64).unwrap_or(0.0)
-                        as u64,
-                    is_crate_root: flag("crate_root"),
-                    has_forbid: flag("forbid"),
-                    findings,
-                    accesses,
-                    allows,
-                    summary: FileSummary::from_json(
-                        item.get("summary").ok_or("entry missing summary")?,
-                    )?,
-                },
-            );
-        }
-        Ok(Cache { entries })
+        let entries = Vec::<(String, FileEntry)>::take(&mut r)?;
+        r.rest.is_empty().then(|| Cache { entries: entries.into_iter().collect() })
     }
 }
 
-fn finding_to_json(f: &Finding) -> Value {
-    let mut fields = vec![
-        ("rule".to_string(), Value::Str(f.rule.id().to_string())),
-        ("file".to_string(), Value::Str(f.file.clone())),
-        ("line".to_string(), Value::Num(f.line as f64)),
-        ("function".to_string(), Value::Str(f.function.clone())),
-        ("detail".to_string(), Value::Str(f.detail.clone())),
-    ];
-    if let Some(c) = f.confirmed {
-        fields.push(("confirmed".to_string(), Value::Bool(c)));
-    }
-    Value::Obj(fields)
+/// Cursor over an encoded cache; every read is bounds-checked.
+struct Reader<'a> {
+    rest: &'a [u8],
 }
 
-fn finding_from_json(v: &Value) -> Result<Finding, String> {
-    let s = |key: &str| -> Result<String, String> {
-        v.get(key)
-            .and_then(Value::as_str)
-            .map(str::to_string)
-            .ok_or_else(|| format!("finding missing {key:?}"))
-    };
-    let rule_id = s("rule")?;
-    Ok(Finding {
-        rule: Rule::from_id(&rule_id).ok_or_else(|| format!("unknown rule {rule_id:?}"))?,
-        file: s("file")?,
-        line: v.get("line").and_then(Value::as_f64).unwrap_or(0.0) as u32,
-        function: s("function")?,
-        detail: s("detail")?,
-        confirmed: match v.get("confirmed") {
-            Some(Value::Bool(b)) => Some(*b),
+impl<'a> Reader<'a> {
+    fn byte(&mut self) -> Option<u8> {
+        self.bytes(1)?.first().copied()
+    }
+
+    fn bytes(&mut self, n: usize) -> Option<&'a [u8]> {
+        let (head, rest) = self.rest.split_at_checked(n)?;
+        self.rest = rest;
+        Some(head)
+    }
+
+    /// A string or list length. Every encoded item takes at least one
+    /// byte, so a length past the end of the input is malformed.
+    fn len_prefix(&mut self) -> Option<usize> {
+        let n = usize::try_from(u64::take(self)?).ok()?;
+        (n <= self.rest.len()).then_some(n)
+    }
+}
+
+/// A value with a positional v4 encoding.
+trait Codec: Sized {
+    /// Appends the encoding of `self` to `out`.
+    fn put(&self, out: &mut Vec<u8>);
+    /// Decodes one value; `None` on malformed or truncated input.
+    fn take(r: &mut Reader<'_>) -> Option<Self>;
+}
+
+/// LEB128: seven bits per byte, low group first.
+impl Codec for u64 {
+    fn put(&self, out: &mut Vec<u8>) {
+        let mut v = *self;
+        while v >= 0x80 {
+            out.push(v as u8 | 0x80);
+            v >>= 7;
+        }
+        out.push(v as u8);
+    }
+
+    fn take(r: &mut Reader<'_>) -> Option<Self> {
+        let mut v = 0u64;
+        for shift in (0..64).step_by(7) {
+            let b = r.byte()?;
+            // The tenth byte holds bit 63 alone.
+            if shift == 63 && b > 1 {
+                return None;
+            }
+            v |= u64::from(b & 0x7f) << shift;
+            if b & 0x80 == 0 {
+                return Some(v);
+            }
+        }
+        None
+    }
+}
+
+impl Codec for u32 {
+    fn put(&self, out: &mut Vec<u8>) {
+        u64::from(*self).put(out);
+    }
+
+    fn take(r: &mut Reader<'_>) -> Option<Self> {
+        u32::try_from(u64::take(r)?).ok()
+    }
+}
+
+impl Codec for bool {
+    fn put(&self, out: &mut Vec<u8>) {
+        out.push(u8::from(*self));
+    }
+
+    fn take(r: &mut Reader<'_>) -> Option<Self> {
+        match r.byte()? {
+            0 => Some(false),
+            1 => Some(true),
             _ => None,
-        },
-    })
+        }
+    }
 }
 
-fn allow_to_json(a: &Allow) -> Value {
-    Value::Obj(vec![
-        ("line".to_string(), Value::Num(a.line as f64)),
-        (
-            "rules".to_string(),
-            Value::Arr(
-                a.rules
-                    .iter()
-                    .map(|r| Value::Str(r.id().to_string()))
-                    .collect(),
-            ),
-        ),
-        ("reason".to_string(), Value::Str(a.reason.clone())),
-    ])
+impl Codec for String {
+    fn put(&self, out: &mut Vec<u8>) {
+        (self.len() as u64).put(out);
+        out.extend_from_slice(self.as_bytes());
+    }
+
+    fn take(r: &mut Reader<'_>) -> Option<Self> {
+        let n = r.len_prefix()?;
+        String::from_utf8(r.bytes(n)?.to_vec()).ok()
+    }
 }
 
-fn allow_from_json(v: &Value) -> Result<Allow, String> {
-    let mut rules = Vec::new();
-    for r in v.get("rules").and_then(Value::as_arr).unwrap_or(&[]) {
-        let id = r.as_str().ok_or("malformed allow rule id")?;
-        rules.push(Rule::from_id(id).ok_or_else(|| format!("unknown rule {id:?}"))?);
+/// One byte: the rule's index in [`Rule::ALL`].
+impl Codec for Rule {
+    fn put(&self, out: &mut Vec<u8>) {
+        let index = Rule::ALL.iter().position(|r| r == self);
+        out.push(index.and_then(|i| u8::try_from(i).ok()).unwrap_or(u8::MAX));
     }
-    Ok(Allow {
-        line: v.get("line").and_then(Value::as_f64).unwrap_or(0.0) as u32,
-        rules,
-        reason: v
-            .get("reason")
-            .and_then(Value::as_str)
-            .map(str::to_string)
-            .ok_or("allow missing reason")?,
-    })
+
+    fn take(r: &mut Reader<'_>) -> Option<Self> {
+        Rule::ALL.get(usize::from(r.byte()?)).copied()
+    }
 }
 
-fn access_to_json(a: &Access) -> Value {
-    let mut fields = vec![
-        ("function".to_string(), Value::Str(a.function.clone())),
-        ("var".to_string(), Value::Str(a.var.clone())),
-        ("guarded".to_string(), Value::Bool(a.guarded)),
-        ("rule".to_string(), Value::Str(a.rule.id().to_string())),
-        ("line".to_string(), Value::Num(a.line as f64)),
-    ];
-    if let Some(m) = a.masked {
-        fields.push(("masked".to_string(), Value::Num(m as f64)));
+impl<T: Codec> Codec for Option<T> {
+    fn put(&self, out: &mut Vec<u8>) {
+        self.is_some().put(out);
+        if let Some(v) = self {
+            v.put(out);
+        }
     }
-    if let Some(id) = &a.index_ident {
-        fields.push(("index_ident".to_string(), Value::Str(id.clone())));
+
+    fn take(r: &mut Reader<'_>) -> Option<Self> {
+        match bool::take(r)? {
+            true => T::take(r).map(Some),
+            false => Some(None),
+        }
     }
-    if let Some((lo, hi)) = &a.loop_bounds {
-        fields.push((
-            "loop_bounds".to_string(),
-            Value::Arr(vec![Value::Str(lo.clone()), Value::Str(hi.clone())]),
-        ));
-    }
-    Value::Obj(fields)
 }
 
-fn access_from_json(v: &Value) -> Result<Access, String> {
-    let s = |key: &str| -> Result<String, String> {
-        v.get(key)
-            .and_then(Value::as_str)
-            .map(str::to_string)
-            .ok_or_else(|| format!("access missing {key:?}"))
-    };
-    let rule_id = s("rule")?;
-    let loop_bounds = match v.get("loop_bounds").and_then(Value::as_arr) {
-        Some([lo, hi]) => match (lo.as_str(), hi.as_str()) {
-            (Some(lo), Some(hi)) => Some((lo.to_string(), hi.to_string())),
-            _ => return Err("malformed loop_bounds".to_string()),
-        },
-        Some(_) => return Err("malformed loop_bounds".to_string()),
-        None => None,
-    };
-    Ok(Access {
-        function: s("function")?,
-        var: s("var")?,
-        guarded: matches!(v.get("guarded"), Some(Value::Bool(true))),
-        rule: Rule::from_id(&rule_id).ok_or_else(|| format!("unknown rule {rule_id:?}"))?,
-        line: v.get("line").and_then(Value::as_f64).unwrap_or(0.0) as u32,
-        masked: v.get("masked").and_then(Value::as_f64).map(|m| m as u64),
-        index_ident: v.get("index_ident").and_then(Value::as_str).map(str::to_string),
-        loop_bounds,
-    })
+impl<T: Codec> Codec for Vec<T> {
+    fn put(&self, out: &mut Vec<u8>) {
+        (self.len() as u64).put(out);
+        for item in self {
+            item.put(out);
+        }
+    }
+
+    fn take(r: &mut Reader<'_>) -> Option<Self> {
+        let n = r.len_prefix()?;
+        let fits = r.rest.len() / std::mem::size_of::<T>().max(1);
+        let mut items = Vec::with_capacity(n.min(fits));
+        for _ in 0..n {
+            items.push(T::take(r)?);
+        }
+        Some(items)
+    }
+}
+
+impl<A: Codec, B: Codec> Codec for (A, B) {
+    fn put(&self, out: &mut Vec<u8>) {
+        self.0.put(out);
+        self.1.put(out);
+    }
+
+    fn take(r: &mut Reader<'_>) -> Option<Self> {
+        Some((A::take(r)?, B::take(r)?))
+    }
+}
+
+/// One field list per cached struct. Fields are written in list order
+/// and read back into a struct literal naming every field (a struct
+/// expression evaluates its fields in the order written), so the two
+/// directions cannot drift apart and a new field is a compile error
+/// until it is listed.
+macro_rules! records {
+    ($($ty:ident { $($field:ident),+ })+) => {$(
+        impl Codec for $ty {
+            fn put(&self, out: &mut Vec<u8>) {
+                $(self.$field.put(out);)+
+            }
+
+            fn take(r: &mut Reader<'_>) -> Option<Self> {
+                Some($ty { $($field: Codec::take(r)?),+ })
+            }
+        }
+    )+};
+}
+
+records! {
+    FileEntry { hash, lines, is_crate_root, has_forbid, findings, accesses, allows, summary }
+    Finding { rule, file, line, function, detail, confirmed }
+    Access { function, var, guarded, rule, line, masked, index_ident, loop_bounds }
+    Allow { line, rules, reason }
+    FileSummary { consts, types, structs, functions }
+    FnSummary {
+        name, line, params, ret, calls, sinks, discards, local_calls, local_types, allocs,
+        local_inits, conds, indexes, vt_ops, locks, lock_pairs, held_calls, atomics, panics
+    }
+    CallSite { callee, line, recv, args }
+    Arg { ident, literal, guarded }
+    SinkUse { var, line, sink }
+    Discard { callee, line, kind }
+    CondUse { line, idents }
+    IndexUse { line, base, idents }
+    OpUse { line, op, idents }
+    LockAcq { name, line }
+    LockPair { first, second, line }
+    HeldCall { lock, callee, line }
+    AtomicUse { var, op, ordering, line, in_cond }
+    PanicSite { kind, line, var, guarded, masked, index_ident, loop_bounds, detail }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::lexer::tokenize;
-    use crate::rules::annotate;
+    use crate::rules::{annotate, collect_allows, scan_tokens, FileContext};
     use crate::summary::summarize;
 
-    fn entry() -> FileEntry {
-        let src = "pub const N: usize = 4;\nfn get(buf: &[u8], i: usize) -> u8 { buf[i] }";
-        let ann = annotate(tokenize(src));
-        FileEntry {
-            hash: content_hash(src.as_bytes()),
-            lines: 2,
+    /// Source exercising every fact kind the summary records, an R5
+    /// access with mask and loop bounds, an allow comment, and a `u64`
+    /// constant above 2^53 that a round trip through `f64` would change.
+    const SRC: &str = r#"
+        pub const N: usize = 8;
+        pub const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+        pub type Tag = [u8; N];
+        pub struct SessionKey;
+        fn seal(key: &SessionKey, i: usize, buf: &[u8]) -> Result<Tag, E> {
+            if i < buf.len() { let _ = audit(key); }
+            let t = derive(key);
+            println!("{t:?}");
+            hop(key, 3);
+            Err(E)
+        }
+        fn get(buf: &[u8], i: usize) -> u8 {
+            let g = self.state.lock();
+            for j in 0..N { sum += buf[j & 0xff]; } // genio-analyzer: allow(R11, reason = "public")
+            if ready.load(Ordering::Relaxed) { flush(g); }
+            buf[i] / 2 + x.unwrap()
+        }
+    "#;
+
+    type Edit = fn(&mut FileEntry);
+
+    fn cache_with(edit: Edit) -> Cache {
+        let ann = annotate(tokenize(SRC));
+        let rel = "crates/pon/src/frame.rs";
+        let ctx = FileContext { crate_name: "pon", rel_path: rel, file_name: "frame.rs" };
+        let (findings, accesses) = scan_tokens(&ctx, &ann);
+        let mut entry = FileEntry {
+            hash: content_hash(SRC.as_bytes()),
+            lines: SRC.lines().count() as u64,
             is_crate_root: false,
             has_forbid: false,
-            findings: vec![Finding {
-                rule: Rule::R5UnguardedIndex,
-                file: "crates/pon/src/frame.rs".to_string(),
-                line: 2,
-                function: "get".to_string(),
-                detail: "slice `buf` indexed by `i`".to_string(),
-                confirmed: Some(true),
-            }],
-            accesses: vec![Access {
-                function: "get".to_string(),
-                var: "buf".to_string(),
-                guarded: false,
-                rule: Rule::R5UnguardedIndex,
-                line: 2,
-                masked: Some(255),
-                index_ident: Some("i".to_string()),
-                loop_bounds: Some(("0".to_string(), "N".to_string())),
-            }],
-            allows: vec![Allow {
-                line: 2,
-                rules: vec![Rule::R11SecretIndex, Rule::R5UnguardedIndex],
-                reason: "table-driven AES, keyed by public data".to_string(),
-            }],
+            findings,
+            accesses,
+            allows: collect_allows(&ann),
             summary: summarize(&ann),
-        }
+        };
+        edit(&mut entry);
+        Cache { entries: BTreeMap::from([(rel.to_string(), entry)]) }
     }
 
     #[test]
     fn roundtrip_is_lossless() {
-        let mut cache = Cache::default();
-        cache
-            .entries
-            .insert("crates/pon/src/frame.rs".to_string(), entry());
-        let text = cache.to_json().to_string();
-        let back = Cache::from_json_text(&text, rules_version()).unwrap();
+        let cache = cache_with(|_| {});
+        let e = &cache.entries["crates/pon/src/frame.rs"];
+        assert!(e.summary.consts.contains(&("FNV_OFFSET".to_string(), 0xcbf2_9ce4_8422_2325)));
+        assert!(e.accesses.iter().any(|a| a.masked.is_some() && a.loop_bounds.is_some()));
+        assert!(!e.findings.is_empty() && !e.allows.is_empty());
+        let [seal, get] = &e.summary.functions[..] else { panic!("two functions") };
+        assert!(!seal.calls.is_empty() && !seal.sinks.is_empty() && !seal.discards.is_empty());
+        assert!(!get.locks.is_empty() && !get.atomics.is_empty() && !get.panics.is_empty());
+        let back = Cache::decode(&cache.encode(rules_version()), rules_version()).unwrap();
         assert_eq!(back.entries, cache.entries);
     }
 
     #[test]
     fn rules_version_mismatch_invalidates_everything() {
-        let mut cache = Cache::default();
-        cache.entries.insert("a.rs".to_string(), entry());
-        let text = cache.to_json().to_string();
-        // Same document, read by a binary whose rule set hashed
+        let bytes = cache_with(|_| {}).encode(rules_version());
+        // Same file, read by a binary whose rule set hashed
         // differently: every entry must be dropped...
-        let stale = Cache::from_json_text(&text, rules_version() ^ 1);
-        assert!(stale.is_err(), "stale-rules cache must not parse");
+        assert!(Cache::decode(&bytes, rules_version() ^ 1).is_none());
         // ...while the matching version still serves the entry.
-        let fresh = Cache::from_json_text(&text, rules_version()).unwrap();
-        let hash = fresh.entries["a.rs"].hash.clone();
-        assert!(fresh.lookup("a.rs", &hash).is_some());
+        let fresh = Cache::decode(&bytes, rules_version()).unwrap();
+        let (path, entry) = fresh.entries.first_key_value().unwrap();
+        assert!(fresh.lookup(path, &entry.hash).is_some());
     }
 
     #[test]
     fn v1_era_document_without_version_degrades_to_empty() {
         // The latent v1 bug: a cache from an older binary (no
-        // rules_version field) was reused verbatim. It must now fail
-        // the version check and trigger a full rescan.
-        let old = "{\"schema\": \"genio-analyzer-cache/v3\", \"files\": []}";
-        assert!(Cache::from_json_text(old, rules_version()).is_err());
-        // Earlier schema generations never parse, version field or not.
-        for stale in ["v1", "v2"] {
-            let doc = format!("{{\"schema\": \"genio-analyzer-cache/{stale}\", \"files\": []}}");
-            assert!(Cache::from_json_text(&doc, rules_version()).is_err());
+        // rules_version field) was reused verbatim. Every JSON-era
+        // generation must now trigger a full rescan, version field or not.
+        let version = format!("{:016x}", rules_version());
+        for stale in ["v1", "v2", "v3"] {
+            let schema = format!("\"schema\": \"genio-analyzer-cache/{stale}\"");
+            let bare = format!("{{{schema}, \"files\": []}}");
+            let versioned = format!("{{{schema}, \"rules_version\": \"{version}\", \"files\": []}}");
+            assert!(Cache::decode(bare.as_bytes(), rules_version()).is_none());
+            assert!(Cache::decode(versioned.as_bytes(), rules_version()).is_none());
         }
     }
 
     #[test]
     fn lookup_requires_matching_hash() {
-        let mut cache = Cache::default();
-        cache.entries.insert("a.rs".to_string(), entry());
-        let good = cache.entries["a.rs"].hash.clone();
-        assert!(cache.lookup("a.rs", &good).is_some());
-        assert!(cache.lookup("a.rs", "deadbeefdeadbeef").is_none());
-        assert!(cache.lookup("missing.rs", &good).is_none());
+        let cache = cache_with(|_| {});
+        let (path, entry) = cache.entries.first_key_value().unwrap();
+        assert!(cache.lookup(path, &entry.hash).is_some());
+        assert!(cache.lookup(path, "deadbeefdeadbeef").is_none());
+        assert!(cache.lookup("missing.rs", &entry.hash).is_none());
     }
 
     #[test]
     fn garbage_and_wrong_schema_degrade_to_empty() {
-        assert!(Cache::from_json_text("not json", rules_version()).is_err());
-        let wrong = "{\"schema\": \"other/v9\", \"files\": []}";
-        assert!(Cache::from_json_text(wrong, rules_version()).is_err());
+        assert!(Cache::decode(b"not a cache", rules_version()).is_none());
+        let mut wrong = Cache::default().encode(rules_version());
+        wrong[CACHE_SCHEMA.len()] = b'5'; // "genio-analyzer-cache/v5"
+        assert!(Cache::decode(&wrong, rules_version()).is_none());
         // load() maps both failure modes to the empty cache.
         let dir = std::env::temp_dir().join("genio-analyzer-cache-test");
         let _ = fs::create_dir_all(&dir);
-        let p = dir.join("bad.json");
-        fs::write(&p, "not json").unwrap();
+        let p = dir.join("bad.bin");
+        fs::write(&p, "not a cache").unwrap();
         assert!(Cache::load(&p).entries.is_empty());
-        assert!(Cache::load(&dir.join("absent.json")).entries.is_empty());
+        assert!(Cache::load(&dir.join("absent.bin")).entries.is_empty());
+    }
+
+    #[test]
+    fn decoder_rejects_every_malformed_input() {
+        let v = rules_version();
+        let bytes = cache_with(|_| {}).encode(v);
+        let rejects = |b: &[u8]| Cache::decode(b, v).is_none();
+        assert!(!rejects(&bytes));
+        // Every strict prefix, and one appended byte.
+        assert!((0..bytes.len()).all(|end| rejects(&bytes[..end])));
+        assert!(rejects(&[&bytes[..], &[0]].concat()));
+        // Edits that change exactly one byte mark where to write a bool
+        // of 2, a rule index one past `Rule::ALL`, and invalid UTF-8.
+        let edits: [(Edit, u8); 3] = [
+            (|e| e.is_crate_root = true, 2),
+            (|e| e.allows[0].rules[0] = Rule::R18DiffAware, Rule::ALL.len() as u8),
+            (|e| e.hash.replace_range(..1, "g"), 0xff),
+        ];
+        for (edit, bad) in edits {
+            let other = cache_with(edit).encode(v);
+            let at: Vec<usize> = (0..bytes.len()).filter(|&i| bytes[i] != other[i]).collect();
+            let [at] = at[..] else { panic!("one differing byte, got {at:?}") };
+            let mut corrupt = bytes.clone();
+            corrupt[at] = bad;
+            assert!(rejects(&corrupt), "byte {at} = {bad}");
+        }
+        // A length prefix past the end, on the entry count and on the
+        // first path: rejected, not allocated for.
+        let count_at = Cache::default().encode(v).len() - 1;
+        for at in [count_at, count_at + 1] {
+            let mut huge = Vec::new();
+            (u64::MAX >> 1).put(&mut huge);
+            let mut corrupt = bytes.clone();
+            corrupt.splice(at..=at, huge);
+            assert!(rejects(&corrupt));
+        }
+        // A varint longer than 64 bits.
+        assert!(rejects(&[&bytes[..count_at], &[0xff; 10], &[0]].concat()));
+    }
+
+    #[test]
+    fn varints_are_exact_at_the_edges() {
+        for n in [0, 0x7f, 0x80, 1 << 53, (1 << 53) + 1, u64::MAX] {
+            let mut out = Vec::new();
+            n.put(&mut out);
+            let mut r = Reader { rest: &out };
+            assert_eq!((u64::take(&mut r), r.rest.len()), (Some(n), 0));
+        }
     }
 
     #[test]

@@ -131,132 +131,58 @@ pub fn diff_scan(
 impl DiffReport {
     /// Serializes to the `genio-analyzer-diff/v1` JSON document.
     pub fn to_json(&self) -> Value {
-        let findings = self
-            .findings
-            .iter()
-            .map(|f| {
-                let mut fields = vec![
-                    ("rule".to_string(), Value::Str(f.rule.id().to_string())),
-                    ("file".to_string(), Value::Str(f.file.clone())),
-                    ("line".to_string(), Value::Num(f.line as f64)),
-                    ("function".to_string(), Value::Str(f.function.clone())),
-                    ("detail".to_string(), Value::Str(f.detail.clone())),
-                ];
-                if let Some(c) = f.confirmed {
-                    fields.push(("confirmed".to_string(), Value::Bool(c)));
-                }
-                Value::Obj(fields)
-            })
-            .collect();
-        Value::Obj(vec![
-            ("schema".to_string(), Value::Str(DIFF_SCHEMA.to_string())),
-            ("base_ref".to_string(), Value::Str(self.base_ref.clone())),
-            (
-                "changed_files".to_string(),
-                Value::Arr(
-                    self.changed_files
-                        .iter()
-                        .map(|f| Value::Str(f.clone()))
-                        .collect(),
-                ),
-            ),
-            ("findings".to_string(), Value::Arr(findings)),
+        let findings = self.findings.iter().map(baseline::finding_to_json).collect();
+        let changed = self.changed_files.iter().cloned().map(Value::Str).collect();
+        obj([
+            ("schema", Value::Str(DIFF_SCHEMA.to_string())),
+            ("base_ref", Value::Str(self.base_ref.clone())),
+            ("changed_files", Value::Arr(changed)),
+            ("findings", Value::Arr(findings)),
         ])
     }
+}
+
+/// A JSON object with `fields` in order.
+fn obj<const N: usize>(fields: [(&str, Value); N]) -> Value {
+    Value::Obj(fields.into_iter().map(|(k, v)| (k.to_string(), v)).collect())
 }
 
 /// Renders a report as a minimal SARIF 2.1.0 document. Rule metadata
 /// comes from the live catalog; every finding becomes a `result` with a
 /// physical location.
 pub fn to_sarif(report: &Report) -> Value {
+    let string = |s: &str| Value::Str(s.to_string());
+    let text = |s: &str| obj([("text", string(s))]);
     let rules = Rule::ALL
         .iter()
-        .map(|r| {
-            Value::Obj(vec![
-                ("id".to_string(), Value::Str(r.id().to_string())),
-                (
-                    "shortDescription".to_string(),
-                    Value::Obj(vec![(
-                        "text".to_string(),
-                        Value::Str(r.title().to_string()),
-                    )]),
-                ),
-            ])
-        })
+        .map(|r| obj([("id", string(r.id())), ("shortDescription", text(r.title()))]))
         .collect();
     let results = report
         .findings
         .iter()
         .map(|f| {
-            Value::Obj(vec![
-                ("ruleId".to_string(), Value::Str(f.rule.id().to_string())),
-                ("level".to_string(), Value::Str("warning".to_string())),
-                (
-                    "message".to_string(),
-                    Value::Obj(vec![(
-                        "text".to_string(),
-                        Value::Str(format!("{} (in `{}`)", f.detail, f.function)),
-                    )]),
-                ),
-                (
-                    "locations".to_string(),
-                    Value::Arr(vec![Value::Obj(vec![(
-                        "physicalLocation".to_string(),
-                        Value::Obj(vec![
-                            (
-                                "artifactLocation".to_string(),
-                                Value::Obj(vec![(
-                                    "uri".to_string(),
-                                    Value::Str(f.file.clone()),
-                                )]),
-                            ),
-                            (
-                                "region".to_string(),
-                                Value::Obj(vec![(
-                                    "startLine".to_string(),
-                                    Value::Num(f.line as f64),
-                                )]),
-                            ),
-                        ]),
-                    )])]),
-                ),
+            let location = obj([
+                ("artifactLocation", obj([("uri", string(&f.file))])),
+                ("region", obj([("startLine", Value::Num(f.line as f64))])),
+            ]);
+            obj([
+                ("ruleId", string(f.rule.id())),
+                ("level", string("warning")),
+                ("message", text(&format!("{} (in `{}`)", f.detail, f.function))),
+                ("locations", Value::Arr(vec![obj([("physicalLocation", location)])])),
             ])
         })
         .collect();
-    Value::Obj(vec![
-        (
-            "$schema".to_string(),
-            Value::Str(
-                "https://json.schemastore.org/sarif-2.1.0.json".to_string(),
-            ),
-        ),
-        ("version".to_string(), Value::Str("2.1.0".to_string())),
-        (
-            "runs".to_string(),
-            Value::Arr(vec![Value::Obj(vec![
-                (
-                    "tool".to_string(),
-                    Value::Obj(vec![(
-                        "driver".to_string(),
-                        Value::Obj(vec![
-                            (
-                                "name".to_string(),
-                                Value::Str("genio-analyzer".to_string()),
-                            ),
-                            ("rules".to_string(), Value::Arr(rules)),
-                        ]),
-                    )]),
-                ),
-                (
-                    "properties".to_string(),
-                    Value::Obj(vec![(
-                        "exportSchema".to_string(),
-                        Value::Str(SARIF_SCHEMA.to_string()),
-                    )]),
-                ),
-                ("results".to_string(), Value::Arr(results)),
-            ])]),
-        ),
+    let driver = obj([("name", string("genio-analyzer")), ("rules", Value::Arr(rules))]);
+    let run = obj([
+        ("tool", obj([("driver", driver)])),
+        ("properties", obj([("exportSchema", string(SARIF_SCHEMA))])),
+        ("results", Value::Arr(results)),
+    ]);
+    obj([
+        ("$schema", string("https://json.schemastore.org/sarif-2.1.0.json")),
+        ("version", string("2.1.0")),
+        ("runs", Value::Arr(vec![run])),
     ])
 }
 

@@ -44,10 +44,11 @@
 //! 10. [`lifecycle`] — the R17 pass: secret collection-escape and
 //!     missing-zeroize-in-teardown checks over the R8 type registry;
 //! 11. [`cache`] — content-hash incremental cache
-//!     (`genio-analyzer-cache/v3` JSON under `target/`, carrying the
-//!     rule-set version hash so caches from older binaries
-//!     self-invalidate) so warm re-scans skip lexing/summarising
-//!     unchanged files and a one-file edit re-scans one file;
+//!     (`genio-analyzer-cache/v4`, a positional binary file under
+//!     `target/`, carrying the rule-set version hash so caches from
+//!     older binaries self-invalidate) so warm re-scans skip
+//!     lexing/summarising unchanged files and a one-file edit re-scans
+//!     one file;
 //! 12. [`baseline`] — `genio-analyzer/v1` JSON reports and the ratchet:
 //!     committed findings are grandfathered, new ones fail
 //!     `scripts/verify.sh`, and the baseline only ever shrinks;

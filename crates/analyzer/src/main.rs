@@ -29,7 +29,7 @@
 //! report as SARIF 2.1.0 for code-review tooling.
 //!
 //! The incremental cache defaults to
-//! `<root>/target/genio-analyzer/cache.json`; `--no-cache` forces a
+//! `<root>/target/genio-analyzer/cache.bin`; `--no-cache` forces a
 //! full rescan. Cache traffic and per-stage timings are printed to
 //! stdout but never written into the report, so cached and uncached
 //! runs emit byte-identical JSON.
@@ -297,7 +297,7 @@ fn main() -> ExitCode {
         None
     } else {
         Some(opts.cache.clone().unwrap_or_else(|| {
-            root.join("target").join("genio-analyzer").join("cache.json")
+            root.join("target").join("genio-analyzer").join("cache.bin")
         }))
     };
     let telemetry = Telemetry::enabled();

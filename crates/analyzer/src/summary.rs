@@ -21,10 +21,8 @@
 //! compared verbatim by the dataflow pass — good enough for a workspace
 //! with a single naming convention, and honest about being lexical.
 //!
-//! Summaries round-trip through JSON so [`crate::cache`] can persist
-//! them per file and the warm path can skip this pass entirely.
-
-use genio_testkit::json::Value;
+//! [`crate::cache`] persists summaries per file in its positional
+//! encoding, so the warm path can skip this pass entirely.
 
 use crate::lexer::TokenKind;
 use crate::rules::Annotated;
@@ -1395,487 +1393,6 @@ fn inline_captures(lit: &str) -> Vec<String> {
     out
 }
 
-impl FileSummary {
-    /// JSON for the per-file cache record.
-    pub fn to_json(&self) -> Value {
-        let pair = |(a, b): &(String, String)| {
-            Value::Arr(vec![Value::Str(a.clone()), Value::Str(b.clone())])
-        };
-        Value::Obj(vec![
-            (
-                "consts".to_string(),
-                Value::Arr(
-                    self.consts
-                        .iter()
-                        .map(|(n, v)| {
-                            Value::Arr(vec![
-                                Value::Str(n.clone()),
-                                Value::Num(*v as f64),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
-            ("types".to_string(), Value::Arr(self.types.iter().map(pair).collect())),
-            (
-                "structs".to_string(),
-                Value::Arr(self.structs.iter().map(|s| Value::Str(s.clone())).collect()),
-            ),
-            (
-                "functions".to_string(),
-                Value::Arr(self.functions.iter().map(FnSummary::to_json).collect()),
-            ),
-        ])
-    }
-
-    /// Parses a cache record back.
-    pub fn from_json(v: &Value) -> Result<FileSummary, String> {
-        let mut s = FileSummary::default();
-        for item in v.get("consts").and_then(Value::as_arr).unwrap_or(&[]) {
-            if let Some(a) = item.as_arr() {
-                if let (Some(n), Some(val)) =
-                    (a.first().and_then(Value::as_str), a.get(1).and_then(Value::as_f64))
-                {
-                    s.consts.push((n.to_string(), val as u64));
-                }
-            }
-        }
-        s.types = str_pairs(v.get("types"));
-        for item in v.get("structs").and_then(Value::as_arr).unwrap_or(&[]) {
-            if let Some(name) = item.as_str() {
-                s.structs.push(name.to_string());
-            }
-        }
-        for item in v.get("functions").and_then(Value::as_arr).unwrap_or(&[]) {
-            s.functions.push(FnSummary::from_json(item)?);
-        }
-        Ok(s)
-    }
-}
-
-fn str_arr(strings: &[String]) -> Value {
-    Value::Arr(strings.iter().map(|s| Value::Str(s.clone())).collect())
-}
-
-fn strs(v: &Value) -> Vec<String> {
-    v.as_arr()
-        .unwrap_or(&[])
-        .iter()
-        .filter_map(Value::as_str)
-        .map(str::to_string)
-        .collect()
-}
-
-fn str_pairs(v: Option<&Value>) -> Vec<(String, String)> {
-    let mut out = Vec::new();
-    for item in v.and_then(Value::as_arr).unwrap_or(&[]) {
-        if let Some(a) = item.as_arr() {
-            if let (Some(x), Some(y)) =
-                (a.first().and_then(Value::as_str), a.get(1).and_then(Value::as_str))
-            {
-                out.push((x.to_string(), y.to_string()));
-            }
-        }
-    }
-    out
-}
-
-impl FnSummary {
-    fn to_json(&self) -> Value {
-        let pairs = |v: &[(String, String)]| {
-            Value::Arr(
-                v.iter()
-                    .map(|(a, b)| {
-                        Value::Arr(vec![Value::Str(a.clone()), Value::Str(b.clone())])
-                    })
-                    .collect(),
-            )
-        };
-        Value::Obj(vec![
-            ("name".to_string(), Value::Str(self.name.clone())),
-            ("line".to_string(), Value::Num(self.line as f64)),
-            ("params".to_string(), pairs(&self.params)),
-            ("ret".to_string(), Value::Str(self.ret.clone())),
-            (
-                "calls".to_string(),
-                Value::Arr(self.calls.iter().map(CallSite::to_json).collect()),
-            ),
-            (
-                "sinks".to_string(),
-                Value::Arr(
-                    self.sinks
-                        .iter()
-                        .map(|u| {
-                            Value::Obj(vec![
-                                ("var".to_string(), Value::Str(u.var.clone())),
-                                ("line".to_string(), Value::Num(u.line as f64)),
-                                ("sink".to_string(), Value::Str(u.sink.clone())),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
-            (
-                "discards".to_string(),
-                Value::Arr(
-                    self.discards
-                        .iter()
-                        .map(|d| {
-                            Value::Obj(vec![
-                                ("callee".to_string(), Value::Str(d.callee.clone())),
-                                ("line".to_string(), Value::Num(d.line as f64)),
-                                ("kind".to_string(), Value::Str(d.kind.clone())),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
-            ("local_calls".to_string(), pairs(&self.local_calls)),
-            ("local_types".to_string(), pairs(&self.local_types)),
-            ("allocs".to_string(), pairs(&self.allocs)),
-            (
-                "local_inits".to_string(),
-                Value::Arr(
-                    self.local_inits
-                        .iter()
-                        .map(|(n, reads)| {
-                            Value::Arr(vec![Value::Str(n.clone()), str_arr(reads)])
-                        })
-                        .collect(),
-                ),
-            ),
-            (
-                "conds".to_string(),
-                Value::Arr(
-                    self.conds
-                        .iter()
-                        .map(|c| {
-                            Value::Obj(vec![
-                                ("line".to_string(), Value::Num(c.line as f64)),
-                                ("idents".to_string(), str_arr(&c.idents)),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
-            (
-                "indexes".to_string(),
-                Value::Arr(
-                    self.indexes
-                        .iter()
-                        .map(|x| {
-                            Value::Obj(vec![
-                                ("line".to_string(), Value::Num(x.line as f64)),
-                                ("base".to_string(), Value::Str(x.base.clone())),
-                                ("idents".to_string(), str_arr(&x.idents)),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
-            (
-                "vt_ops".to_string(),
-                Value::Arr(
-                    self.vt_ops
-                        .iter()
-                        .map(|o| {
-                            Value::Obj(vec![
-                                ("line".to_string(), Value::Num(o.line as f64)),
-                                ("op".to_string(), Value::Str(o.op.clone())),
-                                ("idents".to_string(), str_arr(&o.idents)),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
-            (
-                "locks".to_string(),
-                Value::Arr(
-                    self.locks
-                        .iter()
-                        .map(|l| {
-                            Value::Obj(vec![
-                                ("name".to_string(), Value::Str(l.name.clone())),
-                                ("line".to_string(), Value::Num(l.line as f64)),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
-            (
-                "lock_pairs".to_string(),
-                Value::Arr(
-                    self.lock_pairs
-                        .iter()
-                        .map(|p| {
-                            Value::Obj(vec![
-                                ("first".to_string(), Value::Str(p.first.clone())),
-                                ("second".to_string(), Value::Str(p.second.clone())),
-                                ("line".to_string(), Value::Num(p.line as f64)),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
-            (
-                "held_calls".to_string(),
-                Value::Arr(
-                    self.held_calls
-                        .iter()
-                        .map(|h| {
-                            Value::Obj(vec![
-                                ("lock".to_string(), Value::Str(h.lock.clone())),
-                                ("callee".to_string(), Value::Str(h.callee.clone())),
-                                ("line".to_string(), Value::Num(h.line as f64)),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
-            (
-                "atomics".to_string(),
-                Value::Arr(
-                    self.atomics
-                        .iter()
-                        .map(|a| {
-                            Value::Obj(vec![
-                                ("var".to_string(), Value::Str(a.var.clone())),
-                                ("op".to_string(), Value::Str(a.op.clone())),
-                                ("ordering".to_string(), Value::Str(a.ordering.clone())),
-                                ("line".to_string(), Value::Num(a.line as f64)),
-                                ("in_cond".to_string(), Value::Bool(a.in_cond)),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
-            (
-                "panics".to_string(),
-                Value::Arr(
-                    self.panics
-                        .iter()
-                        .map(|p| {
-                            let mut fields = vec![
-                                ("kind".to_string(), Value::Str(p.kind.clone())),
-                                ("line".to_string(), Value::Num(p.line as f64)),
-                            ];
-                            if let Some(var) = &p.var {
-                                fields.push(("var".to_string(), Value::Str(var.clone())));
-                            }
-                            fields.push(("guarded".to_string(), Value::Bool(p.guarded)));
-                            if let Some(m) = p.masked {
-                                fields.push(("masked".to_string(), Value::Num(m as f64)));
-                            }
-                            if let Some(id) = &p.index_ident {
-                                fields.push((
-                                    "index_ident".to_string(),
-                                    Value::Str(id.clone()),
-                                ));
-                            }
-                            if let Some((lo, hi)) = &p.loop_bounds {
-                                fields.push((
-                                    "loop_bounds".to_string(),
-                                    Value::Arr(vec![
-                                        Value::Str(lo.clone()),
-                                        Value::Str(hi.clone()),
-                                    ]),
-                                ));
-                            }
-                            fields.push(("detail".to_string(), Value::Str(p.detail.clone())));
-                            Value::Obj(fields)
-                        })
-                        .collect(),
-                ),
-            ),
-        ])
-    }
-
-    fn from_json(v: &Value) -> Result<FnSummary, String> {
-        let mut f = FnSummary {
-            name: v
-                .get("name")
-                .and_then(Value::as_str)
-                .ok_or("function summary missing name")?
-                .to_string(),
-            line: v.get("line").and_then(Value::as_f64).unwrap_or(0.0) as u32,
-            ret: v.get("ret").and_then(Value::as_str).unwrap_or("").to_string(),
-            ..FnSummary::default()
-        };
-        f.params = str_pairs(v.get("params"));
-        f.local_calls = str_pairs(v.get("local_calls"));
-        f.local_types = str_pairs(v.get("local_types"));
-        f.allocs = str_pairs(v.get("allocs"));
-        for item in v.get("calls").and_then(Value::as_arr).unwrap_or(&[]) {
-            f.calls.push(CallSite::from_json(item)?);
-        }
-        for item in v.get("sinks").and_then(Value::as_arr).unwrap_or(&[]) {
-            f.sinks.push(SinkUse {
-                var: item
-                    .get("var")
-                    .and_then(Value::as_str)
-                    .ok_or("sink missing var")?
-                    .to_string(),
-                line: item.get("line").and_then(Value::as_f64).unwrap_or(0.0) as u32,
-                sink: item
-                    .get("sink")
-                    .and_then(Value::as_str)
-                    .unwrap_or("")
-                    .to_string(),
-            });
-        }
-        for item in v.get("discards").and_then(Value::as_arr).unwrap_or(&[]) {
-            f.discards.push(Discard {
-                callee: item
-                    .get("callee")
-                    .and_then(Value::as_str)
-                    .ok_or("discard missing callee")?
-                    .to_string(),
-                line: item.get("line").and_then(Value::as_f64).unwrap_or(0.0) as u32,
-                kind: item
-                    .get("kind")
-                    .and_then(Value::as_str)
-                    .unwrap_or("stmt")
-                    .to_string(),
-            });
-        }
-        let line_of = |item: &Value| {
-            item.get("line").and_then(Value::as_f64).unwrap_or(0.0) as u32
-        };
-        let s_of = |item: &Value, key: &str| {
-            item.get(key).and_then(Value::as_str).unwrap_or("").to_string()
-        };
-        for item in v.get("local_inits").and_then(Value::as_arr).unwrap_or(&[]) {
-            if let Some(a) = item.as_arr() {
-                if let (Some(n), Some(reads)) = (a.first().and_then(Value::as_str), a.get(1)) {
-                    f.local_inits.push((n.to_string(), strs(reads)));
-                }
-            }
-        }
-        for item in v.get("conds").and_then(Value::as_arr).unwrap_or(&[]) {
-            f.conds.push(CondUse {
-                line: line_of(item),
-                idents: strs(item.get("idents").unwrap_or(&Value::Null)),
-            });
-        }
-        for item in v.get("indexes").and_then(Value::as_arr).unwrap_or(&[]) {
-            f.indexes.push(IndexUse {
-                line: line_of(item),
-                base: s_of(item, "base"),
-                idents: strs(item.get("idents").unwrap_or(&Value::Null)),
-            });
-        }
-        for item in v.get("vt_ops").and_then(Value::as_arr).unwrap_or(&[]) {
-            f.vt_ops.push(OpUse {
-                line: line_of(item),
-                op: s_of(item, "op"),
-                idents: strs(item.get("idents").unwrap_or(&Value::Null)),
-            });
-        }
-        for item in v.get("locks").and_then(Value::as_arr).unwrap_or(&[]) {
-            f.locks.push(LockAcq { name: s_of(item, "name"), line: line_of(item) });
-        }
-        for item in v.get("lock_pairs").and_then(Value::as_arr).unwrap_or(&[]) {
-            f.lock_pairs.push(LockPair {
-                first: s_of(item, "first"),
-                second: s_of(item, "second"),
-                line: line_of(item),
-            });
-        }
-        for item in v.get("held_calls").and_then(Value::as_arr).unwrap_or(&[]) {
-            f.held_calls.push(HeldCall {
-                lock: s_of(item, "lock"),
-                callee: s_of(item, "callee"),
-                line: line_of(item),
-            });
-        }
-        for item in v.get("atomics").and_then(Value::as_arr).unwrap_or(&[]) {
-            f.atomics.push(AtomicUse {
-                var: s_of(item, "var"),
-                op: s_of(item, "op"),
-                ordering: s_of(item, "ordering"),
-                line: line_of(item),
-                in_cond: matches!(item.get("in_cond"), Some(Value::Bool(true))),
-            });
-        }
-        for item in v.get("panics").and_then(Value::as_arr).unwrap_or(&[]) {
-            let loop_bounds = item.get("loop_bounds").and_then(Value::as_arr).and_then(|a| {
-                match (a.first().and_then(Value::as_str), a.get(1).and_then(Value::as_str)) {
-                    (Some(lo), Some(hi)) => Some((lo.to_string(), hi.to_string())),
-                    _ => None,
-                }
-            });
-            f.panics.push(PanicSite {
-                kind: s_of(item, "kind"),
-                line: line_of(item),
-                var: item.get("var").and_then(Value::as_str).map(str::to_string),
-                guarded: matches!(item.get("guarded"), Some(Value::Bool(true))),
-                masked: item.get("masked").and_then(Value::as_f64).map(|m| m as u64),
-                index_ident: item
-                    .get("index_ident")
-                    .and_then(Value::as_str)
-                    .map(str::to_string),
-                loop_bounds,
-                detail: s_of(item, "detail"),
-            });
-        }
-        Ok(f)
-    }
-}
-
-impl CallSite {
-    fn to_json(&self) -> Value {
-        let mut fields = vec![
-            ("callee".to_string(), Value::Str(self.callee.clone())),
-            ("line".to_string(), Value::Num(self.line as f64)),
-        ];
-        if let Some(recv) = &self.recv {
-            fields.push(("recv".to_string(), Value::Str(recv.clone())));
-        }
-        fields.push((
-            "args".to_string(),
-                Value::Arr(
-                    self.args
-                        .iter()
-                        .map(|a| {
-                            let mut fields = Vec::new();
-                            if let Some(id) = &a.ident {
-                                fields.push((
-                                    "ident".to_string(),
-                                    Value::Str(id.clone()),
-                                ));
-                            }
-                            fields.push(("literal".to_string(), Value::Bool(a.literal)));
-                            fields.push(("guarded".to_string(), Value::Bool(a.guarded)));
-                            Value::Obj(fields)
-                        })
-                        .collect(),
-                ),
-        ));
-        Value::Obj(fields)
-    }
-
-    fn from_json(v: &Value) -> Result<CallSite, String> {
-        let mut c = CallSite {
-            callee: v
-                .get("callee")
-                .and_then(Value::as_str)
-                .ok_or("call missing callee")?
-                .to_string(),
-            line: v.get("line").and_then(Value::as_f64).unwrap_or(0.0) as u32,
-            recv: v.get("recv").and_then(Value::as_str).map(str::to_string),
-            args: Vec::new(),
-        };
-        for item in v.get("args").and_then(Value::as_arr).unwrap_or(&[]) {
-            c.args.push(Arg {
-                ident: item.get("ident").and_then(Value::as_str).map(str::to_string),
-                literal: matches!(item.get("literal"), Some(Value::Bool(true))),
-                guarded: matches!(item.get("guarded"), Some(Value::Bool(true))),
-            });
-        }
-        Ok(c)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1984,25 +1501,5 @@ mod tests {
         );
         assert_eq!(s.functions.len(), 1);
         assert_eq!(s.functions[0].name, "lib");
-    }
-
-    #[test]
-    fn summary_json_roundtrip() {
-        let s = summarize_src(
-            r#"
-            pub const N: usize = 8;
-            pub type Tag = [u8; N];
-            pub struct SessionKey;
-            fn seal(key: &SessionKey, i: usize, buf: &[u8]) -> Result<Tag, E> {
-                if i < buf.len() { let _ = audit(key); }
-                let t = derive(key);
-                println!("{t:?}");
-                hop(key, 3);
-                Err(E)
-            }
-            "#,
-        );
-        let back = FileSummary::from_json(&s.to_json()).unwrap();
-        assert_eq!(s, back);
     }
 }

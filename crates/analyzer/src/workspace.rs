@@ -671,6 +671,24 @@ mod tests {
         assert_eq!(a.to_json().to_string(), b.to_json().to_string());
     }
 
+    /// The cache is exact: every entry a scan of this workspace builds
+    /// loads back equal, including `u64` constants above 2^53 such as
+    /// `FNV_OFFSET` in `pon/src/engine.rs`.
+    #[test]
+    fn workspace_entries_survive_a_cache_roundtrip() {
+        let root = find_root(Path::new(env!("CARGO_MANIFEST_DIR"))).expect("workspace root");
+        let (_, _, snapshot) = scan_snapshot(&root, &ScanOptions::default()).expect("scan");
+        let entries = snapshot.processed.iter().map(|p| (p.rel.clone(), p.entry.clone()));
+        let cache = Cache { entries: entries.collect() };
+        let path = std::env::temp_dir().join("genio-analyzer-roundtrip").join("cache.bin");
+        cache.save(&path).expect("save cache");
+        let loaded = Cache::load(&path).entries;
+        assert_eq!(loaded.len(), cache.entries.len());
+        for (rel, entry) in &cache.entries {
+            assert_eq!(loaded.get(rel), Some(entry), "{rel} changed in the cache");
+        }
+    }
+
     /// R16 seeds its closure by name, so a renamed hot entry would
     /// silently shrink the certified set; every name must still resolve.
     #[test]

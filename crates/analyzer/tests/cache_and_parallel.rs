@@ -36,7 +36,7 @@ fn copy_tree(from: &Path, to: &Path) {
 #[test]
 fn warm_scan_is_byte_identical_to_cold() {
     let dir = scratch("warm-vs-cold");
-    let cache = dir.join("cache.json");
+    let cache = dir.join("cache.bin");
     let opts = ScanOptions {
         cache_path: Some(cache.clone()),
         ..ScanOptions::default()
@@ -61,7 +61,7 @@ fn warm_scan_is_byte_identical_to_cold() {
 fn uncached_and_cached_reports_agree() {
     let dir = scratch("cached-vs-uncached");
     let cached_opts = ScanOptions {
-        cache_path: Some(dir.join("cache.json")),
+        cache_path: Some(dir.join("cache.bin")),
         ..ScanOptions::default()
     };
     let (plain, _) =
@@ -101,7 +101,7 @@ fn editing_a_file_invalidates_exactly_that_entry() {
     let ws = dir.join("ws");
     copy_tree(&fixture_root(), &ws);
     let opts = ScanOptions {
-        cache_path: Some(dir.join("cache.json")),
+        cache_path: Some(dir.join("cache.bin")),
         ..ScanOptions::default()
     };
 
@@ -145,7 +145,7 @@ fn editing_a_file_invalidates_exactly_that_entry() {
 #[test]
 fn stale_rules_version_invalidates_the_whole_cache() {
     let dir = scratch("stale-rules");
-    let cache = dir.join("cache.json");
+    let cache = dir.join("cache.bin");
     let opts = ScanOptions {
         cache_path: Some(cache.clone()),
         ..ScanOptions::default()
@@ -153,18 +153,17 @@ fn stale_rules_version_invalidates_the_whole_cache() {
     let (clean, seed_stats) = scan_with(&fixture_root(), &opts).expect("seed scan");
 
     // Simulate a cache written by an analyzer binary with a different
-    // rule set: flip the recorded rules_version hash in place.
-    let text = fs::read_to_string(&cache).expect("read cache");
-    let version = format!("{:016x}", genio_analyzer::rules::rules_version());
-    assert!(
-        text.contains(&version),
-        "cache must record the rule-set version"
-    );
-    let flipped: String = version
-        .chars()
-        .map(|c| if c == '0' { '1' } else { '0' })
-        .collect();
-    fs::write(&cache, text.replace(&version, &flipped)).expect("rewrite cache");
+    // rule set: flip the recorded rules_version bytes in place.
+    let mut bytes = fs::read(&cache).expect("read cache");
+    let version = genio_analyzer::rules::rules_version().to_le_bytes();
+    let at = bytes
+        .windows(version.len())
+        .position(|w| w == version)
+        .expect("cache must record the rule-set version");
+    for b in &mut bytes[at..at + version.len()] {
+        *b = !*b;
+    }
+    fs::write(&cache, bytes).expect("rewrite cache");
 
     let (rescanned, stats) = scan_with(&fixture_root(), &opts).expect("rescan");
     assert_eq!(stats.cache_hits, 0, "old-rules cache must not serve hits");
@@ -181,20 +180,53 @@ fn stale_rules_version_invalidates_the_whole_cache() {
 }
 
 #[test]
+fn json_era_cache_is_rewritten_in_the_current_schema() {
+    let dir = scratch("json-era");
+    let cache = dir.join("cache.bin");
+    let opts = ScanOptions {
+        cache_path: Some(cache.clone()),
+        ..ScanOptions::default()
+    };
+    // A v3 document under the current rule-set version, as the JSON-era
+    // analyzer wrote it.
+    let v3 = format!(
+        "{{\"schema\": \"genio-analyzer-cache/v3\", \"rules_version\": \"{:016x}\", \"files\": []}}",
+        genio_analyzer::rules::rules_version()
+    );
+    fs::write(&cache, v3).expect("write v3 cache");
+
+    let (cold, stats) = scan_with(&fixture_root(), &opts).expect("scan over v3");
+    assert_eq!(stats.cache_hits, 0, "a v3 cache must load as empty");
+    let bytes = fs::read(&cache).expect("read rewritten cache");
+    let schema = genio_analyzer::cache::CACHE_SCHEMA.as_bytes();
+    assert_eq!(bytes.get(1..=schema.len()), Some(schema), "rewritten as v4");
+
+    let (warm, stats) = scan_with(&fixture_root(), &opts).expect("warm scan");
+    assert_eq!(stats.cache_misses, 0, "the rewritten cache serves every file");
+    assert_eq!(stats.cache_hits, cold.files);
+    assert_eq!(warm.to_json().to_string(), cold.to_json().to_string());
+}
+
+#[test]
 fn corrupt_cache_degrades_to_full_rescan() {
     let dir = scratch("corrupt");
-    let cache = dir.join("cache.json");
+    let cache = dir.join("cache.bin");
     let opts = ScanOptions {
         cache_path: Some(cache.clone()),
         ..ScanOptions::default()
     };
     let (clean, _) = scan_with(&fixture_root(), &opts).expect("seed scan");
+    let good = fs::read(&cache).expect("read cache");
 
-    fs::write(&cache, "{ definitely not a cache }").expect("corrupt");
-    let (recovered, stats) = scan_with(&fixture_root(), &opts).expect("recover");
-    assert_eq!(stats.cache_hits, 0, "corrupt cache must not serve hits");
-    assert_eq!(
-        recovered.to_json().to_string(),
-        clean.to_json().to_string()
-    );
+    // Garbage, and a real cache cut short by an interrupted write.
+    let truncated = good[..good.len() / 2].to_vec();
+    for corrupt in [b"{ definitely not a cache }".to_vec(), truncated] {
+        fs::write(&cache, corrupt).expect("corrupt");
+        let (recovered, stats) = scan_with(&fixture_root(), &opts).expect("recover");
+        assert_eq!(stats.cache_hits, 0, "corrupt cache must not serve hits");
+        assert_eq!(
+            recovered.to_json().to_string(),
+            clean.to_json().to_string()
+        );
+    }
 }

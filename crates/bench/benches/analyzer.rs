@@ -292,7 +292,7 @@ impl Input {
             "{original}\n/// Review-time addition.\npub fn mix_extra(x: u32) -> u32 {{\n    \
              x ^ 0x5a5a\n}}\n"
         );
-        let (rel, cache) = (rel.to_string(), dir.join("cache.json"));
+        let (rel, cache) = (rel.to_string(), dir.join("cache.bin"));
         Input { name, root, cache, rel, original, edited, variant, bounds }
     }
 
