@@ -1494,6 +1494,34 @@ mod tests {
         ]);
     }
 
+    /// A summary loads back equal from the cache file, whose v4 codec replaced the JSON one.
+    #[test]
+    fn summary_json_roundtrip() {
+        use crate::cache::{Cache, FileEntry};
+        let summary = summarize_src(
+            r#"
+            pub const N: usize = 8;
+            pub type Tag = [u8; N];
+            pub struct SessionKey;
+            fn seal(key: &SessionKey, i: usize, buf: &[u8]) -> Result<Tag, E> {
+                if i < buf.len() { let _ = audit(key); }
+                let t = derive(key);
+                println!("{t:?}");
+                hop(key, 3);
+                Err(E)
+            }
+            "#,
+        );
+        let entry = FileEntry {
+            hash: String::new(), lines: 0, is_crate_root: false, has_forbid: false,
+            findings: Vec::new(), accesses: Vec::new(), allows: Vec::new(), summary,
+        };
+        let cache = Cache { entries: [("seal.rs".to_string(), entry)].into() };
+        let path = std::env::temp_dir().join("genio-analyzer-summary").join("cache.bin");
+        cache.save(&path).unwrap();
+        assert_eq!(Cache::load(&path).entries, cache.entries);
+    }
+
     #[test]
     fn test_code_is_excluded() {
         let s = summarize_src(
