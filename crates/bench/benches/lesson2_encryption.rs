@@ -21,6 +21,12 @@ static GATE_PRINTED: Once = Once::new();
 /// Frames per batched data-plane call (one TDMA burst).
 const BURST: usize = 32;
 
+/// Minimum-size frames per batched call in the 64-byte row: the frames of
+/// one `subscriber_64` cycle in one direction (32 ONUs × 16).
+const SMALL_BURST: usize = 512;
+/// Payload bytes of the 64-byte row's frames.
+const SMALL_FRAME: usize = 64;
+
 /// Required speedup of the table-driven batched path over the bitwise/S-box
 /// reference path, per 1500-byte seal+open. Hardware-independent ratio gate:
 /// both sides are measured in the same run.
@@ -127,6 +133,29 @@ fn bench(c: &mut Criterion) {
             std::hint::black_box(gcm.open_many(&nonces, &refs, &aads).unwrap())
         })
     });
+    // Minimum-size frames: per-frame costs (the tail CTR blocks, the tag
+    // block, one GHASH chain per frame) dominate, not the byte kernels.
+    let small = vec![0x5au8; SMALL_FRAME];
+    let small_burst: Vec<&[u8]> = (0..SMALL_BURST).map(|_| small.as_slice()).collect();
+    group.throughput(Throughput::Bytes((SMALL_FRAME * SMALL_BURST) as u64));
+    group.bench_function("gcm_seal_open_batch512x64", |b| {
+        let gcm = AesGcm::new(&[0x42u8; 16]).unwrap();
+        let nonces: Vec<[u8; 12]> = (0..SMALL_BURST as u64)
+            .map(|i| {
+                let mut n = [0u8; 12];
+                n[4..].copy_from_slice(&i.to_be_bytes());
+                n
+            })
+            .collect();
+        let aad = [0x17u8; 17];
+        let aads: Vec<&[u8]> = (0..SMALL_BURST).map(|_| &aad[..]).collect();
+        b.iter(|| {
+            let sealed = gcm.seal_many(&nonces, &small_burst, &aads).unwrap();
+            let refs: Vec<&[u8]> = sealed.iter().map(Vec::as_slice).collect();
+            std::hint::black_box(gcm.open_many(&nonces, &refs, &aads).unwrap())
+        })
+    });
+    group.throughput(Throughput::Bytes((FRAME * BURST) as u64));
     group.bench_function("macsec_protect_batch32", |b| {
         let cfg = MacsecConfig::default();
         let mut peer = MacsecPeer::new(1, &cfg, b"cak").unwrap();
@@ -202,12 +231,20 @@ fn bench(c: &mut Criterion) {
             .find(|r| r.name == name)
             .map(|r| r.median_ns)
     };
-    let (Some(ref_ns), Some(batch_ns), Some(single_seal_ns), Some(batch_protect_ns)) = (
+    let (
+        Some(ref_ns),
+        Some(batch_ns),
+        Some(single_seal_ns),
+        Some(batch_protect_ns),
+        Some(small_ns),
+    ) = (
         median("lesson2/dataplane_reference/gcm_seal_open_reference"),
         median("lesson2/dataplane_batched/gcm_seal_open_batch32"),
         median("lesson2/dataplane/macsec_roundtrip"),
         median("lesson2/dataplane_batched/macsec_protect_batch32"),
-    ) else {
+        median("lesson2/dataplane_batched/gcm_seal_open_batch512x64"),
+    )
+    else {
         // A `--filter` run can skip rows; no verdict then.
         return;
     };
@@ -235,6 +272,11 @@ fn bench(c: &mut Criterion) {
             ref_ns / ns
         ));
     }
+    body.push_str(&format!(
+        "\n{SMALL_FRAME}-byte frames, batch = {SMALL_BURST} frames/call: \
+         {:.1} ns per frame seal+open\n",
+        small_ns / SMALL_BURST as f64
+    ));
     body.push_str(&format!(
         "\nbatched fast-path speedup over reference: {speedup:.1}x \
          (bound >= {MIN_SPEEDUP:.1}x)\n"

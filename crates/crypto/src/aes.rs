@@ -4,6 +4,15 @@
 //! inverse and the FIPS affine transform rather than embedded as opaque
 //! tables, and the implementation is validated against the FIPS 197 appendix
 //! vectors. CTR and GCM modes are layered on top in [`crate::gcm`].
+//!
+//! The fast path is one T-table kernel, `encrypt_lanes`, that runs 1, 2, 4
+//! or 8 independent blocks round by round together. Every fast encryption
+//! goes through it: [`Aes::encrypt_block`] as one lane, [`Aes::ctr_xor`]
+//! as 8 consecutive counters per pass (a final partial run uses only the
+//! bytes it needs), and GCM's burst kernel through a `LanePool` that
+//! gathers single blocks from many frames. The straight FIPS 197 rounds
+//! (`encrypt_block_reference`, [`Aes::ctr_xor_reference`]) are the
+//! differential oracles.
 
 use std::sync::OnceLock;
 
@@ -235,47 +244,11 @@ impl Aes {
         self.size
     }
 
-    /// Encrypts one 16-byte block through the fused T-table rounds.
-    ///
-    /// Side-channel note (analyzer rule R11): the table indices are bytes
-    /// of the evolving cipher state — key material only enters through the
-    /// XORed round keys, never as an index — so the secret-index taint R11
-    /// tracks does not arise; see `ghash.rs` for the full argument and the
-    /// residual cache-timing caveat.
+    /// Encrypts one 16-byte block: a one-lane pass of the fast-path kernel.
     pub fn encrypt_block(&self, block: Block) -> Block {
-        let te = te_tables();
-        let s = sbox();
-        let nr = self.size.rounds();
-        let rk = &self.enc_round_keys;
-        let mut cols = [0u32; 4];
-        for c in 0..4 {
-            cols[c] = u32::from_be_bytes([
-                block[4 * c],
-                block[4 * c + 1],
-                block[4 * c + 2],
-                block[4 * c + 3],
-            ]) ^ rk[0][c];
-        }
-        #[allow(clippy::needless_range_loop)]
-        for rkr in rk.iter().take(nr).skip(1) {
-            let mut next = [0u32; 4];
-            for c in 0..4 {
-                next[c] = te[0][((cols[c] >> 24) & 0xff) as usize]
-                    ^ te[1][((cols[(c + 1) & 3] >> 16) & 0xff) as usize]
-                    ^ te[2][((cols[(c + 2) & 3] >> 8) & 0xff) as usize]
-                    ^ te[3][(cols[(c + 3) & 3] & 0xff) as usize]
-                    ^ rkr[c];
-            }
-            cols = next;
-        }
-        // Final round: SubBytes + ShiftRows + AddRoundKey (no MixColumns),
-        // unrolled so every index is a literal or a masked byte.
-        let rkl = rk[nr];
-        let words = final_round_words(&cols, s, &rkl);
-        let mut out = [0u8; BLOCK_LEN];
-        for (word, chunk) in words.iter().zip(out.chunks_exact_mut(4)) {
-            chunk.copy_from_slice(&word.to_be_bytes());
-        }
+        let mut out = [[0; BLOCK_LEN]];
+        self.encrypt_lanes(&[load_words(&block)], &mut out);
+        let [out] = out;
         out
     }
 
@@ -315,56 +288,67 @@ impl Aes {
         block
     }
 
-    /// Generates the keystream for [`KS_LANES`] consecutive counter blocks
-    /// in one interleaved pass: all lanes advance round by round together,
-    /// so the eight independent dependency chains fill the pipeline instead
-    /// of serializing block by block. The counter blocks share bytes 0..12
-    /// (`prefix`) and differ only in the trailing 32-bit big-endian counter,
-    /// exactly as GCM's CTR mode increments them.
-    fn keystream8(&self, prefix: [u32; 3], ctr: u32, out: &mut [u8; KS_LANES * BLOCK_LEN]) {
+    /// The fused T-table rounds (SubBytes, ShiftRows and MixColumns in
+    /// four table lookups per column) over `N` independent blocks held as
+    /// big-endian column words, writing lane `i`'s ciphertext to
+    /// `out[i]`. All lanes advance
+    /// round by round together, so their dependency chains fill the
+    /// pipeline instead of serializing block by block. Every fast-path
+    /// encryption runs here: one lane for [`Aes::encrypt_block`], up to
+    /// [`KS_LANES`] for CTR runs and the GCM burst pool ([`LanePool`]).
+    ///
+    /// Side-channel note (analyzer rule R11): the table indices are bytes
+    /// of the evolving cipher state, whichever frame a lane belongs to.
+    /// Key material only enters through the XORed round keys, never as an
+    /// index, so the secret-index taint R11 tracks does not arise; see
+    /// `ghash.rs` for the residual cache-timing caveat.
+    fn encrypt_lanes<const N: usize>(&self, blocks: &[[u32; 4]; N], out: &mut [Block; N]) {
         let te = te_tables();
         let s = sbox();
-        let nr = self.size.rounds();
-        let rk = &self.enc_round_keys;
-        let rk0 = rk[0];
-        let mut lanes = [[0u32; 4]; KS_LANES];
-        for (i, lane) in lanes.iter_mut().enumerate() {
-            lane[0] = prefix[0] ^ rk0[0];
-            lane[1] = prefix[1] ^ rk0[1];
-            lane[2] = prefix[2] ^ rk0[2];
-            lane[3] = ctr.wrapping_add(i as u32) ^ rk0[3];
+        // The schedule always holds rounds + 1 keys: the first whitens,
+        // the last closes the final round, the rest drive the middle.
+        let [rk0, middle @ .., rkl] = self.enc_round_keys.as_slice() else {
+            return;
+        };
+        let mut lanes = [[0u32; 4]; N];
+        for (lane, block) in lanes.iter_mut().zip(blocks) {
+            lane[0] = block[0] ^ rk0[0];
+            lane[1] = block[1] ^ rk0[1];
+            lane[2] = block[2] ^ rk0[2];
+            lane[3] = block[3] ^ rk0[3];
         }
-        for rkr in rk.iter().take(nr).skip(1) {
+        for rkr in middle {
             for lane in lanes.iter_mut() {
                 let c = *lane;
-                lane[0] = te[0][(c[0] >> 24) as usize]
+                // The round key goes in first: XORed last, it would tempt
+                // the vectorizer to pack the four words every round.
+                lane[0] = rkr[0]
+                    ^ te[0][(c[0] >> 24) as usize]
                     ^ te[1][((c[1] >> 16) & 0xff) as usize]
                     ^ te[2][((c[2] >> 8) & 0xff) as usize]
-                    ^ te[3][(c[3] & 0xff) as usize]
-                    ^ rkr[0];
-                lane[1] = te[0][(c[1] >> 24) as usize]
+                    ^ te[3][(c[3] & 0xff) as usize];
+                lane[1] = rkr[1]
+                    ^ te[0][(c[1] >> 24) as usize]
                     ^ te[1][((c[2] >> 16) & 0xff) as usize]
                     ^ te[2][((c[3] >> 8) & 0xff) as usize]
-                    ^ te[3][(c[0] & 0xff) as usize]
-                    ^ rkr[1];
-                lane[2] = te[0][(c[2] >> 24) as usize]
+                    ^ te[3][(c[0] & 0xff) as usize];
+                lane[2] = rkr[2]
+                    ^ te[0][(c[2] >> 24) as usize]
                     ^ te[1][((c[3] >> 16) & 0xff) as usize]
                     ^ te[2][((c[0] >> 8) & 0xff) as usize]
-                    ^ te[3][(c[1] & 0xff) as usize]
-                    ^ rkr[2];
-                lane[3] = te[0][(c[3] >> 24) as usize]
+                    ^ te[3][(c[1] & 0xff) as usize];
+                lane[3] = rkr[3]
+                    ^ te[0][(c[3] >> 24) as usize]
                     ^ te[1][((c[0] >> 16) & 0xff) as usize]
                     ^ te[2][((c[1] >> 8) & 0xff) as usize]
-                    ^ te[3][(c[2] & 0xff) as usize]
-                    ^ rkr[3];
+                    ^ te[3][(c[2] & 0xff) as usize];
             }
         }
         // Final round: SubBytes + ShiftRows + AddRoundKey (no MixColumns).
-        let rkl = rk[nr];
-        for (lane, block_out) in lanes.iter().zip(out.chunks_exact_mut(BLOCK_LEN)) {
-            let words = final_round_words(lane, s, &rkl);
-            for (word, word_out) in words.iter().zip(block_out.chunks_exact_mut(4)) {
-                word_out.copy_from_slice(&word.to_be_bytes());
+        for (lane, block) in lanes.iter().zip(out.iter_mut()) {
+            let words = final_round_words(lane, s, rkl);
+            for (word, bytes) in words.iter().zip(block.chunks_exact_mut(4)) {
+                bytes.copy_from_slice(&word.to_be_bytes());
             }
         }
     }
@@ -372,41 +356,35 @@ impl Aes {
     /// Encrypts `data` in CTR mode with the given 16-byte initial counter
     /// block, XORing the keystream in place.
     ///
-    /// CTR encryption and decryption are the same operation. The keystream
-    /// is generated in interleaved batches of [`KS_LANES`] blocks (see
-    /// [`Aes::keystream8`]); [`Aes::ctr_xor_reference`] is the one-block-
-    /// at-a-time oracle twin.
+    /// CTR encryption and decryption are the same operation. Each run of 8
+    /// consecutive counter blocks is one 8-lane pass of the fast-path
+    /// kernel; a final partial run uses only the bytes it needs.
+    /// [`Aes::ctr_xor_reference`] is the one-block-at-a-time oracle twin.
     pub fn ctr_xor(&self, initial_counter: Block, data: &mut [u8]) {
-        let ic = initial_counter;
-        let prefix = [
-            u32::from_be_bytes([ic[0], ic[1], ic[2], ic[3]]),
-            u32::from_be_bytes([ic[4], ic[5], ic[6], ic[7]]),
-            u32::from_be_bytes([ic[8], ic[9], ic[10], ic[11]]),
-        ];
-        // The counter arithmetic stays in u32 so wrap-around matches
-        // `increment_counter`'s 32-bit big-endian semantics exactly.
-        let mut ctr = u32::from_be_bytes([ic[12], ic[13], ic[14], ic[15]]);
-        let mut ks = [0u8; KS_LANES * BLOCK_LEN];
-        let mut batches = data.chunks_exact_mut(KS_LANES * BLOCK_LEN);
-        for chunk in &mut batches {
-            self.keystream8(prefix, ctr, &mut ks);
-            ctr = ctr.wrapping_add(KS_LANES as u32);
-            for (b, k) in chunk.iter_mut().zip(ks.iter()) {
+        let [p0, p1, p2, mut ctr] = load_words(&initial_counter);
+        let mut ks = [[0u8; BLOCK_LEN]; KS_LANES];
+        for chunk in data.chunks_mut(KS_LANES * BLOCK_LEN) {
+            let mut lanes = [[0u32; 4]; KS_LANES];
+            for lane in lanes.iter_mut() {
+                *lane = [p0, p1, p2, ctr];
+                // The counter arithmetic stays in u32 so wrap-around
+                // matches `increment_counter`'s 32-bit big-endian semantics.
+                ctr = ctr.wrapping_add(1);
+            }
+            self.encrypt_lanes(&lanes, &mut ks);
+            for (b, k) in chunk.iter_mut().zip(ks.as_flattened()) {
                 *b ^= k;
             }
         }
-        let rest = batches.into_remainder();
-        if rest.is_empty() {
-            return;
-        }
-        let mut counter = ic;
-        counter[12..16].copy_from_slice(&ctr.to_be_bytes());
-        for chunk in rest.chunks_mut(BLOCK_LEN) {
-            let keystream = self.encrypt_block(counter);
-            for (b, k) in chunk.iter_mut().zip(keystream.iter()) {
-                *b ^= k;
-            }
-            increment_counter(&mut counter);
+    }
+
+    /// An empty [`LanePool`] over this key schedule.
+    pub(crate) fn lane_pool<'d>(&self) -> LanePool<'_, 'd> {
+        LanePool {
+            aes: self,
+            counters: [[0; 4]; KS_LANES],
+            dests: Default::default(),
+            filled: 0,
         }
     }
 
@@ -425,8 +403,103 @@ impl Aes {
     }
 }
 
-/// Number of CTR blocks generated per interleaved keystream batch.
-const KS_LANES: usize = 8;
+/// Number of blocks one interleaved pass of the T-table kernel carries.
+pub(crate) const KS_LANES: usize = 8;
+
+/// Gathers single counter blocks from anywhere in a same-key burst (any
+/// frame, any counter) and encrypts them [`KS_LANES`] at a time, XORing
+/// each keystream block into its own destination of up to 16 bytes. GCM
+/// feeds it every frame's tag-mask block `E(J0)` and the CTR blocks past
+/// the frame's last full [`KS_LANES`] run, so a 64-byte frame's five
+/// blocks share passes with its neighbours' instead of taking five
+/// one-block passes.
+pub(crate) struct LanePool<'k, 'd> {
+    aes: &'k Aes,
+    counters: [[u32; 4]; KS_LANES],
+    dests: [&'d mut [u8]; KS_LANES],
+    filled: usize,
+}
+
+impl<'d> LanePool<'_, 'd> {
+    /// Queues `E(counter)` to be XORed into `dest`, running a pass once
+    /// [`KS_LANES`] blocks are queued.
+    pub(crate) fn push(&mut self, counter: Block, dest: &'d mut [u8]) {
+        if let (Some(lane), Some(slot)) = (
+            self.counters.get_mut(self.filled),
+            self.dests.get_mut(self.filled),
+        ) {
+            *lane = load_words(&counter);
+            *slot = dest;
+            self.filled += 1;
+        }
+        if self.filled == KS_LANES {
+            self.flush();
+        }
+    }
+
+    /// Runs the queued blocks: a full pool in one pass, a partial one in
+    /// 4-, 2- and 1-lane passes, so no lane is spent on nothing.
+    pub(crate) fn flush(&mut self) {
+        let filled = std::mem::take(&mut self.filled);
+        if filled == KS_LANES {
+            self.pass::<KS_LANES>(0);
+            return;
+        }
+        let mut at = 0;
+        if filled & 4 != 0 {
+            self.pass::<4>(at);
+            at += 4;
+        }
+        if filled & 2 != 0 {
+            self.pass::<2>(at);
+            at += 2;
+        }
+        if filled & 1 != 0 {
+            self.pass::<1>(at);
+        }
+    }
+
+    /// Encrypts the `N` queued blocks from lane `at` in one pass and XORs
+    /// each keystream block into its destination.
+    fn pass<const N: usize>(&mut self, at: usize) {
+        let (Some(counters), Some(dests)) = (
+            self.counters.get(at..).and_then(|c| c.first_chunk::<N>()),
+            self.dests.get_mut(at..),
+        ) else {
+            return;
+        };
+        let mut ks = [[0u8; BLOCK_LEN]; N];
+        self.aes.encrypt_lanes(counters, &mut ks);
+        for (ks, dest) in ks.iter().zip(dests) {
+            xor_block_into(std::mem::take(dest), ks);
+        }
+    }
+}
+
+/// XORs a keystream block into `dest` (a full block, or a frame's final
+/// partial one).
+#[inline]
+pub(crate) fn xor_block_into(dest: &mut [u8], ks: &Block) {
+    if let Ok(full) = <&mut Block>::try_from(&mut *dest) {
+        *full = (u128::from_be_bytes(*full) ^ u128::from_be_bytes(*ks)).to_be_bytes();
+        return;
+    }
+    for (b, k) in dest.iter_mut().zip(ks) {
+        *b ^= k;
+    }
+}
+
+/// A block as four big-endian column words, the kernel's lane layout.
+#[inline]
+fn load_words(block: &Block) -> [u32; 4] {
+    let x = u128::from_be_bytes(*block);
+    [
+        (x >> 96) as u32,
+        (x >> 64) as u32,
+        (x >> 32) as u32,
+        x as u32,
+    ]
+}
 
 /// The AES final round (SubBytes + ShiftRows + AddRoundKey) for one block
 /// held as four column words, fully unrolled: every table index is either a

@@ -7,23 +7,40 @@
 //!
 //! Two implementations share one key object:
 //!
-//! * the **fast path**, which every plain entry point runs: T-table AES
-//!   rounds with an 8-way interleaved CTR keystream ([`crate::aes`]) and
-//!   8-bit windowed GHASH tables built once per key ([`crate::ghash`]),
-//!   plus batched [`AesGcm::seal_many`]/[`AesGcm::open_many`] so callers
-//!   amortize per-frame overhead across a whole TDMA burst;
+//! * the **fast path**: one burst kernel behind every plain entry point.
+//!   [`AesGcm::seal_many`]/[`AesGcm::open_many`] run it over a whole TDMA
+//!   burst of same-key frames, [`AesGcm::seal`]/[`AesGcm::open`] over a
+//!   burst of one. It makes two passes over the burst:
+//!   - the **AES pass** runs each frame's full 8-block CTR runs on the
+//!     contiguous keystream path, and sends the frame's remaining CTR
+//!     blocks and its tag-mask block `E(J0)` to one lane pool shared by
+//!     the whole burst, so they fill 8-lane passes of the T-table kernel
+//!     ([`crate::aes`]) with their neighbours' blocks. A 64-byte frame is
+//!     five such blocks;
+//!   - the **GHASH pass** uses 8-bit windowed tables built once per key
+//!     ([`crate::ghash`]). Runs of four consecutive frames with
+//!     equal AAD and ciphertext block counts hash in lockstep, so their
+//!     table lookups overlap; any other frame hashes alone. The burst's
+//!     shapes make that choice; there is no setting.
+//!
+//!   Each frame's buffer ends in a tag slot that both passes XOR into, so
+//!   a seal runs AES then GHASH (over the fresh ciphertext) and an open
+//!   runs GHASH then AES. An open checks each tag only after both passes,
+//!   releases the plaintext of frames that verify, and zeroes the buffer
+//!   of a frame that fails before dropping it;
 //! * the **reference path**: straight FIPS 197 S-box rounds and the bitwise
-//!   GF(2^128) multiply. Every fast entry point has a `_reference` twin
-//!   (`seal_reference`, `open_many_reference`, …) that the tests and the
-//!   E-L2 bench call directly as the differential oracle.
+//!   GF(2^128) multiply, one frame at a time. Every fast entry point has a
+//!   `_reference` twin (`seal_reference`, `open_many_reference`, …) that
+//!   the tests and the E-L2 bench call directly as the differential oracle.
 //!
 //! Both paths are validated against the McGrew–Viega test cases here and the
 //! committed NIST/RFC vector corpus in `tests/gcm_vectors.rs`; the
 //! differential property suite in `tests/gcm_differential.rs` proves them
-//! byte-identical on randomized inputs.
+//! byte-identical on randomized inputs and on bursts shaped to take every
+//! grouping the kernel makes.
 
-use crate::aes::{increment_counter, Aes, Block};
-use crate::ghash::{ghash_reference, GhashKey};
+use crate::aes::{increment_counter, xor_block_into, Aes, Block, BLOCK_LEN, KS_LANES};
+use crate::ghash::{ghash_reference, GhashKey, LOCKSTEP};
 use crate::{ct, CryptoError};
 use genio_telemetry::{Counter, Histogram, Telemetry, TraceContext};
 
@@ -156,28 +173,18 @@ impl AesGcm {
         j0
     }
 
-    /// Encrypts `plaintext` bound to `aad`, returning `ciphertext || tag`.
+    /// Encrypts `plaintext` bound to `aad`, returning `ciphertext || tag`:
+    /// the burst kernel of [`AesGcm::seal_many`] on a burst of one.
     ///
     /// Never reuse a `(key, nonce)` pair — GCM's guarantees collapse if the
     /// counter stream repeats.
     pub fn seal(&self, nonce: &[u8; NONCE_LEN], plaintext: &[u8], aad: &[u8]) -> Vec<u8> {
         let _timer = self.seal_time.start();
         self.sealed_bytes.incr(plaintext.len() as u64);
-        self.seal_one(nonce, plaintext, aad)
-    }
-
-    /// Fast-path seal without per-call telemetry; shared by [`AesGcm::seal`]
-    /// and [`AesGcm::seal_many`].
-    fn seal_one(&self, nonce: &[u8; NONCE_LEN], plaintext: &[u8], aad: &[u8]) -> Vec<u8> {
-        let j0 = Self::j0(nonce);
-        let mut counter = j0;
-        increment_counter(&mut counter);
-        let mut out = Vec::with_capacity(plaintext.len() + TAG_LEN);
-        out.extend_from_slice(plaintext);
-        self.aes.ctr_xor(counter, &mut out);
-        let tag = self.tag(j0, aad, &out);
-        out.extend_from_slice(&tag);
-        out
+        let mut frames = [Frame::new(nonce, aad, plaintext)];
+        self.seal_frames(&mut frames);
+        let [frame] = frames;
+        frame.buf
     }
 
     /// Reference-path twin of [`AesGcm::seal`]: S-box AES rounds and bitwise
@@ -199,7 +206,8 @@ impl AesGcm {
         out
     }
 
-    /// Decrypts `sealed` (as produced by [`AesGcm::seal`]) bound to `aad`.
+    /// Decrypts `sealed` (as produced by [`AesGcm::seal`]) bound to `aad`:
+    /// the burst kernel of [`AesGcm::open_many`] on a burst of one.
     ///
     /// # Errors
     ///
@@ -214,32 +222,11 @@ impl AesGcm {
         aad: &[u8],
     ) -> crate::Result<Vec<u8>> {
         let _timer = self.open_time.start();
-        let pt = self.open_one(nonce, sealed, aad)?;
+        let mut frames = [Frame::opening(nonce, aad, sealed)];
+        self.open_frames(&mut frames);
+        let [frame] = frames;
+        let pt = frame.verify(sealed)?;
         self.opened_bytes.incr(pt.len() as u64);
-        Ok(pt)
-    }
-
-    /// Fast-path open without per-call telemetry; shared by [`AesGcm::open`]
-    /// and [`AesGcm::open_many`].
-    fn open_one(
-        &self,
-        nonce: &[u8; NONCE_LEN],
-        sealed: &[u8],
-        aad: &[u8],
-    ) -> crate::Result<Vec<u8>> {
-        if sealed.len() < TAG_LEN {
-            return Err(CryptoError::CiphertextTooShort);
-        }
-        let (ct, tag) = sealed.split_at(sealed.len() - TAG_LEN);
-        let j0 = Self::j0(nonce);
-        let expected = self.tag(j0, aad, ct);
-        if !ct::eq(&expected, tag) {
-            return Err(CryptoError::AuthenticationFailed);
-        }
-        let mut counter = j0;
-        increment_counter(&mut counter);
-        let mut pt = ct.to_vec();
-        self.aes.ctr_xor(counter, &mut pt);
         Ok(pt)
     }
 
@@ -271,10 +258,11 @@ impl AesGcm {
     }
 
     /// Seals a whole burst of frames in one call: frame `i` is sealed with
-    /// `nonces[i]`, `plaintexts[i]`, `aads[i]`, exactly as `seal` would, and
-    /// the outputs are byte-identical to looping `seal` — the batch form
-    /// exists so MACsec/PON callers pay telemetry once per TDMA burst
-    /// instead of once per frame.
+    /// `nonces[i]`, `plaintexts[i]`, `aads[i]`, and the outputs are
+    /// byte-identical to looping `seal`. The burst runs as one kernel:
+    /// every frame's tail CTR blocks and tag-mask block share 8-lane AES
+    /// passes, and equal-shape frames hash in lockstep (module docs), while
+    /// telemetry is paid once per burst instead of once per frame.
     ///
     /// # Errors
     ///
@@ -291,11 +279,14 @@ impl AesGcm {
         self.sealed_frames.incr(nonces.len() as u64);
         self.sealed_bytes
             .incr(plaintexts.iter().map(|p| p.len() as u64).sum());
-        let mut out = Vec::with_capacity(nonces.len());
-        for ((nonce, pt), aad) in nonces.iter().zip(plaintexts).zip(aads) {
-            out.push(self.seal_one(nonce, pt, aad));
-        }
-        Ok(out)
+        let mut frames: Vec<Frame> = nonces
+            .iter()
+            .zip(plaintexts)
+            .zip(aads)
+            .map(|((nonce, pt), aad)| Frame::new(nonce, aad, pt))
+            .collect();
+        self.seal_frames(&mut frames);
+        Ok(frames.into_iter().map(|frame| frame.buf).collect())
     }
 
     /// Reference twin of [`AesGcm::seal_many`]: loops [`AesGcm::seal_reference`].
@@ -317,10 +308,11 @@ impl AesGcm {
         Ok(out)
     }
 
-    /// Opens a whole burst of frames in one call. The outer `Result` only
-    /// reports batch-shape errors; each frame gets its own inner `Result`
-    /// with exactly the per-frame errors `open` would return, so one forged
-    /// frame never masks its neighbours.
+    /// Opens a whole burst of frames in one call, with the kernel of
+    /// [`AesGcm::seal_many`]. The outer `Result` only reports batch-shape
+    /// errors; each frame gets its own inner `Result` with exactly the
+    /// per-frame errors `open` would return, so one forged frame never
+    /// masks its neighbours.
     ///
     /// # Errors
     ///
@@ -335,15 +327,23 @@ impl AesGcm {
         Self::check_batch(nonces.len(), sealed.len(), aads.len())?;
         let _span = self.telemetry.span_at("crypto.gcm.open_many", self.batch_ctx());
         self.opened_frames.incr(nonces.len() as u64);
-        let mut out = Vec::with_capacity(nonces.len());
+        let mut frames: Vec<Frame> = nonces
+            .iter()
+            .zip(sealed)
+            .zip(aads)
+            .map(|((nonce, ct), aad)| Frame::opening(nonce, aad, ct))
+            .collect();
+        self.open_frames(&mut frames);
         let mut opened = 0u64;
-        for ((nonce, ct), aad) in nonces.iter().zip(sealed).zip(aads) {
-            let frame = self.open_one(nonce, ct, aad);
-            if let Ok(pt) = &frame {
+        let out = frames
+            .into_iter()
+            .zip(sealed)
+            .map(|(frame, ct)| {
+                let pt = frame.verify(ct)?;
                 opened += pt.len() as u64;
-            }
-            out.push(frame);
-        }
+                Ok(pt)
+            })
+            .collect();
         self.opened_bytes.incr(opened);
         Ok(out)
     }
@@ -378,16 +378,170 @@ impl AesGcm {
         Ok(())
     }
 
-    fn tag(&self, j0: Block, aad: &[u8], ct: &[u8]) -> [u8; TAG_LEN] {
-        let s = self.h.ghash(aad, ct);
-        let e = u128::from_be_bytes(self.aes.encrypt_block(j0));
-        (s ^ e).to_be_bytes()
+    /// Seal kernel: CTR turns each text into ciphertext and leaves `E(J0)`
+    /// in the tag slot, then GHASH over the ciphertext completes the tag.
+    fn seal_frames(&self, frames: &mut [Frame]) {
+        self.keystream_pass(frames);
+        self.hash_pass(frames);
+    }
+
+    /// Open kernel: GHASH over the ciphertext first, then CTR decrypts and
+    /// XORs `E(J0)` in, leaving the expected tag in the slot for
+    /// [`Frame::verify`].
+    fn open_frames(&self, frames: &mut [Frame]) {
+        self.hash_pass(frames);
+        self.keystream_pass(frames);
+    }
+
+    /// The AES half of the kernel. Each frame's full 8-block runs take the
+    /// contiguous keystream path ([`Aes::ctr_xor`]); its remaining CTR
+    /// blocks and its tag-mask block `E(J0)` go to one lane pool shared by
+    /// the whole burst.
+    fn keystream_pass(&self, frames: &mut [Frame]) {
+        let mut pool = self.aes.lane_pool();
+        for frame in frames.iter_mut() {
+            let j0 = Self::j0(frame.nonce);
+            let Some((text, slot)) = frame.split_mut() else {
+                continue;
+            };
+            let runs = text.len() - text.len() % RUN_LEN;
+            let (runs, tail) = text.split_at_mut(runs);
+            // J0 holds counter 1; the text's keystream starts at 2.
+            if !runs.is_empty() {
+                self.aes.ctr_xor(with_counter(j0, 2), runs);
+            }
+            let mut ctr = 2u32.wrapping_add((runs.len() / BLOCK_LEN) as u32);
+            for block in tail.chunks_mut(BLOCK_LEN) {
+                pool.push(with_counter(j0, ctr), block);
+                ctr = ctr.wrapping_add(1);
+            }
+            pool.push(j0, slot);
+        }
+        pool.flush();
+    }
+
+    /// The GHASH half of the kernel: XORs each frame's GHASH over
+    /// `(aad, text)` into its tag slot. [`LOCKSTEP`] consecutive frames of
+    /// equal shape hash in lockstep; any other frame hashes alone.
+    fn hash_pass(&self, frames: &mut [Frame]) {
+        let mut rest = frames;
+        while !rest.is_empty() {
+            let group = rest
+                .first_chunk::<LOCKSTEP>()
+                .and_then(|group| self.h.ghash_group(group.each_ref().map(Frame::hash_input)));
+            let step = match group {
+                Some(hashes) => {
+                    for (frame, s) in rest.iter_mut().zip(hashes) {
+                        frame.absorb(s);
+                    }
+                    LOCKSTEP
+                }
+                None => {
+                    if let Some(frame) = rest.first_mut() {
+                        let (aad, text) = frame.hash_input();
+                        let s = self.h.ghash(aad, text);
+                        frame.absorb(s);
+                    }
+                    1
+                }
+            };
+            rest = std::mem::take(&mut rest)
+                .get_mut(step..)
+                .unwrap_or_default();
+        }
     }
 
     fn tag_reference(&self, j0: Block, aad: &[u8], ct: &[u8]) -> [u8; TAG_LEN] {
         let s = ghash_reference(self.h_raw, aad, ct);
         let e = u128::from_be_bytes(self.aes.encrypt_block_reference(j0));
         (s ^ e).to_be_bytes()
+    }
+}
+
+/// Bytes of one contiguous keystream run ([`KS_LANES`] blocks).
+const RUN_LEN: usize = KS_LANES * BLOCK_LEN;
+
+/// `block` with its trailing 32-bit big-endian counter set to `ctr`.
+fn with_counter(mut block: Block, ctr: u32) -> Block {
+    block[12..].copy_from_slice(&ctr.to_be_bytes());
+    block
+}
+
+/// One frame of a burst inside the kernel.
+struct Frame<'a> {
+    nonce: &'a [u8; NONCE_LEN],
+    aad: &'a [u8],
+    /// `text || slot`: the text the kernel encrypts or decrypts in place,
+    /// then a `TAG_LEN`-byte slot, zero at the start, into which the AES
+    /// pass XORs `E(J0)` and the GHASH pass XORs `GHASH(aad, ciphertext)`;
+    /// after both it holds the tag. Empty for a sealed input shorter than
+    /// the tag, which the kernel skips.
+    buf: Vec<u8>,
+}
+
+impl<'a> Frame<'a> {
+    /// A frame to seal: `plaintext || 0^TAG_LEN`.
+    fn new(nonce: &'a [u8; NONCE_LEN], aad: &'a [u8], plaintext: &[u8]) -> Self {
+        let mut buf = Vec::with_capacity(plaintext.len() + TAG_LEN);
+        buf.extend_from_slice(plaintext);
+        buf.extend_from_slice(&[0; TAG_LEN]);
+        Frame { nonce, aad, buf }
+    }
+
+    /// A frame to open: `ciphertext || 0^TAG_LEN`, or empty if `sealed` is
+    /// shorter than the tag.
+    fn opening(nonce: &'a [u8; NONCE_LEN], aad: &'a [u8], sealed: &[u8]) -> Self {
+        match sealed.len().checked_sub(TAG_LEN) {
+            Some(len) => Frame::new(nonce, aad, sealed.get(..len).unwrap_or_default()),
+            None => Frame {
+                nonce,
+                aad,
+                buf: Vec::new(),
+            },
+        }
+    }
+
+    /// The text and the tag slot, or `None` for a skipped frame.
+    fn split_mut(&mut self) -> Option<(&mut [u8], &mut [u8])> {
+        let len = self.buf.len().checked_sub(TAG_LEN)?;
+        Some(self.buf.split_at_mut(len))
+    }
+
+    /// The GHASH input: the AAD and the text as it stands.
+    fn hash_input(&self) -> (&'a [u8], &[u8]) {
+        let len = self.buf.len().saturating_sub(TAG_LEN);
+        (self.aad, self.buf.get(..len).unwrap_or_default())
+    }
+
+    /// XORs a GHASH value into the tag slot.
+    fn absorb(&mut self, s: u128) {
+        if let Some((_, slot)) = self.split_mut() {
+            xor_block_into(slot, &s.to_be_bytes());
+        }
+    }
+
+    /// Checks the tag the open kernel computed against the one `sealed`
+    /// carries and releases the plaintext only if they match (the slot
+    /// then holds the public tag, cut off by the truncation). A failed
+    /// frame's buffer, which holds its decrypted bytes and the expected
+    /// tag, is zeroed before it is dropped.
+    fn verify(self, sealed: &[u8]) -> crate::Result<Vec<u8>> {
+        let len = sealed
+            .len()
+            .checked_sub(TAG_LEN)
+            .ok_or(CryptoError::CiphertextTooShort)?;
+        let mut buf = self.buf;
+        if buf
+            .get(len..)
+            .zip(sealed.get(len..))
+            .is_some_and(|(want, got)| ct::eq(want, got))
+        {
+            buf.truncate(len);
+            return Ok(buf);
+        }
+        buf.fill(0);
+        std::hint::black_box(&buf);
+        Err(CryptoError::AuthenticationFailed)
     }
 }
 

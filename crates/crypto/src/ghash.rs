@@ -8,7 +8,11 @@
 //!   tested against.
 //! * [`GhashKey`] — 8-bit windowed multiplication tables (16 rows × 256
 //!   entries × 16 bytes = 64 KiB), built once per key and amortized across a
-//!   session. A block multiply becomes 16 table lookups.
+//!   session. A block multiply becomes 16 table lookups. One multiply
+//!   serves 1 or 4 chains: GCM's burst kernel hashes runs of four frames
+//!   with equal AAD and ciphertext block counts in lockstep, row by row,
+//!   so the chains' lookups (and cache misses on a table that another key
+//!   pushed out) overlap instead of each chain waiting on its own.
 //!
 //! Building the tables is itself on the session-setup hot path (MACsec SAK
 //! installs, TLS-style handshakes, GEM port key establishment all construct
@@ -19,14 +23,21 @@
 //! position toward the low end multiplies its field element by x^8.
 //!
 //! Side-channel note (analyzer rule R11): the table *contents* depend on the
-//! key, the table *indices* do not — `mul` is indexed by bytes of the running
-//! GHASH state, i.e. by AAD/ciphertext-derived data, never by key bytes. Key
-//! material therefore never flows into an index expression, which is the
-//! taint R11 tracks. (Like all table-driven GHASH/AES software, lookups are
-//! still observable to a cache-timing adversary co-resident on the core; the
-//! simulation accepts that residual channel for throughput.)
+//! key, the table *indices* do not — every multiply is indexed by bytes of
+//! its own chain's running GHASH state, i.e. by AAD/ciphertext-derived
+//! data, never by key bytes; in lockstep each chain still indexes with its
+//! own state only. Key material therefore never flows into an index
+//! expression, which is the taint R11 tracks. (Like all table-driven
+//! GHASH/AES software, lookups are still observable to a cache-timing
+//! adversary co-resident on the core; the simulation accepts that residual
+//! channel for throughput.)
 
 use std::sync::OnceLock;
+
+/// Number of GHASH chains the GCM burst kernel runs in lockstep: each
+/// table row then serves four independent lookups at once. A constant,
+/// not a setting; a frame outside such a group runs one chain.
+pub(crate) const LOCKSTEP: usize = 4;
 
 /// GCM's reduction constant: x^128 + x^7 + x^2 + x + 1 in the reflected bit
 /// order of SP 800-38D (bit 127 of the `u128` is the x^0 coefficient).
@@ -53,19 +64,13 @@ pub fn gf128_mul(x: u128, y: u128) -> u128 {
 /// Interprets up to 16 bytes as a big-endian block, zero-padded on the right
 /// (the GCM padding rule for partial final blocks).
 pub(crate) fn block_to_u128(b: &[u8]) -> u128 {
+    if let Ok(full) = <[u8; 16]>::try_from(b) {
+        return u128::from_be_bytes(full);
+    }
     let mut buf = [0u8; 16];
     for (slot, byte) in buf.iter_mut().zip(b.iter()) {
         *slot = *byte;
     }
-    u128::from_be_bytes(buf)
-}
-
-/// Loads one full 16-byte block. Callers guarantee the length via
-/// `chunks_exact(16)`; the copy avoids a fallible slice-to-array cast.
-#[inline]
-fn be128(block: &[u8]) -> u128 {
-    let mut buf = [0u8; 16];
-    buf.copy_from_slice(block);
     u128::from_be_bytes(buf)
 }
 
@@ -161,10 +166,25 @@ impl GhashKey {
     /// Computes `x · H` via 16 table lookups.
     #[inline]
     pub fn mul(&self, x: u128) -> u128 {
-        let bytes = x.to_be_bytes();
-        let mut z = 0u128;
-        for (row, b) in self.table.iter().zip(bytes.iter()) {
-            z ^= row[usize::from(*b) & 0xff];
+        let [z] = self.mul_lanes([x]);
+        z
+    }
+
+    /// `x[i] · H` for `W` independent chains, row by row: the `W` lookups
+    /// of one row do not depend on each other, so they overlap in the
+    /// pipeline (and their cache misses overlap) instead of each chain
+    /// waiting on its own.
+    #[inline]
+    fn mul_lanes<const W: usize>(&self, x: [u128; W]) -> [u128; W] {
+        let bytes = x.map(u128::to_be_bytes);
+        let mut z = [0u128; W];
+        for (pos, row) in self.table.iter().enumerate() {
+            // 256 entries, so the masked byte below is always in range.
+            let row: &[u128; 256] = row;
+            for (acc, b) in z.iter_mut().zip(&bytes) {
+                let byte = b.get(pos).copied().unwrap_or(0);
+                *acc ^= row[usize::from(byte) & 0xff];
+            }
         }
         z
     }
@@ -172,22 +192,47 @@ impl GhashKey {
     /// GHASH over `aad` then `ct` then the 64-bit bit lengths, per
     /// SP 800-38D §6.4. Table-driven twin of [`ghash_reference`].
     pub fn ghash(&self, aad: &[u8], ct: &[u8]) -> u128 {
-        let y = self.fold(0, aad);
-        let y = self.fold(y, ct);
-        let lens = ((aad.len() as u128 * 8) << 64) | (ct.len() as u128 * 8);
-        self.mul(y ^ lens)
+        let [y] = self.ghash_lanes([(aad, ct)]);
+        y
     }
 
-    /// Absorbs `data` (zero-padding the final partial block) into the
-    /// running GHASH state `y`.
-    fn fold(&self, mut y: u128, data: &[u8]) -> u128 {
-        let mut blocks = data.chunks_exact(16);
-        for block in &mut blocks {
-            y = self.mul(y ^ be128(block));
+    /// GHASH of [`LOCKSTEP`] `(aad, ct)` pairs with their chains run in
+    /// lockstep, or `None` when the pairs differ in AAD or ciphertext
+    /// block count (the chains must take the same number of steps).
+    pub(crate) fn ghash_group(
+        &self,
+        pairs: [(&[u8], &[u8]); LOCKSTEP],
+    ) -> Option<[u128; LOCKSTEP]> {
+        let shape = |(aad, ct): &(&[u8], &[u8])| (aad.len().div_ceil(16), ct.len().div_ceil(16));
+        let first = pairs.first().map(shape);
+        if pairs.iter().any(|p| Some(shape(p)) != first) {
+            return None;
         }
-        let rest = blocks.remainder();
-        if !rest.is_empty() {
-            y = self.mul(y ^ block_to_u128(rest));
+        Some(self.ghash_lanes(pairs))
+    }
+
+    /// GHASH of `W` pairs whose AADs and ciphertexts have equal block
+    /// counts; each chain keeps its own bytes and length block.
+    fn ghash_lanes<const W: usize>(&self, pairs: [(&[u8], &[u8]); W]) -> [u128; W] {
+        let y = self.fold_lanes([0; W], pairs.map(|(aad, _)| aad));
+        let mut y = self.fold_lanes(y, pairs.map(|(_, ct)| ct));
+        for (yi, (aad, ct)) in y.iter_mut().zip(pairs) {
+            *yi ^= ((aad.len() as u128 * 8) << 64) | (ct.len() as u128 * 8);
+        }
+        self.mul_lanes(y)
+    }
+
+    /// Absorbs each lane's data (zero-padding a final partial block) into
+    /// its running GHASH state, one block of every lane per step. The
+    /// lanes hold equal block counts, so they run out at the same step.
+    fn fold_lanes<const W: usize>(&self, mut y: [u128; W], data: [&[u8]; W]) -> [u128; W] {
+        let steps = data.first().map_or(0, |d| d.len().div_ceil(16));
+        let mut blocks = data.map(|d| d.chunks(16));
+        for _ in 0..steps {
+            for (yi, chunks) in y.iter_mut().zip(blocks.iter_mut()) {
+                *yi ^= chunks.next().map_or(0, block_to_u128);
+            }
+            y = self.mul_lanes(y);
         }
         y
     }
@@ -274,6 +319,31 @@ mod tests {
             x ^= x << 17;
         }
         assert_eq!(key.mul(0), 0);
+    }
+
+    #[test]
+    fn lockstep_group_needs_equal_block_counts() {
+        let key = GhashKey::new(0x0388_dace_60b6_a392_f328_c2b9_71b2_fe78_u128);
+        let data: Vec<u8> = (0..64u8).collect();
+        // 17 and 32 bytes are both two blocks: one group, each chain with
+        // its own bytes and length block.
+        let pairs = [
+            (&data[..6], &data[..17]),
+            (&data[..1], &data[..32]),
+            (&data[..16], &data[..20]),
+            (&data[..3], &data[..31]),
+        ];
+        let group = key.ghash_group(pairs).expect("equal shapes group");
+        for (s, (aad, ct)) in group.iter().zip(pairs) {
+            assert_eq!(*s, key.ghash(aad, ct));
+        }
+        // One AAD block more, or one ciphertext block more, breaks the group.
+        let mut odd = pairs;
+        odd[2].0 = &data[..17];
+        assert_eq!(key.ghash_group(odd), None);
+        odd = pairs;
+        odd[3].1 = &data[..33];
+        assert_eq!(key.ghash_group(odd), None);
     }
 
     #[test]

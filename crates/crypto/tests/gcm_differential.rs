@@ -6,7 +6,10 @@
 //! empty, single-byte and non-block-aligned lengths up to 4 KiB — and the
 //! batched `seal_many`/`open_many` entry points against their sequential
 //! loops. Four 256-case properties give ≥1024 generated cases per run on
-//! top of the deterministic length sweep.
+//! top of the deterministic length sweep, and a burst-shape property
+//! builds bursts from runs of equal-shape frames so the burst kernel's
+//! lockstep GHASH groups and cross-frame AES lanes meet odd shapes,
+//! frames shorter than the tag and a tampered frame inside a group.
 
 use genio_testkit::prelude::*;
 
@@ -139,5 +142,87 @@ fn length_sweep_fast_equals_reference() {
         let slow = gcm.seal_reference(&nonce, pt, b"sweep");
         assert_eq!(fast, slow, "len {len}");
         assert_eq!(gcm.open(&nonce, &fast, b"sweep").unwrap(), pt, "len {len}");
+    }
+}
+
+/// Frame lengths around the block (16 B) and 8-block run (128 B)
+/// boundaries, plus a full MTU.
+const BURST_LENS: [usize; 12] = [0, 1, 15, 16, 17, 63, 64, 65, 127, 128, 129, 1500];
+/// AAD lengths on both sides of a block boundary (GEM uses 6, MACsec 17).
+const BURST_AAD_LENS: [usize; 6] = [0, 6, 15, 16, 17, 33];
+/// Most frames one burst may hold.
+const BURST_MAX: usize = 40;
+
+property! {
+    cases = 128;
+    /// Bursts of 0–40 frames made of runs of 1–7 frames sharing one
+    /// (length, AAD length) shape: runs of four or more take the lockstep
+    /// GHASH path, next to odd shapes that take the single chain. Frame
+    /// by frame, `seal_many` equals looped `seal_reference`, and
+    /// `open_many` equals looped `open_reference` on the sealed burst
+    /// after one bit flip (inside a run of four or more whenever there is
+    /// one) and after cutting some frames below the tag length.
+    fn burst_shapes_match_reference(key_sel in 0u8..3,
+                                    key in bytes(32),
+                                    runs in vec((0usize..12, 0usize..6, 1usize..8), 0..12),
+                                    flip in (index(), index(), 0u8..8),
+                                    cuts in vec((index(), 0usize..16), 0..3)) {
+        let gcm = aead(&key, key_sel);
+        let mut shapes = Vec::new();
+        let mut grouped = Vec::new();
+        for (len_sel, aad_sel, count) in runs {
+            let count = count.min(BURST_MAX - shapes.len());
+            if count >= 4 {
+                grouped.extend(shapes.len()..shapes.len() + count);
+            }
+            let shape = (BURST_LENS[len_sel], BURST_AAD_LENS[aad_sel]);
+            shapes.extend(std::iter::repeat_n(shape, count));
+        }
+        let nonces: Vec<[u8; 12]> = (0..shapes.len())
+            .map(|i| {
+                let mut n = [key[0]; 12];
+                n[8..].copy_from_slice(&(i as u32).to_be_bytes());
+                n
+            })
+            .collect();
+        let pts: Vec<Vec<u8>> = shapes
+            .iter()
+            .enumerate()
+            .map(|(i, &(len, _))| (0..len).map(|j| (i * 31 + j * 7) as u8 ^ key[1]).collect())
+            .collect();
+        let aads: Vec<Vec<u8>> = shapes
+            .iter()
+            .enumerate()
+            .map(|(i, &(_, len))| (0..len).map(|j| (i * 13 + j) as u8 ^ key[2]).collect())
+            .collect();
+        let pt_refs: Vec<&[u8]> = pts.iter().map(Vec::as_slice).collect();
+        let aad_refs: Vec<&[u8]> = aads.iter().map(Vec::as_slice).collect();
+
+        let mut sealed = gcm.seal_many(&nonces, &pt_refs, &aad_refs).unwrap();
+        prop_assert_eq!(sealed.len(), shapes.len());
+        for (i, frame) in sealed.iter().enumerate() {
+            prop_assert_eq!(frame, &gcm.seal_reference(&nonces[i], &pts[i], &aads[i]));
+        }
+
+        if !sealed.is_empty() {
+            let (frame_sel, pos, bit) = flip;
+            let victim = if grouped.is_empty() {
+                frame_sel.index(sealed.len())
+            } else {
+                grouped[frame_sel.index(grouped.len())]
+            };
+            let at = pos.index(sealed[victim].len());
+            sealed[victim][at] ^= 1 << bit;
+            for (frame_sel, len) in cuts {
+                sealed[frame_sel.index(shapes.len())].truncate(len);
+            }
+        }
+        let sealed_refs: Vec<&[u8]> = sealed.iter().map(Vec::as_slice).collect();
+        let opened = gcm.open_many(&nonces, &sealed_refs, &aad_refs).unwrap();
+        prop_assert_eq!(opened.len(), shapes.len());
+        for (i, got) in opened.iter().enumerate() {
+            let want = gcm.open_reference(&nonces[i], &sealed[i], &aads[i]);
+            prop_assert_eq!(got, &want);
+        }
     }
 }

@@ -73,6 +73,13 @@ struct TxState {
 #[derive(Debug)]
 struct RxAssociation {
     aead: AesGcm,
+    replay: ReplayWindow,
+}
+
+/// Anti-replay state of one receive association. It is `Copy`, so a
+/// batch can keep the state a run started from while the walk marks.
+#[derive(Debug, Clone, Copy, Default)]
+struct ReplayWindow {
     /// Highest PN validated so far.
     high: u64,
     /// Bitmap of the `replay_window` packets below `high`.
@@ -81,8 +88,8 @@ struct RxAssociation {
     seen_any: bool,
 }
 
-impl RxAssociation {
-    fn check_and_mark(&mut self, pn: u64, window_size: u64) -> Result<(), NetsecError> {
+impl ReplayWindow {
+    fn check_and_mark(&self, pn: u64, window_size: u64) -> Result<(), NetsecError> {
         if !self.seen_any {
             return Ok(());
         }
@@ -272,13 +279,11 @@ impl MacsecPeer {
                 let aead = AesGcm::new(&sak)?;
                 e.insert(RxAssociation {
                     aead,
-                    high: 0,
-                    window: 0,
-                    seen_any: false,
+                    replay: ReplayWindow::default(),
                 })
             }
         };
-        if let Err(e) = assoc.check_and_mark(frame.pn, window) {
+        if let Err(e) = assoc.replay.check_and_mark(frame.pn, window) {
             self.rejected_replay += 1;
             self.rx_replay.incr(1);
             return Err(e);
@@ -287,7 +292,7 @@ impl MacsecPeer {
         let aad = aad_for(frame.sci, frame.an, frame.pn);
         match assoc.aead.open(&nonce, &frame.secure_data, &aad) {
             Ok(pt) => {
-                assoc.mark(frame.pn);
+                assoc.replay.mark(frame.pn);
                 self.rx_accepted.incr(1);
                 Ok(pt)
             }
@@ -379,9 +384,7 @@ impl MacsecPeer {
                 match AesGcm::new(&sak) {
                     Ok(aead) => e.insert(RxAssociation {
                         aead,
-                        high: 0,
-                        window: 0,
-                        seen_any: false,
+                        replay: ReplayWindow::default(),
                     }),
                     Err(err) => {
                         // Sequential validation would fail key setup for
@@ -394,16 +397,35 @@ impl MacsecPeer {
                 }
             }
         };
-        let nonces: Vec<[u8; 12]> = run.iter().map(|f| nonce_for(f.sci, f.pn)).collect();
-        let aads: Vec<[u8; 17]> = run.iter().map(|f| aad_for(f.sci, f.an, f.pn)).collect();
+        // A frame the run's starting window already rejects stays
+        // rejected after any marks the run makes (the window only moves
+        // forward and only gains bits), so only the others reach the AEAD:
+        // a replay costs no open here, as on `validate`.
+        let start = assoc.replay;
+        let fresh = |f: &&MacsecFrame| start.check_and_mark(f.pn, window).is_ok();
+        let nonces: Vec<[u8; 12]> = run
+            .iter()
+            .filter(fresh)
+            .map(|f| nonce_for(f.sci, f.pn))
+            .collect();
+        let aads: Vec<[u8; 17]> = run
+            .iter()
+            .filter(fresh)
+            .map(|f| aad_for(f.sci, f.an, f.pn))
+            .collect();
         let aad_refs: Vec<&[u8]> = aads.iter().map(|a| a.as_slice()).collect();
-        let ct_refs: Vec<&[u8]> = run.iter().map(|f| f.secure_data.as_slice()).collect();
+        let ct_refs: Vec<&[u8]> = run
+            .iter()
+            .filter(fresh)
+            .map(|f| f.secure_data.as_slice())
+            .collect();
         let opened = match assoc.aead.open_many(&nonces, &ct_refs, &aad_refs) {
             Ok(o) => o,
             // Unreachable (the slices are built with equal lengths), but
             // fall back to per-frame opens rather than assume.
             Err(_) => run
                 .iter()
+                .filter(fresh)
                 .map(|f| {
                     assoc.aead.open(
                         &nonce_for(f.sci, f.pn),
@@ -413,20 +435,24 @@ impl MacsecPeer {
                 })
                 .collect(),
         };
-        for (frame, open_result) in run.iter().zip(opened) {
-            if let Err(e) = assoc.check_and_mark(frame.pn, window) {
+        let mut opened = opened.into_iter();
+        for frame in run {
+            let open_result = if fresh(&frame) { opened.next() } else { None };
+            if let Err(e) = assoc.replay.check_and_mark(frame.pn, window) {
                 self.rejected_replay += 1;
                 self.rx_replay.incr(1);
                 results.push(Err(e));
                 continue;
             }
+            // Every frame past the replay check was opened: the starting
+            // window passed it too.
             match open_result {
-                Ok(pt) => {
-                    assoc.mark(frame.pn);
+                Some(Ok(pt)) => {
+                    assoc.replay.mark(frame.pn);
                     self.rx_accepted.incr(1);
                     results.push(Ok(pt));
                 }
-                Err(_) => {
+                _ => {
                     self.rejected_integrity += 1;
                     self.rx_integrity.incr(1);
                     results.push(Err(NetsecError::IntegrityFailure));
@@ -629,6 +655,79 @@ mod tests {
         assert_eq!(batch_results, seq_results);
         assert_eq!(rx_batch.rejected_replay, rx_seq.rejected_replay);
         assert_eq!(rx_batch.rejected_integrity, rx_seq.rejected_integrity);
+
+        // A second burst: replays of the first burst on both channels
+        // interleaved with fresh frames, one of them tampered, and an
+        // in-burst duplicate of a fresh frame.
+        let fresh = a.protect_many(&refs[..4]).unwrap();
+        let mut frames2 = vec![
+            frames[0].clone(),
+            fresh[0].clone(),
+            frames[4].clone(), // tampered in the first burst, never accepted
+            fresh[1].clone(),
+            frames[2].clone(), // channel C
+            fresh[2].clone(),
+            fresh[3].clone(),
+            frames[3].clone(),
+            fresh[1].clone(),
+        ];
+        frames2[5].secure_data[2] ^= 4;
+        let batch_results = rx_batch.validate_many(&frames2);
+        let seq_results: Vec<_> = frames2.iter().map(|f| rx_seq.validate(f)).collect();
+        assert_eq!(batch_results, seq_results);
+        assert!(matches!(
+            batch_results[0],
+            Err(NetsecError::ReplayDetected { .. })
+        ));
+        assert_eq!(batch_results[5], Err(NetsecError::IntegrityFailure));
+        assert!(matches!(
+            batch_results[8],
+            Err(NetsecError::ReplayDetected { .. })
+        ));
+        assert_eq!(rx_batch.rejected_replay, rx_seq.rejected_replay);
+        assert_eq!(rx_batch.rejected_integrity, rx_seq.rejected_integrity);
+    }
+
+    #[test]
+    fn replays_of_an_earlier_run_are_not_opened() {
+        let cfg = MacsecConfig::default();
+        let mut a = MacsecPeer::new(0xA, &cfg, b"cak").unwrap();
+        let mut rx = MacsecPeer::new(0xB, &cfg, b"cak").unwrap();
+        let payloads: Vec<Vec<u8>> = (0..8u8).map(|i| vec![i; 64]).collect();
+        let refs: Vec<&[u8]> = payloads.iter().map(Vec::as_slice).collect();
+        let first = a.protect_many(&refs[..4]).unwrap();
+        assert!(rx.validate_many(&first[..1]).iter().all(Result::is_ok));
+        let telemetry = genio_telemetry::Telemetry::enabled();
+        if let Some(assoc) = rx.rx.get_mut(&(0xA, 0)) {
+            assoc.aead = assoc.aead.clone().instrument(&telemetry);
+        }
+        let opened = telemetry.counter("crypto.gcm.opened_frames");
+        assert!(rx.validate_many(&first[1..]).iter().all(Result::is_ok));
+        assert_eq!(opened.get(), 3);
+        // Three replays of the earlier runs around two fresh frames: only
+        // the fresh frames reach the AEAD.
+        let fresh = a.protect_many(&refs[4..6]).unwrap();
+        let second = vec![
+            first[0].clone(),
+            fresh[0].clone(),
+            first[2].clone(),
+            first[3].clone(),
+            fresh[1].clone(),
+        ];
+        let results = rx.validate_many(&second);
+        assert_eq!(results.iter().filter(|r| r.is_ok()).count(), 2);
+        assert_eq!(rx.rejected_replay, 3);
+        assert_eq!(opened.get(), 5);
+        // A frame inside the window but not yet seen is opened, and its
+        // in-run duplicate is opened too, then rejected by the walk.
+        let late = a.protect_many(&refs[6..8]).unwrap();
+        let results = rx.validate_many(&[late[1].clone(), late[0].clone(), late[0].clone()]);
+        assert!(results[0].is_ok() && results[1].is_ok());
+        assert!(matches!(
+            results[2],
+            Err(NetsecError::ReplayDetected { .. })
+        ));
+        assert_eq!(opened.get(), 8);
     }
 
     #[test]

@@ -243,6 +243,11 @@ impl GemCrypto {
     /// Opens one same-port run of a burst, preserving sequential semantics:
     /// batch-open first (opening mutates nothing), then walk frames in order
     /// applying the replay check and advancing `recv_high` only on success.
+    ///
+    /// A counter at or below the run's starting `recv_high` is a replay
+    /// whatever else the run holds, because `recv_high` only rises, so
+    /// only the frames above it reach the AEAD: a replayed frame costs no
+    /// open here, as on [`GemCrypto::decrypt`].
     fn decrypt_run(&mut self, run: &[DownstreamFrame], results: &mut Vec<crate::Result<Vec<u8>>>) {
         let Some(first) = run.first() else { return };
         let port = first.port;
@@ -250,19 +255,31 @@ impl GemCrypto {
             results.extend(run.iter().map(|_| Err(PonError::NoKey { port })));
             return;
         };
+        let start_high = state.recv_high;
+        let fresh = |f: &&DownstreamFrame| start_high.is_none_or(|high| f.counter > high);
         let nonces: Vec<[u8; 12]> = run
             .iter()
+            .filter(fresh)
             .map(|f| nonce_for(f.port, f.counter))
             .collect();
-        let aads: Vec<[u8; 6]> = run.iter().map(|f| aad_for(f.port, f.target)).collect();
+        let aads: Vec<[u8; 6]> = run
+            .iter()
+            .filter(fresh)
+            .map(|f| aad_for(f.port, f.target))
+            .collect();
         let aad_refs: Vec<&[u8]> = aads.iter().map(|a| &a[..]).collect();
-        let payloads: Vec<&[u8]> = run.iter().map(|f| f.payload.as_slice()).collect();
+        let payloads: Vec<&[u8]> = run
+            .iter()
+            .filter(fresh)
+            .map(|f| f.payload.as_slice())
+            .collect();
         let opened = match state.aead.open_many(&nonces, &payloads, &aad_refs) {
             Ok(opened) => opened,
             // Unreachable (equal-length slices by construction); fall back
             // to per-frame opens rather than assume.
             Err(_) => run
                 .iter()
+                .filter(fresh)
                 .map(|f| {
                     let nonce = nonce_for(f.port, f.counter);
                     let aad = aad_for(f.port, f.target);
@@ -270,19 +287,23 @@ impl GemCrypto {
                 })
                 .collect(),
         };
-        for (frame, open_result) in run.iter().zip(opened) {
+        let mut opened = opened.into_iter();
+        for frame in run {
+            let open_result = if fresh(&frame) { opened.next() } else { None };
             if let Some(high) = state.recv_high {
                 if frame.counter <= high {
                     results.push(Err(PonError::Replay));
                     continue;
                 }
             }
+            // Every frame past the replay check was opened: it is above
+            // the starting mark.
             match open_result {
-                Ok(plaintext) => {
+                Some(Ok(plaintext)) => {
                     state.recv_high = Some(frame.counter);
                     results.push(Ok(plaintext));
                 }
-                Err(_) => results.push(Err(PonError::DecryptFailed)),
+                _ => results.push(Err(PonError::DecryptFailed)),
             }
         }
     }
@@ -459,6 +480,62 @@ mod tests {
         assert_eq!(batch, sequential);
         assert!(matches!(batch[2], Err(PonError::DecryptFailed)));
         assert!(matches!(batch[6], Err(PonError::Replay)));
+
+        // A second burst: replays of the first burst's frames (rejected
+        // against the run's starting mark) interleaved with fresh frames,
+        // one of them tampered, plus an in-burst duplicate.
+        let mut frames2 = vec![frames[0].clone(), frames[4].clone()];
+        for i in 3..6u8 {
+            frames2.push(olt.encrypt_downstream(10, 1, &[i; 20]).unwrap());
+            frames2.push(frames[1].clone());
+        }
+        frames2[2].payload[3] ^= 0x10; // tampered fresh frame
+        frames2.push(frames2[4].clone()); // in-burst replay of a fresh frame
+        let batch = batch_onu.decrypt_many(&frames2);
+        let sequential: Vec<_> = frames2.iter().map(|f| loop_onu.decrypt(f)).collect();
+        assert_eq!(batch, sequential);
+        assert_eq!(batch[0], Err(PonError::Replay));
+        assert_eq!(batch[2], Err(PonError::DecryptFailed));
+        assert!(batch[4].is_ok());
+        assert_eq!(batch[8], Err(PonError::Replay));
+    }
+
+    #[test]
+    fn replays_of_an_earlier_run_are_not_opened() {
+        let (mut olt, mut onu) = pair();
+        let telemetry = genio_telemetry::Telemetry::enabled();
+        if let Some(state) = onu.ports.get_mut(&10) {
+            state.aead = state.aead.clone().instrument(&telemetry);
+        }
+        let opened = telemetry.counter("crypto.gcm.opened_frames");
+        let first: Vec<_> = (0..4u8)
+            .map(|i| olt.encrypt_downstream(10, 1, &[i; 64]).unwrap())
+            .collect();
+        assert!(onu.decrypt_many(&first).iter().all(Result::is_ok));
+        assert_eq!(opened.get(), 4);
+        // Two replays of the first run around two fresh frames: only the
+        // fresh frames reach the AEAD.
+        let fresh: Vec<_> = (4..6u8)
+            .map(|i| olt.encrypt_downstream(10, 1, &[i; 64]).unwrap())
+            .collect();
+        let second = vec![
+            first[1].clone(),
+            fresh[0].clone(),
+            first[3].clone(),
+            fresh[1].clone(),
+        ];
+        let results = onu.decrypt_many(&second);
+        assert_eq!(results[0], Err(PonError::Replay));
+        assert_eq!(results[2], Err(PonError::Replay));
+        assert!(results[1].is_ok() && results[3].is_ok());
+        assert_eq!(opened.get(), 6);
+        // An in-run duplicate is above the starting mark, so it is opened
+        // and then rejected by the walk, exactly as `decrypt` would.
+        let dup = olt.encrypt_downstream(10, 1, b"dup").unwrap();
+        let results = onu.decrypt_many(&[dup.clone(), dup]);
+        assert!(results[0].is_ok());
+        assert_eq!(results[1], Err(PonError::Replay));
+        assert_eq!(opened.get(), 8);
     }
 
     #[test]

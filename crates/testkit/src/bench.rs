@@ -154,8 +154,8 @@ impl Profile {
 pub struct Bencher {
     profile: Profile,
     samples_wanted: u64,
-    /// Filled by `iter`.
-    result: Option<(u64, u64, Vec<f64>)>,
+    /// Filled by `iter`: the batch size and the samples.
+    result: Option<(u64, Vec<f64>)>,
 }
 
 impl Bencher {
@@ -163,34 +163,46 @@ impl Bencher {
     /// `samples_wanted` timed batches (stopping early at the time cap,
     /// but never before 3 samples).
     pub fn iter<R, F: FnMut() -> R>(&mut self, mut f: F) {
-        // Warmup + calibration: run until the warmup window elapses.
+        let k = self.profile.calibrate(&mut f);
+        let mut samples = Vec::with_capacity(self.samples_wanted as usize);
+        let sampling_start = Instant::now();
+        for _ in 0..self.samples_wanted {
+            samples.push(sample(k, &mut f));
+            if samples.len() >= 3 && sampling_start.elapsed() >= self.profile.time_cap {
+                break;
+            }
+        }
+        self.result = Some((k, samples));
+    }
+}
+
+impl Profile {
+    /// Warmup + calibration: runs `f` until the warmup window elapses and
+    /// returns the batch size that makes one sample last about
+    /// `sample_target`.
+    fn calibrate<R, F: FnMut() -> R>(&self, f: &mut F) -> u64 {
         let warmup_start = Instant::now();
         let mut warmup_iters = 0u64;
         loop {
             std::hint::black_box(f());
             warmup_iters += 1;
-            if warmup_start.elapsed() >= self.profile.warmup {
+            if warmup_start.elapsed() >= self.warmup {
                 break;
             }
         }
         let per_iter_ns =
             (warmup_start.elapsed().as_nanos() as f64 / warmup_iters as f64).max(0.1);
-        let k = ((self.profile.sample_target.as_nanos() as f64 / per_iter_ns) as u64).clamp(1, 1 << 24);
-
-        let mut samples = Vec::with_capacity(self.samples_wanted as usize);
-        let sampling_start = Instant::now();
-        for _ in 0..self.samples_wanted {
-            let t = Instant::now();
-            for _ in 0..k {
-                std::hint::black_box(f());
-            }
-            samples.push(t.elapsed().as_nanos() as f64 / k as f64);
-            if samples.len() >= 3 && sampling_start.elapsed() >= self.profile.time_cap {
-                break;
-            }
-        }
-        self.result = Some((k, samples.len() as u64, samples));
+        ((self.sample_target.as_nanos() as f64 / per_iter_ns) as u64).clamp(1, 1 << 24)
     }
+}
+
+/// One timed sample: `k` calls of `f`, in nanoseconds per call.
+fn sample<R, F: FnMut() -> R>(k: u64, f: &mut F) -> f64 {
+    let t = Instant::now();
+    for _ in 0..k {
+        std::hint::black_box(f());
+    }
+    t.elapsed().as_nanos() as f64 / k as f64
 }
 
 /// The bench context: registers measurements and emits the report.
@@ -268,36 +280,94 @@ impl Criterion {
                 return;
             }
         }
-        let wanted = match sample_size {
-            Some(n) if self.quick => n.min(self.profile.default_samples),
-            Some(n) => n,
-            None => self.profile.default_samples,
-        };
         let mut bencher = Bencher {
             profile: self.profile.clone(),
-            samples_wanted: wanted.max(3),
+            samples_wanted: self.samples_wanted(sample_size).max(3),
             result: None,
         };
         f(&mut bencher);
-        let Some((k, n, mut samples)) = bencher.result else {
+        let Some((k, samples)) = bencher.result else {
             // The closure never called iter(); nothing to record.
             return;
         };
-        samples.sort_by(|a, b| a.partial_cmp(b).unwrap());
-        let min = samples[0];
-        let max = *samples.last().unwrap();
-        let median = samples[samples.len() / 2];
-        let p95 = samples[((samples.len() as f64 * 0.95) as usize).min(samples.len() - 1)];
-        let mean = samples.iter().sum::<f64>() / samples.len() as f64;
+        self.record(name, throughput, k, samples);
+    }
+
+    /// Measures two benches in lockstep and returns the per-pair ratios
+    /// `b / a` (empty when the filter skips both names). After each side's
+    /// warmup and calibration, sample `i` times `a` and `b` back to back,
+    /// `a` first on even `i` and `b` first on odd `i`, so a slow spell of a
+    /// shared host lands on both halves of a pair instead of on one side.
+    fn run_pair<RA, RB, A, B>(
+        &mut self,
+        names: (String, String),
+        throughput: Option<Throughput>,
+        sample_size: Option<u64>,
+        mut fa: A,
+        mut fb: B,
+    ) -> Vec<f64>
+    where
+        A: FnMut() -> RA,
+        B: FnMut() -> RB,
+    {
+        if let Some(filter) = &self.filter {
+            if !names.0.contains(filter.as_str()) && !names.1.contains(filter.as_str()) {
+                return Vec::new();
+            }
+        }
+        let wanted = self.samples_wanted(sample_size).max(3);
+        let ka = self.profile.calibrate(&mut fa);
+        let kb = self.profile.calibrate(&mut fb);
+        let (mut sa, mut sb) = (Vec::new(), Vec::new());
+        let sampling_start = Instant::now();
+        for i in 0..wanted {
+            if i % 2 == 0 {
+                sa.push(sample(ka, &mut fa));
+                sb.push(sample(kb, &mut fb));
+            } else {
+                sb.push(sample(kb, &mut fb));
+                sa.push(sample(ka, &mut fa));
+            }
+            if sa.len() >= 3 && sampling_start.elapsed() >= self.profile.time_cap * 2 {
+                break;
+            }
+        }
+        let ratios = sa.iter().zip(&sb).map(|(a, b)| b / a).collect();
+        self.record(names.0, throughput, ka, sa);
+        self.record(names.1, throughput, kb, sb);
+        ratios
+    }
+
+    fn samples_wanted(&self, sample_size: Option<u64>) -> u64 {
+        match sample_size {
+            Some(n) if self.quick => n.min(self.profile.default_samples),
+            Some(n) => n,
+            None => self.profile.default_samples,
+        }
+    }
+
+    /// Summarizes one bench's samples, prints the line and keeps the record.
+    fn record(
+        &mut self,
+        name: String,
+        throughput: Option<Throughput>,
+        k: u64,
+        mut samples: Vec<f64>,
+    ) {
+        samples.sort_by(|a, b| a.total_cmp(b));
+        let (Some(&min), Some(&max)) = (samples.first(), samples.last()) else {
+            return;
+        };
+        let at = |q: f64| samples[((samples.len() as f64 * q) as usize).min(samples.len() - 1)];
         let record = Record {
             name,
             iters_per_sample: k,
-            samples: n,
+            samples: samples.len() as u64,
             min_ns: min,
-            median_ns: median,
-            p95_ns: p95,
+            median_ns: at(0.5),
+            p95_ns: at(0.95),
             max_ns: max,
-            mean_ns: mean,
+            mean_ns: samples.iter().sum::<f64>() / samples.len() as f64,
             throughput,
         };
         print_record(&record);
@@ -383,6 +453,26 @@ impl BenchmarkGroup<'_> {
         self.criterion
             .run_bench(full, self.throughput, self.sample_size, |b| f(b, input));
         self
+    }
+
+    /// Registers `group/a` and `group/b` measured in lockstep, sample by
+    /// sample with the order alternating, and returns the per-pair ratios
+    /// `b / a`: a ratio bound on their median does not move when a
+    /// co-tenant slows one side's samples. Both records are emitted as if
+    /// registered one by one.
+    pub fn bench_paired<RA, RB>(
+        &mut self,
+        a: &str,
+        fa: impl FnMut() -> RA,
+        b: &str,
+        fb: impl FnMut() -> RB,
+    ) -> Vec<f64> {
+        let names = (
+            format!("{}/{}", self.name, a),
+            format!("{}/{}", self.name, b),
+        );
+        self.criterion
+            .run_pair(names, self.throughput, self.sample_size, fa, fb)
     }
 
     /// Ends the group (API compatibility; settings die with the group).

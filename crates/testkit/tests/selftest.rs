@@ -145,6 +145,32 @@ fn bench_filter_skips_nonmatching() {
     assert_eq!(c.records()[0].name, "match-me/x");
 }
 
+#[test]
+fn paired_benches_record_both_rows_and_one_ratio_per_pair() {
+    let mut c = Criterion::new("t", true, None);
+    let ratios = {
+        let mut group = c.benchmark_group("pair");
+        group.sample_size(5);
+        group.bench_paired(
+            "one",
+            || std::hint::black_box(3u64) * 7,
+            "two",
+            || std::hint::black_box(5u64) * 11,
+        )
+    };
+    let names: Vec<&str> = c.records().iter().map(|r| r.name.as_str()).collect();
+    assert_eq!(names, ["pair/one", "pair/two"]);
+    assert_eq!(ratios.len() as u64, c.records()[0].samples);
+    assert_eq!(c.records()[0].samples, c.records()[1].samples);
+    assert!(ratios.iter().all(|r| r.is_finite() && *r > 0.0));
+
+    // A filter that matches neither name skips the pair.
+    let mut c = Criterion::new("t", true, Some("match-me".into()));
+    let ratios = c.benchmark_group("pair").bench_paired("one", || 0u8, "two", || 0u8);
+    assert!(ratios.is_empty());
+    assert!(c.records().is_empty());
+}
+
 // The macro surface itself, exercised end-to-end as real tests.
 property! {
     /// Concatenation length is additive.

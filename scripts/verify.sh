@@ -5,7 +5,8 @@
 #   scripts/verify.sh           build + tests + examples smoke + the
 #                               genio-analyzer ratchet gate (new static-
 #                               analysis findings vs analyzer-baseline.json
-#                               fail the build)
+#                               fail the build) + the genio-perf smoke
+#                               digests (scripts/genio-perf-digests.txt)
 #   scripts/verify.sh --quick   the above, then a quick bench pass that
 #                               merges one experiment report per bench
 #                               target under crates/bench/benches/ into a
@@ -116,6 +117,28 @@ for pid in "${loop_pids[@]}"; do
 done
 trap - EXIT
 echo "fleet span trees validate and re-export byte-identically under all 64 seeds, under load"
+
+echo "==> genio-perf byte-identity gate (seed-5 smoke digests vs scripts/genio-perf-digests.txt)"
+cargo build --release --offline -q --manifest-path genio-perf/Cargo.toml
+mkdir -p target/genio-perf-smoke
+while read -r workload want; do
+    case "$workload" in ''|'#'*) continue ;; esac
+    doc="target/genio-perf-smoke/$workload.json"
+    log="target/genio-perf-smoke/$workload.log"
+    if ! genio-perf/target/release/genio-perf --workload "$workload" --seed 5 --smoke \
+        --json "$doc" >"$log" 2>&1; then
+        cat "$log" >&2
+        echo "genio-perf $workload smoke run failed" >&2
+        exit 1
+    fi
+    got=$(sed -n 's/.*"digest":"\(0x[0-9a-f]*\)".*/\1/p' "$doc")
+    if [ "$got" != "$want" ]; then
+        echo "genio-perf $workload seed-5 smoke digest is $got, expected $want" >&2
+        exit 1
+    fi
+    echo "$workload $got"
+done < scripts/genio-perf-digests.txt
+echo "genio-perf smoke outputs are byte-identical to the committed digests"
 
 echo "==> bench sentinel self-check (committed BENCH_genio.json diffs clean against itself)"
 cargo run --release -q -p genio-sentinel --bin genio-sentinel -- \
