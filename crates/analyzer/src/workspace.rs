@@ -19,7 +19,8 @@
 //!    annotate, rule-scan and summarize. Misses are split into
 //!    contiguous chunks over `std::thread` scoped workers and the
 //!    results merged back *in job order*, so the thread count can never
-//!    change the report;
+//!    change the report. A worker that panics fails the scan: its panic
+//!    resumes on the calling thread;
 //! 4. **cross-file passes** (serial, always fresh) — R3 per crate, then
 //!    the interprocedural [`crate::dataflow`] walk, the
 //!    [`crate::sidechannel`] pass (R10–R12), the [`crate::concurrency`]
@@ -457,52 +458,46 @@ fn run_pipeline(
     processed.resize_with(jobs.len(), || None);
     {
         let _files_span = opts.telemetry.span("analyzer.files");
-        let mut chunk_results: Vec<Vec<(usize, Processed)>> = Vec::new();
-        std::thread::scope(|scope| {
-            let mut handles = Vec::new();
-            for chunk in misses.chunks(chunk_size.max(1)) {
-                let prepared = &prepared;
-                handles.push(scope.spawn(move || {
-                    chunk
-                        .iter()
-                        .map(|&i| (i, process_miss(&jobs[i], &prepared[i])))
-                        .collect::<Vec<_>>()
-                }));
-            }
-            for handle in handles {
-                if let Ok(done) = handle.join() {
-                    chunk_results.push(done);
-                }
-            }
+        let chunk_results = std::thread::scope(|scope| {
+            let handles = misses
+                .chunks(chunk_size.max(1))
+                .map(|chunk| {
+                    let prepared = &prepared;
+                    scope.spawn(move || {
+                        chunk
+                            .iter()
+                            .map(|&i| (i, process_miss(&jobs[i], &prepared[i])))
+                            .collect::<Vec<_>>()
+                    })
+                })
+                .collect();
+            join_in_order(handles)
         });
-        for done in chunk_results {
-            for (i, p) in done {
-                processed[i] = Some(p);
-            }
+        for (i, p) in chunk_results.into_iter().flatten() {
+            processed[i] = Some(p);
         }
     }
-    let processed: Vec<Processed> = jobs
+    let processed = jobs
         .iter()
         .zip(prepared)
         .zip(processed)
-        .map(|((job, mut prep), fresh)| {
-            if let Some(p) = fresh {
-                return p;
-            }
-            match prep.cached.take() {
-                Some(entry) => Processed {
-                    crate_name: job.crate_name.clone(),
-                    rel: job.rel.clone(),
-                    file_name: job.file_name.clone(),
-                    entry,
-                    hit: true,
-                },
-                // A worker died before delivering this miss; re-scan
-                // it serially rather than panicking the whole scan.
-                None => process_miss(job, &prep),
-            }
+        .map(|((job, prep), fresh)| match (fresh, prep.cached) {
+            (Some(p), _) => Ok(p),
+            (None, Some(entry)) => Ok(Processed {
+                crate_name: job.crate_name.clone(),
+                rel: job.rel.clone(),
+                file_name: job.file_name.clone(),
+                entry,
+                hit: true,
+            }),
+            // Every miss went to a worker, and a worker that panicked
+            // has already failed the scan in `join_in_order`.
+            (None, None) => Err(io::Error::other(format!(
+                "no per-file result for {}",
+                job.rel
+            ))),
         })
-        .collect();
+        .collect::<io::Result<Vec<Processed>>>()?;
 
     let mut stats = ScanStats {
         files: processed.len() as u64,
@@ -528,6 +523,21 @@ fn run_pipeline(
     }
     stats.files = report.files;
     Ok((report, stats, processed))
+}
+
+/// Joins scoped workers in spawn order. A panicked worker's panic is
+/// resumed on the caller, so a failed worker fails the whole scan: the
+/// per-file pass is deterministic, and re-running it on the same bytes
+/// would only panic again or hide the failure.
+fn join_in_order<T>(handles: Vec<std::thread::ScopedJoinHandle<'_, T>>) -> Vec<T> {
+    let mut outputs = Vec::with_capacity(handles.len());
+    for handle in handles {
+        match handle.join() {
+            Ok(out) => outputs.push(out),
+            Err(payload) => std::panic::resume_unwind(payload),
+        }
+    }
+    outputs
 }
 
 /// Stages 3a–4: cross-file passes and suppression over an ordered set
@@ -638,6 +648,24 @@ fn assemble_report(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn a_panicked_worker_fails_the_scan() {
+        let joined = std::panic::catch_unwind(|| {
+            std::thread::scope(|scope| {
+                let handles = vec![
+                    scope.spawn(|| 1u32),
+                    scope.spawn(|| panic!("worker failed")),
+                ];
+                join_in_order(handles)
+            })
+        });
+        assert!(joined.is_err());
+        let in_order = std::thread::scope(|scope| {
+            join_in_order((0..4u32).map(|w| scope.spawn(move || w)).collect())
+        });
+        assert_eq!(in_order, [0, 1, 2, 3]);
+    }
 
     #[test]
     fn find_root_walks_upward() {

@@ -9,7 +9,10 @@
 //! per crate). Every input gets the rows `cold` (serial, uncached),
 //! `warm` (cache fully populated), `edit` (one file changed since the
 //! cache was written) and `diff` (a one-file `--diff` over a warm
-//! tree); a synthetic input also gets the cold variant its bound needs.
+//! tree); a synthetic input also gets the cold variant its bound needs,
+//! sampled in lockstep with `cold` (`BenchmarkGroup::bench_paired`) so
+//! that its bound reads the median of the per-pair ratios. The warm,
+//! edit and diff bounds divide row medians.
 //!
 //! Asserted on every input before timing: warm and cold reports are
 //! byte-identical, and a one-file edit costs exactly one cache miss and
@@ -242,10 +245,17 @@ fn copy_workspace(repo: &Path, root: &Path) {
 struct Medians {
     input: &'static str,
     rows: Vec<(&'static str, f64)>,
+    /// The cold variant and the median of its per-pair `cold / variant`
+    /// ratios: it is sampled in lockstep with `cold`, so a slow spell of
+    /// the host moves both halves of a pair instead of one median.
+    paired: Option<(&'static str, f64)>,
 }
 
 impl Medians {
     fn speedup(&self, row: &str) -> f64 {
+        if let Some((_, x)) = self.paired.filter(|(paired, _)| *paired == row) {
+            return x;
+        }
         let of = |name: &str| self.rows.iter().find(|(r, _)| *r == name).map(|(_, ns)| *ns);
         of("cold").zip(of(row)).map_or(f64::NAN, |(cold, ns)| cold / ns)
     }
@@ -368,10 +378,20 @@ fn time_rows(c: &mut Criterion, input: &Input, files: u64) {
         (input.cold(spans[0].clone()), input.warm(spans[1].clone()), input.warm(spans[2].clone()));
     let mut group = c.benchmark_group(&format!("analyzer/{}", input.name));
     group.throughput(Throughput::Elements(files));
-    group.bench_function("cold", |b| b.iter(|| scan_with(root, &cold).expect("scan")));
-    if let Some((row, opts)) = &input.variant {
-        group.bench_function(row, |b| b.iter(|| scan_with(root, opts).expect("scan")));
-    }
+    let cold_scan = || scan_with(root, &cold).expect("scan");
+    let paired = match &input.variant {
+        Some((row, opts)) => {
+            let variant = || scan_with(root, opts).expect("scan");
+            let mut ratios: Vec<f64> =
+                group.bench_paired("cold", cold_scan, row, variant).iter().map(|r| 1.0 / r).collect();
+            ratios.sort_by(f64::total_cmp);
+            ratios.get(ratios.len() / 2).map(|&x| (*row, x))
+        }
+        None => {
+            group.bench_function("cold", |b| b.iter(cold_scan));
+            None
+        }
+    };
     group.bench_function("warm", |b| b.iter(|| scan_with(root, &warm).expect("scan")));
     let mut edited = false;
     group.bench_function("edit", |b| {
@@ -402,10 +422,15 @@ fn time_rows(c: &mut Criterion, input: &Input, files: u64) {
     let Some(rows) = rows.into_iter().map(median).collect::<Option<Vec<_>>>() else {
         return;
     };
-    let medians = Medians { input: input.name, rows };
+    let medians = Medians { input: input.name, rows, paired };
     println!("\n{}: {files} files", input.name);
     for (row, ns) in &medians.rows {
-        println!("  {row:<16} {:>9.2} ms  cold/row {:>6.2}x", ns / 1e6, medians.speedup(row));
+        let how = if paired.is_some_and(|(p, _)| p == *row) { "(median per pair)" } else { "" };
+        println!(
+            "  {row:<16} {:>9.2} ms  cold/row {:>6.2}x {how}",
+            ns / 1e6,
+            medians.speedup(row)
+        );
     }
     println!("  {:<20} {:>17} {:>17} {:>17}", "self-time per scan", "cold", "warm", "edit");
     let profiles: Vec<_> = spans.iter().map(|t| t.snapshot()).collect();

@@ -8,9 +8,9 @@
 
 use std::sync::Once;
 
-use genio_crypto::gcm::AesGcm;
+use genio_crypto::gcm::{AesGcm, Input};
 use genio_testkit::bench::{BenchmarkId, Criterion, Throughput};
-use genio_bench::print_experiment_once;
+use genio_bench::{gcm_round_trip, print_experiment_once};
 use genio_netsec::macsec::{MacsecConfig, MacsecPeer};
 use genio_netsec::onboarding::{onboard_with_ledger, DeviceClass, Enrollment};
 use genio_pon::security::GemCrypto;
@@ -119,41 +119,38 @@ fn bench(c: &mut Criterion) {
     group.throughput(Throughput::Bytes((FRAME * BURST) as u64));
     group.bench_function("gcm_seal_open_batch32", |b| {
         let gcm = AesGcm::new(&[0x42u8; 16]).unwrap();
-        let nonces: Vec<[u8; 12]> = (0..BURST as u64)
+        let inputs: Vec<Input> = (0..BURST as u64)
             .map(|i| {
-                let mut n = [0u8; 12];
-                n[..8].copy_from_slice(&i.to_be_bytes());
-                n
+                let mut nonce = [0u8; 12];
+                nonce[..8].copy_from_slice(&i.to_be_bytes());
+                Input {
+                    nonce,
+                    aad: b"hdr",
+                    text: &payload,
+                }
             })
             .collect();
-        let aads: Vec<&[u8]> = (0..BURST).map(|_| b"hdr" as &[u8]).collect();
-        b.iter(|| {
-            let sealed = gcm.seal_many(&nonces, &burst, &aads).unwrap();
-            let refs: Vec<&[u8]> = sealed.iter().map(Vec::as_slice).collect();
-            std::hint::black_box(gcm.open_many(&nonces, &refs, &aads).unwrap())
-        })
+        b.iter(|| std::hint::black_box(gcm_round_trip(&gcm, &inputs)))
     });
     // Minimum-size frames: per-frame costs (the tail CTR blocks, the tag
     // block, one GHASH chain per frame) dominate, not the byte kernels.
     let small = vec![0x5au8; SMALL_FRAME];
-    let small_burst: Vec<&[u8]> = (0..SMALL_BURST).map(|_| small.as_slice()).collect();
     group.throughput(Throughput::Bytes((SMALL_FRAME * SMALL_BURST) as u64));
     group.bench_function("gcm_seal_open_batch512x64", |b| {
         let gcm = AesGcm::new(&[0x42u8; 16]).unwrap();
-        let nonces: Vec<[u8; 12]> = (0..SMALL_BURST as u64)
+        let aad = [0x17u8; 17];
+        let inputs: Vec<Input> = (0..SMALL_BURST as u64)
             .map(|i| {
-                let mut n = [0u8; 12];
-                n[4..].copy_from_slice(&i.to_be_bytes());
-                n
+                let mut nonce = [0u8; 12];
+                nonce[4..].copy_from_slice(&i.to_be_bytes());
+                Input {
+                    nonce,
+                    aad: &aad,
+                    text: &small,
+                }
             })
             .collect();
-        let aad = [0x17u8; 17];
-        let aads: Vec<&[u8]> = (0..SMALL_BURST).map(|_| &aad[..]).collect();
-        b.iter(|| {
-            let sealed = gcm.seal_many(&nonces, &small_burst, &aads).unwrap();
-            let refs: Vec<&[u8]> = sealed.iter().map(Vec::as_slice).collect();
-            std::hint::black_box(gcm.open_many(&nonces, &refs, &aads).unwrap())
-        })
+        b.iter(|| std::hint::black_box(gcm_round_trip(&gcm, &inputs)))
     });
     group.throughput(Throughput::Bytes((FRAME * BURST) as u64));
     group.bench_function("macsec_protect_batch32", |b| {

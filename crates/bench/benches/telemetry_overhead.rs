@@ -14,7 +14,8 @@
 
 use std::sync::Once;
 
-use genio_bench::print_experiment_once;
+use genio_bench::{gcm_round_trip, print_experiment_once};
+use genio_crypto::gcm::{AesGcm, Input};
 use genio_pon::engine::{run_with, trace_root, EngineOptions, FleetSimConfig};
 use genio_runtime::events::mixed_trace;
 use genio_runtime::falco::{Engine, RuleSetTier};
@@ -97,32 +98,26 @@ fn bench(c: &mut Criterion) {
     // instrumented batch must stay within the same bound. ---
     const GCM_BURST: usize = 32;
     let payload = vec![0xabu8; 1500];
-    let gcm_burst: Vec<&[u8]> = (0..GCM_BURST).map(|_| payload.as_slice()).collect();
-    let gcm_nonces: Vec<[u8; 12]> = (0..GCM_BURST as u64)
+    let gcm_inputs: Vec<Input> = (0..GCM_BURST as u64)
         .map(|i| {
-            let mut n = [0u8; 12];
-            n[..8].copy_from_slice(&i.to_be_bytes());
-            n
+            let mut nonce = [0u8; 12];
+            nonce[..8].copy_from_slice(&i.to_be_bytes());
+            Input {
+                nonce,
+                aad: b"hdr",
+                text: &payload,
+            }
         })
         .collect();
-    let gcm_aads: Vec<&[u8]> = (0..GCM_BURST).map(|_| b"hdr" as &[u8]).collect();
     let mut group = c.benchmark_group("telemetry_overhead/gcm_batch");
     group.throughput(Throughput::Elements(GCM_BURST as u64));
-    let [gcm_off, gcm_on] = [Telemetry::disabled(), Telemetry::enabled()].map(|telemetry| {
-        genio_crypto::gcm::AesGcm::new(&[0x42u8; 16])
-            .unwrap()
-            .instrument(&telemetry)
-    });
-    let seal_open = |gcm: &genio_crypto::gcm::AesGcm| {
-        let sealed = gcm.seal_many(&gcm_nonces, &gcm_burst, &gcm_aads).unwrap();
-        let refs: Vec<&[u8]> = sealed.iter().map(Vec::as_slice).collect();
-        gcm.open_many(&gcm_nonces, &refs, &gcm_aads).unwrap()
-    };
+    let [gcm_off, gcm_on] = [Telemetry::disabled(), Telemetry::enabled()]
+        .map(|telemetry| AesGcm::new(&[0x42u8; 16]).unwrap().instrument(&telemetry));
     let pairs = group.bench_paired(
         "disabled",
-        || seal_open(&gcm_off),
+        || gcm_round_trip(&gcm_off, &gcm_inputs),
         "enabled",
-        || seal_open(&gcm_on),
+        || gcm_round_trip(&gcm_on, &gcm_inputs),
     );
     ratios.push(("gcm_batch", GCM_BURST as u64, pairs));
     group.finish();

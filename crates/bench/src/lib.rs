@@ -19,6 +19,8 @@
 
 use std::sync::Once;
 
+use genio_crypto::gcm::{AesGcm, Input};
+
 /// Prints a labelled experiment block exactly once per process, so the
 /// table appears a single time in `cargo bench` output regardless of how
 /// many times Criterion invokes the setup.
@@ -29,6 +31,18 @@ pub fn print_experiment_once(once: &'static Once, title: &str, body: &str) {
         println!("================================================================");
         println!("{body}");
     });
+}
+
+/// Seals `inputs` as one burst, then opens the sealed burst: the
+/// round trip the batched data-plane rows time.
+pub fn gcm_round_trip(gcm: &AesGcm, inputs: &[Input<'_>]) -> Vec<genio_crypto::Result<Vec<u8>>> {
+    let sealed = gcm.seal_many(inputs);
+    let opening: Vec<Input> = inputs
+        .iter()
+        .zip(&sealed)
+        .map(|(input, text)| Input { text, ..*input })
+        .collect();
+    gcm.open_many(&opening)
 }
 
 /// Formats a ratio as a percentage with one decimal.

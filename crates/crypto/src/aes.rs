@@ -1,9 +1,11 @@
 //! AES block cipher (FIPS 197) supporting 128-, 192- and 256-bit keys.
 //!
-//! The S-boxes are derived at first use from the GF(2^8) multiplicative
-//! inverse and the FIPS affine transform rather than embedded as opaque
-//! tables, and the implementation is validated against the FIPS 197 appendix
-//! vectors. CTR and GCM modes are layered on top in [`crate::gcm`].
+//! Only the forward cipher is implemented: CTR and GCM ([`crate::gcm`]),
+//! the only modes layered on top, decrypt by encrypting counters, so
+//! there is no inverse S-box and no inverse round. The S-box is derived
+//! at first use from the GF(2^8) multiplicative inverse and the FIPS
+//! affine transform rather than embedded as an opaque table, and the
+//! implementation is validated against the FIPS 197 appendix vectors.
 //!
 //! The fast path is one T-table kernel, `encrypt_lanes`, that runs 1, 2, 4
 //! or 8 independent blocks round by round together. Every fast encryption
@@ -75,18 +77,6 @@ fn sbox() -> &'static [u8; 256] {
     })
 }
 
-fn inv_sbox() -> &'static [u8; 256] {
-    static INV: OnceLock<[u8; 256]> = OnceLock::new();
-    INV.get_or_init(|| {
-        let s = sbox();
-        let mut inv = [0u8; 256];
-        for (i, &v) in s.iter().enumerate() {
-            inv[v as usize] = i as u8;
-        }
-        inv
-    })
-}
-
 /// Encryption T-tables: SubBytes, ShiftRows and MixColumns fused into four
 /// 256-entry u32 tables (the classic software-AES optimization). `TE0[x]`
 /// holds the column contribution `(2s, s, s, 3s)` of a row-0 byte, and the
@@ -144,7 +134,8 @@ impl KeySize {
     }
 }
 
-/// An AES key schedule ready for block encryption and decryption.
+/// An AES key schedule ready for block encryption. Only the forward
+/// cipher exists: CTR and GCM decrypt by encrypting counters.
 ///
 /// # Example
 ///
@@ -154,7 +145,7 @@ impl KeySize {
 /// # fn main() -> Result<(), genio_crypto::CryptoError> {
 /// let aes = Aes::new(&[0u8; 16])?;
 /// let ct = aes.encrypt_block([0u8; 16]);
-/// assert_eq!(aes.decrypt_block(ct), [0u8; 16]);
+/// assert_eq!(genio_crypto::hex::encode(&ct), "66e94bd4ef8a2c3b884cfa59ca342b2e");
 /// # Ok(())
 /// # }
 /// ```
@@ -268,23 +259,6 @@ impl Aes {
         sub_bytes(&mut block, s);
         shift_rows(&mut block);
         xor_block(&mut block, &self.round_keys[nr]);
-        block
-    }
-
-    /// Decrypts one 16-byte block.
-    pub fn decrypt_block(&self, mut block: Block) -> Block {
-        let inv = inv_sbox();
-        let nr = self.size.rounds();
-        xor_block(&mut block, &self.round_keys[nr]);
-        for round in (1..nr).rev() {
-            inv_shift_rows(&mut block);
-            sub_bytes(&mut block, inv);
-            xor_block(&mut block, &self.round_keys[round]);
-            inv_mix_columns(&mut block);
-        }
-        inv_shift_rows(&mut block);
-        sub_bytes(&mut block, inv);
-        xor_block(&mut block, &self.round_keys[0]);
         block
     }
 
@@ -566,17 +540,6 @@ fn shift_rows(block: &mut Block) {
     }
 }
 
-fn inv_shift_rows(block: &mut Block) {
-    for r in 1..4 {
-        let mut row = [block[r], block[r + 4], block[r + 8], block[r + 12]];
-        row.rotate_right(r);
-        block[r] = row[0];
-        block[r + 4] = row[1];
-        block[r + 8] = row[2];
-        block[r + 12] = row[3];
-    }
-}
-
 fn mix_columns(block: &mut Block) {
     for c in 0..4 {
         let col = [
@@ -589,25 +552,6 @@ fn mix_columns(block: &mut Block) {
         block[4 * c + 1] = col[0] ^ gf_mul(col[1], 2) ^ gf_mul(col[2], 3) ^ col[3];
         block[4 * c + 2] = col[0] ^ col[1] ^ gf_mul(col[2], 2) ^ gf_mul(col[3], 3);
         block[4 * c + 3] = gf_mul(col[0], 3) ^ col[1] ^ col[2] ^ gf_mul(col[3], 2);
-    }
-}
-
-fn inv_mix_columns(block: &mut Block) {
-    for c in 0..4 {
-        let col = [
-            block[4 * c],
-            block[4 * c + 1],
-            block[4 * c + 2],
-            block[4 * c + 3],
-        ];
-        block[4 * c] =
-            gf_mul(col[0], 14) ^ gf_mul(col[1], 11) ^ gf_mul(col[2], 13) ^ gf_mul(col[3], 9);
-        block[4 * c + 1] =
-            gf_mul(col[0], 9) ^ gf_mul(col[1], 14) ^ gf_mul(col[2], 11) ^ gf_mul(col[3], 13);
-        block[4 * c + 2] =
-            gf_mul(col[0], 13) ^ gf_mul(col[1], 9) ^ gf_mul(col[2], 14) ^ gf_mul(col[3], 11);
-        block[4 * c + 3] =
-            gf_mul(col[0], 11) ^ gf_mul(col[1], 13) ^ gf_mul(col[2], 9) ^ gf_mul(col[3], 14);
     }
 }
 
@@ -629,7 +573,6 @@ mod tests {
         let aes = Aes::new(&key).unwrap();
         let ct = aes.encrypt_block(pt);
         assert_eq!(hex::encode(&ct), ct_hex);
-        assert_eq!(aes.decrypt_block(ct), pt);
     }
 
     // FIPS 197 Appendix C.1.
@@ -759,9 +702,5 @@ mod tests {
         assert_eq!(s[0x01], 0x7c);
         assert_eq!(s[0x53], 0xed);
         assert_eq!(s[0xff], 0x16);
-        let inv = inv_sbox();
-        for i in 0..256 {
-            assert_eq!(inv[s[i] as usize] as usize, i);
-        }
     }
 }

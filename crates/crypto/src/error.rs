@@ -39,17 +39,6 @@ pub enum CryptoError {
     InvalidPublicValue,
     /// An encoded structure could not be parsed.
     Malformed(&'static str),
-    /// A batched AEAD call was given parallel input slices of differing
-    /// lengths (every frame needs exactly one nonce, one payload and one
-    /// AAD).
-    BatchLengthMismatch {
-        /// Number of nonces supplied.
-        nonces: usize,
-        /// Number of plaintexts/ciphertexts supplied.
-        texts: usize,
-        /// Number of associated-data slices supplied.
-        aads: usize,
-    },
 }
 
 /// Reason a certificate was rejected; carried by
@@ -96,10 +85,6 @@ impl fmt::Display for CryptoError {
             CryptoError::CertificateInvalid(e) => write!(f, "certificate invalid: {e}"),
             CryptoError::InvalidPublicValue => write!(f, "invalid public value"),
             CryptoError::Malformed(what) => write!(f, "malformed {what}"),
-            CryptoError::BatchLengthMismatch { nonces, texts, aads } => write!(
-                f,
-                "batch length mismatch: {nonces} nonces, {texts} texts, {aads} aads"
-            ),
         }
     }
 }

@@ -9,8 +9,10 @@
 //!
 //! * the **fast path**: one burst kernel behind every plain entry point.
 //!   [`AesGcm::seal_many`]/[`AesGcm::open_many`] run it over a whole TDMA
-//!   burst of same-key frames, [`AesGcm::seal`]/[`AesGcm::open`] over a
-//!   burst of one. It makes two passes over the burst:
+//!   burst of same-key frames, given as one slice of [`Input`]s (nonce,
+//!   AAD and text per frame, so a burst cannot be malformed), and
+//!   [`AesGcm::seal`]/[`AesGcm::open`] over a burst of one. It makes two
+//!   passes over the burst:
 //!   - the **AES pass** runs each frame's full 8-block CTR runs on the
 //!     contiguous keystream path, and sends the frame's remaining CTR
 //!     blocks and its tag-mask block `E(J0)` to one lane pool shared by
@@ -42,18 +44,25 @@
 use crate::aes::{increment_counter, xor_block_into, Aes, Block, BLOCK_LEN, KS_LANES};
 use crate::ghash::{ghash_reference, GhashKey, LOCKSTEP};
 use crate::{ct, CryptoError};
-use genio_telemetry::{Counter, Histogram, Telemetry, TraceContext};
+use genio_telemetry::{Counter, Histogram, Telemetry};
 
 /// Required nonce length in bytes (the 96-bit fast path of SP 800-38D).
 pub const NONCE_LEN: usize = 12;
 
-/// Trace-slot namespace for batch spans — disjoint from the PON
-/// engine's shard/batch slots so a traced campaign's crypto bursts can
-/// never collide with its shard spans.
-const TRACE_SLOT_GCM: u64 = 0x0047_434d_0000_0000; // "GCM"
-
 /// Authentication tag length in bytes.
 pub const TAG_LEN: usize = 16;
+
+/// One frame of a burst for [`AesGcm::seal_many`]/[`AesGcm::open_many`]
+/// and their `_reference` twins.
+#[derive(Clone, Copy)]
+pub struct Input<'a> {
+    /// The frame's nonce. Never reuse one under the same key.
+    pub nonce: [u8; NONCE_LEN],
+    /// Associated data the tag binds to the frame.
+    pub aad: &'a [u8],
+    /// The plaintext to seal, or the `ciphertext || tag` to open.
+    pub text: &'a [u8],
+}
 
 /// An AES-GCM AEAD cipher bound to one key.
 ///
@@ -86,11 +95,6 @@ pub struct AesGcm {
     opened_bytes: Counter,
     sealed_frames: Counter,
     opened_frames: Counter,
-    /// Parent context for batch spans (untraced unless [`AesGcm::with_trace`]).
-    trace: TraceContext,
-    /// Per-cipher batch sequence: each seal_many/open_many burst gets its
-    /// own child span slot, shared across clones of this cipher.
-    batch_seq: std::sync::Arc<std::sync::atomic::AtomicU64>,
 }
 
 // The GHASH key `h_raw` is derived from the key; `aes` prints only its
@@ -124,8 +128,6 @@ impl AesGcm {
             opened_bytes: Counter::disabled(),
             sealed_frames: Counter::disabled(),
             opened_frames: Counter::disabled(),
-            trace: TraceContext::default(),
-            batch_seq: std::sync::Arc::new(std::sync::atomic::AtomicU64::new(0)),
         })
     }
 
@@ -144,24 +146,6 @@ impl AesGcm {
         self.sealed_frames = telemetry.counter("crypto.gcm.sealed_frames");
         self.opened_frames = telemetry.counter("crypto.gcm.opened_frames");
         self
-    }
-
-    /// Attaches a causal parent context: every subsequent
-    /// `seal_many`/`open_many` span becomes a child of `ctx` (one child
-    /// slot per burst), linking crypto batches into the campaign's span
-    /// tree. Without this the batch spans record untraced, as before.
-    pub fn with_trace(mut self, ctx: TraceContext) -> Self {
-        self.trace = ctx;
-        self
-    }
-
-    /// Child context for the next batch span (untraced stays untraced).
-    fn batch_ctx(&self) -> TraceContext {
-        if !self.trace.is_traced() {
-            return TraceContext::default();
-        }
-        let seq = self.batch_seq.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-        self.trace.child(TRACE_SLOT_GCM | seq)
     }
 
     fn j0(nonce: &[u8; NONCE_LEN]) -> Block {
@@ -257,125 +241,65 @@ impl AesGcm {
         Ok(pt)
     }
 
-    /// Seals a whole burst of frames in one call: frame `i` is sealed with
-    /// `nonces[i]`, `plaintexts[i]`, `aads[i]`, and the outputs are
-    /// byte-identical to looping `seal`. The burst runs as one kernel:
-    /// every frame's tail CTR blocks and tag-mask block share 8-lane AES
-    /// passes, and equal-shape frames hash in lockstep (module docs), while
-    /// telemetry is paid once per burst instead of once per frame.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CryptoError::BatchLengthMismatch`] when the three slices
-    /// disagree in length; nothing is sealed in that case.
-    pub fn seal_many(
-        &self,
-        nonces: &[[u8; NONCE_LEN]],
-        plaintexts: &[&[u8]],
-        aads: &[&[u8]],
-    ) -> crate::Result<Vec<Vec<u8>>> {
-        Self::check_batch(nonces.len(), plaintexts.len(), aads.len())?;
-        let _span = self.telemetry.span_at("crypto.gcm.seal_many", self.batch_ctx());
-        self.sealed_frames.incr(nonces.len() as u64);
+    /// Seals a whole burst of frames in one call, one output per input
+    /// in order, each byte-identical to [`AesGcm::seal`] on that frame.
+    /// The burst runs as one kernel: every frame's tail CTR blocks and
+    /// tag-mask block share 8-lane AES passes, and equal-shape frames hash
+    /// in lockstep (module docs), while telemetry is paid once per burst
+    /// instead of once per frame.
+    pub fn seal_many(&self, inputs: &[Input<'_>]) -> Vec<Vec<u8>> {
+        let _span = self.telemetry.span("crypto.gcm.seal_many");
+        self.sealed_frames.incr(inputs.len() as u64);
         self.sealed_bytes
-            .incr(plaintexts.iter().map(|p| p.len() as u64).sum());
-        let mut frames: Vec<Frame> = nonces
+            .incr(inputs.iter().map(|f| f.text.len() as u64).sum());
+        let mut frames: Vec<Frame> = inputs
             .iter()
-            .zip(plaintexts)
-            .zip(aads)
-            .map(|((nonce, pt), aad)| Frame::new(nonce, aad, pt))
+            .map(|f| Frame::new(&f.nonce, f.aad, f.text))
             .collect();
         self.seal_frames(&mut frames);
-        Ok(frames.into_iter().map(|frame| frame.buf).collect())
+        frames.into_iter().map(|frame| frame.buf).collect()
     }
 
     /// Reference twin of [`AesGcm::seal_many`]: loops [`AesGcm::seal_reference`].
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`AesGcm::seal_many`].
-    pub fn seal_many_reference(
-        &self,
-        nonces: &[[u8; NONCE_LEN]],
-        plaintexts: &[&[u8]],
-        aads: &[&[u8]],
-    ) -> crate::Result<Vec<Vec<u8>>> {
-        Self::check_batch(nonces.len(), plaintexts.len(), aads.len())?;
-        let mut out = Vec::with_capacity(nonces.len());
-        for ((nonce, pt), aad) in nonces.iter().zip(plaintexts).zip(aads) {
-            out.push(self.seal_reference(nonce, pt, aad));
-        }
-        Ok(out)
+    pub fn seal_many_reference(&self, inputs: &[Input<'_>]) -> Vec<Vec<u8>> {
+        inputs
+            .iter()
+            .map(|f| self.seal_reference(&f.nonce, f.text, f.aad))
+            .collect()
     }
 
     /// Opens a whole burst of frames in one call, with the kernel of
-    /// [`AesGcm::seal_many`]. The outer `Result` only reports batch-shape
-    /// errors; each frame gets its own inner `Result` with exactly the
-    /// per-frame errors `open` would return, so one forged frame never
-    /// masks its neighbours.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CryptoError::BatchLengthMismatch`] when the three slices
-    /// disagree in length.
-    pub fn open_many(
-        &self,
-        nonces: &[[u8; NONCE_LEN]],
-        sealed: &[&[u8]],
-        aads: &[&[u8]],
-    ) -> crate::Result<Vec<crate::Result<Vec<u8>>>> {
-        Self::check_batch(nonces.len(), sealed.len(), aads.len())?;
-        let _span = self.telemetry.span_at("crypto.gcm.open_many", self.batch_ctx());
-        self.opened_frames.incr(nonces.len() as u64);
-        let mut frames: Vec<Frame> = nonces
+    /// [`AesGcm::seal_many`]. Each frame gets its own `Result`, with
+    /// exactly the error [`AesGcm::open`] would return for it, so one
+    /// forged frame never masks its neighbours.
+    pub fn open_many(&self, inputs: &[Input<'_>]) -> Vec<crate::Result<Vec<u8>>> {
+        let _span = self.telemetry.span("crypto.gcm.open_many");
+        self.opened_frames.incr(inputs.len() as u64);
+        let mut frames: Vec<Frame> = inputs
             .iter()
-            .zip(sealed)
-            .zip(aads)
-            .map(|((nonce, ct), aad)| Frame::opening(nonce, aad, ct))
+            .map(|f| Frame::opening(&f.nonce, f.aad, f.text))
             .collect();
         self.open_frames(&mut frames);
         let mut opened = 0u64;
         let out = frames
             .into_iter()
-            .zip(sealed)
-            .map(|(frame, ct)| {
-                let pt = frame.verify(ct)?;
+            .zip(inputs)
+            .map(|(frame, f)| {
+                let pt = frame.verify(f.text)?;
                 opened += pt.len() as u64;
                 Ok(pt)
             })
             .collect();
         self.opened_bytes.incr(opened);
-        Ok(out)
+        out
     }
 
     /// Reference twin of [`AesGcm::open_many`]: loops [`AesGcm::open_reference`].
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`AesGcm::open_many`].
-    pub fn open_many_reference(
-        &self,
-        nonces: &[[u8; NONCE_LEN]],
-        sealed: &[&[u8]],
-        aads: &[&[u8]],
-    ) -> crate::Result<Vec<crate::Result<Vec<u8>>>> {
-        Self::check_batch(nonces.len(), sealed.len(), aads.len())?;
-        let mut out = Vec::with_capacity(nonces.len());
-        for ((nonce, ct), aad) in nonces.iter().zip(sealed).zip(aads) {
-            out.push(self.open_reference(nonce, ct, aad));
-        }
-        Ok(out)
-    }
-
-    fn check_batch(nonces: usize, texts: usize, aads: usize) -> crate::Result<()> {
-        if nonces != texts || nonces != aads {
-            return Err(CryptoError::BatchLengthMismatch {
-                nonces,
-                texts,
-                aads,
-            });
-        }
-        Ok(())
+    pub fn open_many_reference(&self, inputs: &[Input<'_>]) -> Vec<crate::Result<Vec<u8>>> {
+        inputs
+            .iter()
+            .map(|f| self.open_reference(&f.nonce, f.text, f.aad))
+            .collect()
     }
 
     /// Seal kernel: CTR turns each text into ciphertext and leaves `E(J0)`
@@ -704,18 +628,29 @@ mod tests {
         (nonces, pts, aads)
     }
 
+    /// Seal inputs for `nonces`, `texts` and `aads`, frame by frame.
+    fn inputs<'a>(
+        nonces: &[[u8; NONCE_LEN]],
+        texts: &'a [Vec<u8>],
+        aads: &'a [Vec<u8>],
+    ) -> Vec<Input<'a>> {
+        nonces
+            .iter()
+            .zip(texts)
+            .zip(aads)
+            .map(|((&nonce, text), aad)| Input { nonce, aad, text })
+            .collect()
+    }
+
     #[test]
     fn seal_many_matches_looped_seal_and_roundtrips() {
         let gcm = AesGcm::new(&[9u8; 24]).unwrap();
         let (nonces, pts, aads) = burst(17);
-        let pt_refs: Vec<&[u8]> = pts.iter().map(Vec::as_slice).collect();
-        let aad_refs: Vec<&[u8]> = aads.iter().map(Vec::as_slice).collect();
-        let sealed = gcm.seal_many(&nonces, &pt_refs, &aad_refs).unwrap();
+        let sealed = gcm.seal_many(&inputs(&nonces, &pts, &aads));
         for (i, frame) in sealed.iter().enumerate() {
             assert_eq!(*frame, gcm.seal(&nonces[i], &pts[i], &aads[i]), "frame {i}");
         }
-        let sealed_refs: Vec<&[u8]> = sealed.iter().map(Vec::as_slice).collect();
-        let opened = gcm.open_many(&nonces, &sealed_refs, &aad_refs).unwrap();
+        let opened = gcm.open_many(&inputs(&nonces, &sealed, &aads));
         for (i, frame) in opened.into_iter().enumerate() {
             assert_eq!(frame.unwrap(), pts[i], "frame {i}");
         }
@@ -725,12 +660,9 @@ mod tests {
     fn open_many_reports_per_frame_tampering() {
         let gcm = AesGcm::new(&[9u8; 16]).unwrap();
         let (nonces, pts, aads) = burst(5);
-        let pt_refs: Vec<&[u8]> = pts.iter().map(Vec::as_slice).collect();
-        let aad_refs: Vec<&[u8]> = aads.iter().map(Vec::as_slice).collect();
-        let mut sealed = gcm.seal_many(&nonces, &pt_refs, &aad_refs).unwrap();
+        let mut sealed = gcm.seal_many(&inputs(&nonces, &pts, &aads));
         sealed[2][0] ^= 1;
-        let sealed_refs: Vec<&[u8]> = sealed.iter().map(Vec::as_slice).collect();
-        let opened = gcm.open_many(&nonces, &sealed_refs, &aad_refs).unwrap();
+        let opened = gcm.open_many(&inputs(&nonces, &sealed, &aads));
         for (i, frame) in opened.into_iter().enumerate() {
             if i == 2 {
                 assert_eq!(frame, Err(CryptoError::AuthenticationFailed));
@@ -738,25 +670,5 @@ mod tests {
                 assert_eq!(frame.unwrap(), pts[i], "frame {i}");
             }
         }
-    }
-
-    #[test]
-    fn batch_shape_mismatch_rejected_up_front() {
-        let gcm = AesGcm::new(&[9u8; 16]).unwrap();
-        let nonces = [[0u8; NONCE_LEN]; 2];
-        let texts: [&[u8]; 1] = [b"x"];
-        let aads: [&[u8]; 2] = [b"", b""];
-        assert!(matches!(
-            gcm.seal_many(&nonces, &texts, &aads),
-            Err(CryptoError::BatchLengthMismatch {
-                nonces: 2,
-                texts: 1,
-                aads: 2
-            })
-        ));
-        assert!(matches!(
-            gcm.open_many(&nonces, &texts, &aads),
-            Err(CryptoError::BatchLengthMismatch { .. })
-        ));
     }
 }

@@ -17,8 +17,9 @@
 //!   FIPS 197 appendix vectors.
 //! * [`gcm`] — AES-GCM authenticated encryption (NIST SP 800-38D), validated
 //!   against the McGrew–Viega test cases and a committed NIST/RFC vector
-//!   corpus. Table-driven fast path with batched `seal_many`/`open_many`,
-//!   plus `_reference` oracle twins that tests call directly.
+//!   corpus. Table-driven fast path with batched `seal_many`/`open_many`
+//!   over one slice of per-frame inputs, plus `_reference` oracle twins
+//!   that tests call directly.
 //! * [`ghash`] — GHASH over GF(2^128): bitwise reference multiply and the
 //!   per-key 8-bit windowed tables the fast path uses.
 //! * [`dh`] — Diffie–Hellman over the Mersenne prime 2^127 − 1.

@@ -13,7 +13,7 @@
 
 use genio_testkit::prelude::*;
 
-use genio_crypto::gcm::AesGcm;
+use genio_crypto::gcm::{AesGcm, Input};
 use genio_crypto::ghash::{ghash_reference, GhashKey};
 
 const KEY_LENS: [usize; 3] = [16, 24, 32];
@@ -72,14 +72,17 @@ property! {
             n[11] = i as u8; // distinct per frame
             n
         }).collect();
-        let pt_refs: Vec<&[u8]> = pts.iter().map(Vec::as_slice).collect();
-        let aads: Vec<&[u8]> = pts.iter().map(|_| &aad[..]).collect();
-        let batch = gcm.seal_many(&nonces, &pt_refs, &aads).unwrap();
+        let inputs: Vec<Input> = nonces.iter().zip(&pts)
+            .map(|(&nonce, pt)| Input { nonce, aad: &aad, text: pt })
+            .collect();
+        let batch = gcm.seal_many(&inputs);
         for (i, sealed) in batch.iter().enumerate() {
-            prop_assert_eq!(sealed, &gcm.seal(&nonces[i], &pt_refs[i], &aad));
+            prop_assert_eq!(sealed, &gcm.seal(&nonces[i], &pts[i], &aad));
         }
-        let sealed_refs: Vec<&[u8]> = batch.iter().map(Vec::as_slice).collect();
-        let opened = gcm.open_many(&nonces, &sealed_refs, &aads).unwrap();
+        let sealed_inputs: Vec<Input> = inputs.iter().zip(&batch)
+            .map(|(input, sealed)| Input { text: sealed, ..*input })
+            .collect();
+        let opened = gcm.open_many(&sealed_inputs);
         for (got, want) in opened.into_iter().zip(pts.iter()) {
             prop_assert_eq!(&got.unwrap(), want);
         }
@@ -102,18 +105,21 @@ property! {
             n[11] = i as u8;
             n
         }).collect();
-        let pt_refs: Vec<&[u8]> = pts.iter().map(Vec::as_slice).collect();
-        let aads: Vec<&[u8]> = pts.iter().map(|_| b"hdr" as &[u8]).collect();
-        let mut sealed = gcm.seal_many(&nonces, &pt_refs, &aads).unwrap();
+        let inputs: Vec<Input> = nonces.iter().zip(&pts)
+            .map(|(&nonce, pt)| Input { nonce, aad: b"hdr", text: pt })
+            .collect();
+        let mut sealed = gcm.seal_many(&inputs);
         let victim = frame_sel.index(sealed.len());
         let idx = pos.index(sealed[victim].len());
         sealed[victim][idx] ^= 1 << bit;
 
-        let sealed_refs: Vec<&[u8]> = sealed.iter().map(Vec::as_slice).collect();
-        let batch = gcm.open_many(&nonces, &sealed_refs, &aads).unwrap();
-        let batch_ref = gcm.open_many_reference(&nonces, &sealed_refs, &aads).unwrap();
+        let sealed_inputs: Vec<Input> = inputs.iter().zip(&sealed)
+            .map(|(input, sealed)| Input { text: sealed, ..*input })
+            .collect();
+        let batch = gcm.open_many(&sealed_inputs);
+        let batch_ref = gcm.open_many_reference(&sealed_inputs);
         for (i, (fast, slow)) in batch.iter().zip(batch_ref.iter()).enumerate() {
-            let sequential = gcm.open(&nonces[i], &sealed_refs[i], b"hdr");
+            let sequential = gcm.open(&nonces[i], &sealed[i], b"hdr");
             prop_assert_eq!(fast.is_ok(), sequential.is_ok());
             prop_assert_eq!(slow.is_ok(), sequential.is_ok());
             if i == victim {
@@ -195,10 +201,11 @@ property! {
             .enumerate()
             .map(|(i, &(_, len))| (0..len).map(|j| (i * 13 + j) as u8 ^ key[2]).collect())
             .collect();
-        let pt_refs: Vec<&[u8]> = pts.iter().map(Vec::as_slice).collect();
-        let aad_refs: Vec<&[u8]> = aads.iter().map(Vec::as_slice).collect();
+        let inputs: Vec<Input> = nonces.iter().zip(&pts).zip(&aads)
+            .map(|((&nonce, pt), aad)| Input { nonce, aad, text: pt })
+            .collect();
 
-        let mut sealed = gcm.seal_many(&nonces, &pt_refs, &aad_refs).unwrap();
+        let mut sealed = gcm.seal_many(&inputs);
         prop_assert_eq!(sealed.len(), shapes.len());
         for (i, frame) in sealed.iter().enumerate() {
             prop_assert_eq!(frame, &gcm.seal_reference(&nonces[i], &pts[i], &aads[i]));
@@ -217,8 +224,10 @@ property! {
                 sealed[frame_sel.index(shapes.len())].truncate(len);
             }
         }
-        let sealed_refs: Vec<&[u8]> = sealed.iter().map(Vec::as_slice).collect();
-        let opened = gcm.open_many(&nonces, &sealed_refs, &aad_refs).unwrap();
+        let sealed_inputs: Vec<Input> = inputs.iter().zip(&sealed)
+            .map(|(input, sealed)| Input { text: sealed, ..*input })
+            .collect();
+        let opened = gcm.open_many(&sealed_inputs);
         prop_assert_eq!(opened.len(), shapes.len());
         for (i, got) in opened.iter().enumerate() {
             let want = gcm.open_reference(&nonces[i], &sealed[i], &aads[i]);

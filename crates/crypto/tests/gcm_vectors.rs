@@ -5,7 +5,7 @@
 //! exact ciphertext and tag, open back to the plaintext, and reject
 //! tampering.
 
-use genio_crypto::gcm::{AesGcm, TAG_LEN};
+use genio_crypto::gcm::{AesGcm, Input, TAG_LEN};
 use genio_crypto::hex;
 
 const CORPUS: &str = include_str!("../vectors/gcm_kat.txt");
@@ -123,11 +123,16 @@ fn batched_path_reproduces_every_vector() {
     }
     for (key, group) in by_key {
         let gcm = AesGcm::new(&key).expect("valid key");
-        let nonces: Vec<[u8; 12]> = group.iter().map(nonce).collect();
-        let pts: Vec<&[u8]> = group.iter().map(|v| v.pt.as_slice()).collect();
-        let aads: Vec<&[u8]> = group.iter().map(|v| v.aad.as_slice()).collect();
-        let sealed = gcm.seal_many(&nonces, &pts, &aads).unwrap();
-        let reference_sealed = gcm.seal_many_reference(&nonces, &pts, &aads).unwrap();
+        let inputs: Vec<Input> = group
+            .iter()
+            .map(|v| Input {
+                nonce: nonce(v),
+                aad: &v.aad,
+                text: &v.pt,
+            })
+            .collect();
+        let sealed = gcm.seal_many(&inputs);
+        let reference_sealed = gcm.seal_many_reference(&inputs);
         for (path, batch) in [
             ("seal_many", &sealed),
             ("seal_many_reference", &reference_sealed),
@@ -138,11 +143,13 @@ fn batched_path_reproduces_every_vector() {
                 assert_eq!(tag, v.tag, "{}: {path} tag", v.name);
             }
         }
-        let sealed_refs: Vec<&[u8]> = sealed.iter().map(Vec::as_slice).collect();
-        let opened = gcm.open_many(&nonces, &sealed_refs, &aads).unwrap();
-        let reference_opened = gcm
-            .open_many_reference(&nonces, &sealed_refs, &aads)
-            .unwrap();
+        let sealed_inputs: Vec<Input> = inputs
+            .iter()
+            .zip(&sealed)
+            .map(|(input, s)| Input { text: s, ..*input })
+            .collect();
+        let opened = gcm.open_many(&sealed_inputs);
+        let reference_opened = gcm.open_many_reference(&sealed_inputs);
         for (path, batch) in [
             ("open_many", opened),
             ("open_many_reference", reference_opened),

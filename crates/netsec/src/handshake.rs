@@ -15,10 +15,15 @@
 //! transcript hash, so a man-in-the-middle who substitutes DH shares cannot
 //! produce a valid `CertificateVerify` without the certified private key —
 //! exactly the property M4 relies on.
+//!
+//! Application records are protected by [`SessionKeys`], whose single
+//! record calls (`seal_client`, `open_server`, …) are bursts of one
+//! through the same batched AEAD path as `seal_client_many` and friends,
+//! so sequence numbering exists once per direction.
 
 use genio_crypto::dh::KeyPair;
 use genio_crypto::drbg::HmacDrbg;
-use genio_crypto::gcm::AesGcm;
+use genio_crypto::gcm::{AesGcm, Input};
 use genio_crypto::hkdf;
 use genio_crypto::hmac::HmacSha256;
 use genio_crypto::pki::{validate_chain, Certificate, KeyUsage, RevocationList};
@@ -100,28 +105,31 @@ pub struct SessionKeys {
 }
 
 impl SessionKeys {
-    /// Seals a record in the client→server direction.
+    /// Seals a record in the client→server direction: a burst of one
+    /// through the path of [`SessionKeys::seal_client_many`].
     ///
     /// # Errors
     ///
     /// Currently infallible in practice; returns `Err` only on internal
     /// sequence exhaustion.
     pub fn seal_client(&mut self, plaintext: &[u8]) -> crate::Result<Record> {
-        let seq = self.client_seq;
-        self.client_seq += 1;
-        let body = self.client_aead.seal(&nonce_from_seq(seq), plaintext, b"c");
-        Ok(Record { seq, body })
+        // The burst returns one record per plaintext, so `pop` finds one.
+        Self::seal_many_with(&self.client_aead, &mut self.client_seq, &[plaintext], b"c")
+            .pop()
+            .ok_or(NetsecError::PnExhausted)
     }
 
-    /// Opens a client→server record.
+    /// Opens a client→server record: a burst of one through the path of
+    /// [`SessionKeys::open_client_many`].
     ///
     /// # Errors
     ///
     /// [`NetsecError::IntegrityFailure`] on tag mismatch.
     pub fn open_client(&mut self, record: &Record) -> crate::Result<Vec<u8>> {
-        self.client_aead
-            .open(&nonce_from_seq(record.seq), &record.body, b"c")
-            .map_err(|_| NetsecError::IntegrityFailure)
+        // One result per record; none would be a rejection.
+        Self::open_many_with(&self.client_aead, std::slice::from_ref(record), b"c")
+            .pop()
+            .unwrap_or(Err(NetsecError::IntegrityFailure))
     }
 
     /// Seals a record in the server→client direction.
@@ -130,10 +138,9 @@ impl SessionKeys {
     ///
     /// See [`SessionKeys::seal_client`].
     pub fn seal_server(&mut self, plaintext: &[u8]) -> crate::Result<Record> {
-        let seq = self.server_seq;
-        self.server_seq += 1;
-        let body = self.server_aead.seal(&nonce_from_seq(seq), plaintext, b"s");
-        Ok(Record { seq, body })
+        Self::seal_many_with(&self.server_aead, &mut self.server_seq, &[plaintext], b"s")
+            .pop()
+            .ok_or(NetsecError::PnExhausted)
     }
 
     /// Opens a server→client record.
@@ -142,9 +149,9 @@ impl SessionKeys {
     ///
     /// [`NetsecError::IntegrityFailure`] on tag mismatch.
     pub fn open_server(&mut self, record: &Record) -> crate::Result<Vec<u8>> {
-        self.server_aead
-            .open(&nonce_from_seq(record.seq), &record.body, b"s")
-            .map_err(|_| NetsecError::IntegrityFailure)
+        Self::open_many_with(&self.server_aead, std::slice::from_ref(record), b"s")
+            .pop()
+            .unwrap_or(Err(NetsecError::IntegrityFailure))
     }
 
     /// Seals a burst of client→server records with one batched AEAD call.
@@ -153,10 +160,14 @@ impl SessionKeys {
     ///
     /// # Errors
     ///
-    /// See [`SessionKeys::seal_client`]; on error the sequence number does
-    /// not advance.
+    /// See [`SessionKeys::seal_client`].
     pub fn seal_client_many(&mut self, plaintexts: &[&[u8]]) -> crate::Result<Vec<Record>> {
-        Self::seal_many_with(&self.client_aead, &mut self.client_seq, plaintexts, b"c")
+        Ok(Self::seal_many_with(
+            &self.client_aead,
+            &mut self.client_seq,
+            plaintexts,
+            b"c",
+        ))
     }
 
     /// Opens a burst of client→server records, one result per record.
@@ -170,7 +181,12 @@ impl SessionKeys {
     ///
     /// See [`SessionKeys::seal_client_many`].
     pub fn seal_server_many(&mut self, plaintexts: &[&[u8]]) -> crate::Result<Vec<Record>> {
-        Self::seal_many_with(&self.server_aead, &mut self.server_seq, plaintexts, b"s")
+        Ok(Self::seal_many_with(
+            &self.server_aead,
+            &mut self.server_seq,
+            plaintexts,
+            b"s",
+        ))
     }
 
     /// Opens a burst of server→client records, one result per record.
@@ -183,22 +199,23 @@ impl SessionKeys {
         seq: &mut u64,
         plaintexts: &[&[u8]],
         aad: &'static [u8],
-    ) -> crate::Result<Vec<Record>> {
+    ) -> Vec<Record> {
         let seq0 = *seq;
-        let nonces: Vec<[u8; 12]> = (0..plaintexts.len() as u64)
-            .map(|i| nonce_from_seq(seq0 + i))
-            .collect();
-        let aads: Vec<&[u8]> = plaintexts.iter().map(|_| aad).collect();
-        let bodies = aead.seal_many(&nonces, plaintexts, &aads)?;
         *seq += plaintexts.len() as u64;
-        Ok(bodies
-            .into_iter()
-            .enumerate()
-            .map(|(i, body)| Record {
-                seq: seq0 + i as u64,
-                body,
+        let inputs: Vec<Input> = plaintexts
+            .iter()
+            .zip(seq0..)
+            .map(|(&text, seq)| Input {
+                nonce: nonce_from_seq(seq),
+                aad,
+                text,
             })
-            .collect())
+            .collect();
+        aead.seal_many(&inputs)
+            .into_iter()
+            .zip(seq0..)
+            .map(|(body, seq)| Record { seq, body })
+            .collect()
     }
 
     fn open_many_with(
@@ -206,24 +223,18 @@ impl SessionKeys {
         records: &[Record],
         aad: &'static [u8],
     ) -> Vec<crate::Result<Vec<u8>>> {
-        let nonces: Vec<[u8; 12]> = records.iter().map(|r| nonce_from_seq(r.seq)).collect();
-        let bodies: Vec<&[u8]> = records.iter().map(|r| r.body.as_slice()).collect();
-        let aads: Vec<&[u8]> = records.iter().map(|_| aad).collect();
-        match aead.open_many(&nonces, &bodies, &aads) {
-            Ok(results) => results
-                .into_iter()
-                .map(|r| r.map_err(|_| NetsecError::IntegrityFailure))
-                .collect(),
-            // Unreachable (equal-length slices by construction); fall back
-            // to per-record opens rather than assume.
-            Err(_) => records
-                .iter()
-                .map(|r| {
-                    aead.open(&nonce_from_seq(r.seq), &r.body, aad)
-                        .map_err(|_| NetsecError::IntegrityFailure)
-                })
-                .collect(),
-        }
+        let inputs: Vec<Input> = records
+            .iter()
+            .map(|r| Input {
+                nonce: nonce_from_seq(r.seq),
+                aad,
+                text: &r.body,
+            })
+            .collect();
+        aead.open_many(&inputs)
+            .into_iter()
+            .map(|r| r.map_err(|_| NetsecError::IntegrityFailure))
+            .collect()
     }
 }
 

@@ -16,11 +16,18 @@
 //! Key distribution (MKA in real deployments) is simulated by deriving SAKs
 //! from a pre-shared Connectivity Association Key (CAK) with HKDF, the same
 //! trust bootstrap 802.1X-2010 uses.
+//!
+//! Each direction has one implementation, the burst:
+//! [`MacsecPeer::protect_many`] seals a TDMA burst with one AEAD call, and
+//! [`MacsecPeer::validate_many`] opens each same-(SCI, AN) run with one
+//! call and then walks it for the replay window. [`MacsecPeer::protect`]
+//! and [`MacsecPeer::validate`] are bursts of one through the same code,
+//! so PN bookkeeping, association lookup and the replay check exist once.
 
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 
-use genio_crypto::gcm::AesGcm;
+use genio_crypto::gcm::{AesGcm, Input};
 use genio_crypto::hkdf;
 use genio_telemetry::{Counter, Histogram, Telemetry};
 
@@ -148,8 +155,6 @@ pub struct MacsecPeer {
     pub rejected_integrity: u64,
     protect_time: Histogram,
     validate_time: Histogram,
-    protect_batch_time: Histogram,
-    validate_batch_time: Histogram,
     tx_frames: Counter,
     rx_accepted: Counter,
     rx_replay: Counter,
@@ -185,8 +190,6 @@ impl MacsecPeer {
             rejected_integrity: 0,
             protect_time: Histogram::disabled(),
             validate_time: Histogram::disabled(),
-            protect_batch_time: Histogram::disabled(),
-            validate_batch_time: Histogram::disabled(),
             tx_frames: Counter::disabled(),
             rx_accepted: Counter::disabled(),
             rx_replay: Counter::disabled(),
@@ -195,13 +198,12 @@ impl MacsecPeer {
     }
 
     /// Attaches telemetry: TX/RX latency histograms
-    /// (`netsec.macsec.protect_ns` / `netsec.macsec.validate_ns`) and
+    /// (`netsec.macsec.protect_ns` / `netsec.macsec.validate_ns`, one
+    /// sample per call, whether it carries one frame or a burst) and
     /// frame-outcome counters. Handles are resolved once, here.
     pub fn with_telemetry(mut self, telemetry: &Telemetry) -> Self {
         self.protect_time = telemetry.histogram("netsec.macsec.protect_ns");
         self.validate_time = telemetry.histogram("netsec.macsec.validate_ns");
-        self.protect_batch_time = telemetry.histogram("netsec.macsec.protect_many_ns");
-        self.validate_batch_time = telemetry.histogram("netsec.macsec.validate_many_ns");
         self.tx_frames = telemetry.counter("netsec.macsec.tx_frames");
         self.rx_accepted = telemetry.counter("netsec.macsec.rx_accepted");
         self.rx_replay = telemetry.counter("netsec.macsec.rx_replay");
@@ -236,32 +238,22 @@ impl MacsecPeer {
         Ok(())
     }
 
-    /// Protects an outgoing frame.
+    /// Protects an outgoing frame: a burst of one through
+    /// [`MacsecPeer::protect_many`].
     ///
     /// # Errors
     ///
     /// Returns [`NetsecError::PnExhausted`] when the PN reaches the
     /// configured limit; callers must [`MacsecPeer::rotate_sak`].
     pub fn protect(&mut self, payload: &[u8]) -> crate::Result<MacsecFrame> {
-        let _timer = self.protect_time.start();
-        if self.tx.next_pn >= self.config.pn_limit {
-            return Err(NetsecError::PnExhausted);
-        }
-        self.tx_frames.incr(1);
-        let pn = self.tx.next_pn;
-        self.tx.next_pn += 1;
-        let nonce = nonce_for(self.sci, pn);
-        let aad = aad_for(self.sci, self.tx.an, pn);
-        let secure_data = self.tx.aead.seal(&nonce, payload, &aad);
-        Ok(MacsecFrame {
-            sci: self.sci,
-            an: self.tx.an,
-            pn,
-            secure_data,
-        })
+        // The burst returns one frame per payload, so `pop` finds one.
+        self.protect_many(&[payload])?
+            .pop()
+            .ok_or(NetsecError::PnExhausted)
     }
 
-    /// Validates and decrypts an incoming frame.
+    /// Validates and decrypts an incoming frame: a burst of one through
+    /// [`MacsecPeer::validate_many`].
     ///
     /// # Errors
     ///
@@ -269,39 +261,10 @@ impl MacsecPeer {
     ///   window.
     /// * [`NetsecError::IntegrityFailure`] — tag mismatch.
     pub fn validate(&mut self, frame: &MacsecFrame) -> crate::Result<Vec<u8>> {
-        let _timer = self.validate_time.start();
-        let key = (frame.sci, frame.an);
-        let window = self.config.replay_window;
-        let assoc = match self.rx.entry(key) {
-            Entry::Occupied(e) => e.into_mut(),
-            Entry::Vacant(e) => {
-                let sak = derive_sak(&self.cak, frame.sci, frame.an);
-                let aead = AesGcm::new(&sak)?;
-                e.insert(RxAssociation {
-                    aead,
-                    replay: ReplayWindow::default(),
-                })
-            }
-        };
-        if let Err(e) = assoc.replay.check_and_mark(frame.pn, window) {
-            self.rejected_replay += 1;
-            self.rx_replay.incr(1);
-            return Err(e);
-        }
-        let nonce = nonce_for(frame.sci, frame.pn);
-        let aad = aad_for(frame.sci, frame.an, frame.pn);
-        match assoc.aead.open(&nonce, &frame.secure_data, &aad) {
-            Ok(pt) => {
-                assoc.replay.mark(frame.pn);
-                self.rx_accepted.incr(1);
-                Ok(pt)
-            }
-            Err(_) => {
-                self.rejected_integrity += 1;
-                self.rx_integrity.incr(1);
-                Err(NetsecError::IntegrityFailure)
-            }
-        }
+        // The walk yields one result per frame; none would be a rejection.
+        self.validate_many(std::slice::from_ref(frame))
+            .pop()
+            .unwrap_or(Err(NetsecError::IntegrityFailure))
     }
 
     /// Protects a whole TDMA burst in one call: frame `i` carries PN
@@ -316,7 +279,7 @@ impl MacsecPeer {
     /// would reach the configured PN limit; the batch is all-or-nothing, so
     /// nothing is sealed and the PN does not advance in that case.
     pub fn protect_many(&mut self, payloads: &[&[u8]]) -> crate::Result<Vec<MacsecFrame>> {
-        let _timer = self.protect_batch_time.start();
+        let _timer = self.protect_time.start();
         let n = payloads.len() as u64;
         if n == 0 {
             return Ok(Vec::new());
@@ -327,19 +290,26 @@ impl MacsecPeer {
         let pn0 = self.tx.next_pn;
         self.tx.next_pn += n;
         self.tx_frames.incr(n);
-        let nonces: Vec<[u8; 12]> = (0..n).map(|i| nonce_for(self.sci, pn0 + i)).collect();
-        let aads: Vec<[u8; 17]> = (0..n)
-            .map(|i| aad_for(self.sci, self.tx.an, pn0 + i))
+        let (sci, an) = (self.sci, self.tx.an);
+        let aads: Vec<[u8; 17]> = (pn0..pn0 + n).map(|pn| aad_for(sci, an, pn)).collect();
+        let inputs: Vec<Input> = payloads
+            .iter()
+            .zip(&aads)
+            .zip(pn0..)
+            .map(|((&text, aad), pn)| Input {
+                nonce: nonce_for(sci, pn),
+                aad,
+                text,
+            })
             .collect();
-        let aad_refs: Vec<&[u8]> = aads.iter().map(|a| a.as_slice()).collect();
-        let sealed = self.tx.aead.seal_many(&nonces, payloads, &aad_refs)?;
+        let sealed = self.tx.aead.seal_many(&inputs);
         Ok(sealed
             .into_iter()
-            .enumerate()
-            .map(|(i, secure_data)| MacsecFrame {
-                sci: self.sci,
-                an: self.tx.an,
-                pn: pn0 + i as u64,
+            .zip(pn0..)
+            .map(|(secure_data, pn)| MacsecFrame {
+                sci,
+                an,
+                pn,
                 secure_data,
             })
             .collect())
@@ -356,7 +326,7 @@ impl MacsecPeer {
     /// mutates nothing; only the replay bookkeeping is order-dependent and
     /// that still runs strictly sequentially.
     pub fn validate_many(&mut self, frames: &[MacsecFrame]) -> Vec<crate::Result<Vec<u8>>> {
-        let _timer = self.validate_batch_time.start();
+        let _timer = self.validate_time.start();
         let mut results = Vec::with_capacity(frames.len());
         let mut start = 0usize;
         while start < frames.len() {
@@ -400,44 +370,23 @@ impl MacsecPeer {
         // A frame the run's starting window already rejects stays
         // rejected after any marks the run makes (the window only moves
         // forward and only gains bits), so only the others reach the AEAD:
-        // a replay costs no open here, as on `validate`.
+        // a replay costs no open, in a burst or alone.
         let start = assoc.replay;
-        let fresh = |f: &&MacsecFrame| start.check_and_mark(f.pn, window).is_ok();
-        let nonces: Vec<[u8; 12]> = run
+        let fresh = |f: &MacsecFrame| start.check_and_mark(f.pn, window).is_ok();
+        let aads: Vec<[u8; 17]> = run.iter().map(|f| aad_for(f.sci, f.an, f.pn)).collect();
+        let inputs: Vec<Input> = run
             .iter()
-            .filter(fresh)
-            .map(|f| nonce_for(f.sci, f.pn))
+            .zip(&aads)
+            .filter(|(f, _)| fresh(f))
+            .map(|(f, aad)| Input {
+                nonce: nonce_for(f.sci, f.pn),
+                aad,
+                text: &f.secure_data,
+            })
             .collect();
-        let aads: Vec<[u8; 17]> = run
-            .iter()
-            .filter(fresh)
-            .map(|f| aad_for(f.sci, f.an, f.pn))
-            .collect();
-        let aad_refs: Vec<&[u8]> = aads.iter().map(|a| a.as_slice()).collect();
-        let ct_refs: Vec<&[u8]> = run
-            .iter()
-            .filter(fresh)
-            .map(|f| f.secure_data.as_slice())
-            .collect();
-        let opened = match assoc.aead.open_many(&nonces, &ct_refs, &aad_refs) {
-            Ok(o) => o,
-            // Unreachable (the slices are built with equal lengths), but
-            // fall back to per-frame opens rather than assume.
-            Err(_) => run
-                .iter()
-                .filter(fresh)
-                .map(|f| {
-                    assoc.aead.open(
-                        &nonce_for(f.sci, f.pn),
-                        &f.secure_data,
-                        &aad_for(f.sci, f.an, f.pn),
-                    )
-                })
-                .collect(),
-        };
-        let mut opened = opened.into_iter();
+        let mut opened = assoc.aead.open_many(&inputs).into_iter();
         for frame in run {
-            let open_result = if fresh(&frame) { opened.next() } else { None };
+            let open_result = if fresh(frame) { opened.next() } else { None };
             if let Err(e) = assoc.replay.check_and_mark(frame.pn, window) {
                 self.rejected_replay += 1;
                 self.rx_replay.incr(1);

@@ -5,11 +5,18 @@
 //! taps or promiscuous ONUs. This module implements that with AES-GCM keyed
 //! per GEM port, deriving the nonce from the per-port frame counter, and
 //! enforcing strictly increasing counters on receive (replay defence).
+//!
+//! Each direction has one implementation, the burst: an OLT seals and an
+//! ONU opens a whole TDMA burst per port with one AEAD call
+//! ([`GemCrypto::encrypt_downstream_many`], [`GemCrypto::decrypt_many`]).
+//! The single-frame calls [`GemCrypto::encrypt_downstream`] and
+//! [`GemCrypto::decrypt`] are bursts of one through the same code, so key
+//! lookup, counters and the replay check exist once.
 
 use std::collections::HashMap;
 
 use genio_crypto::drbg::HmacDrbg;
-use genio_crypto::gcm::AesGcm;
+use genio_crypto::gcm::{AesGcm, Input};
 
 use crate::frame::{DownstreamFrame, GemPort, PayloadKind};
 use crate::topology::OnuId;
@@ -91,7 +98,8 @@ impl GemCrypto {
     }
 
     /// Encrypts a downstream payload for `port`, producing a broadcastable
-    /// frame with the next counter value.
+    /// frame with the next counter value: a burst of one through
+    /// [`GemCrypto::encrypt_downstream_many`].
     ///
     /// # Errors
     ///
@@ -102,22 +110,14 @@ impl GemCrypto {
         target: OnuId,
         plaintext: &[u8],
     ) -> crate::Result<DownstreamFrame> {
-        let state = self.ports.get_mut(&port).ok_or(PonError::NoKey { port })?;
-        let counter = state.send_counter;
-        state.send_counter += 1;
-        let nonce = nonce_for(port, counter);
-        let aad = aad_for(port, target);
-        let payload = state.aead.seal(&nonce, plaintext, &aad);
-        Ok(DownstreamFrame {
-            port,
-            target,
-            counter,
-            payload,
-            kind: PayloadKind::Encrypted,
-        })
+        // The burst returns one frame per plaintext, so `pop` finds one.
+        self.encrypt_downstream_many(port, target, &[plaintext])?
+            .pop()
+            .ok_or(PonError::NoKey { port })
     }
 
-    /// Decrypts and replay-checks a received frame.
+    /// Decrypts and replay-checks a received frame: a burst of one through
+    /// the run walk of [`GemCrypto::decrypt_many`].
     ///
     /// # Errors
     ///
@@ -126,23 +126,10 @@ impl GemCrypto {
     ///   seen (replayed or reordered frame).
     /// * [`PonError::DecryptFailed`] — tag mismatch (tampering or wrong key).
     pub fn decrypt(&mut self, frame: &DownstreamFrame) -> crate::Result<Vec<u8>> {
-        let state = self
-            .ports
-            .get_mut(&frame.port)
-            .ok_or(PonError::NoKey { port: frame.port })?;
-        if let Some(high) = state.recv_high {
-            if frame.counter <= high {
-                return Err(PonError::Replay);
-            }
-        }
-        let nonce = nonce_for(frame.port, frame.counter);
-        let aad = aad_for(frame.port, frame.target);
-        let plaintext = state
-            .aead
-            .open(&nonce, &frame.payload, &aad)
-            .map_err(|_| PonError::DecryptFailed)?;
-        state.recv_high = Some(frame.counter);
-        Ok(plaintext)
+        let mut results = Vec::with_capacity(1);
+        self.decrypt_run(std::slice::from_ref(frame), &mut results);
+        // The walk yields one result per frame; none would be a rejection.
+        results.pop().unwrap_or(Err(PonError::DecryptFailed))
     }
 
     /// Encrypts a whole downstream burst for one `port` with a single
@@ -164,23 +151,25 @@ impl GemCrypto {
     ) -> crate::Result<Vec<DownstreamFrame>> {
         let state = self.ports.get_mut(&port).ok_or(PonError::NoKey { port })?;
         let counter0 = state.send_counter;
-        let nonces: Vec<[u8; 12]> = (0..plaintexts.len() as u64)
-            .map(|i| nonce_for(port, counter0 + i))
-            .collect();
-        let aad = aad_for(port, target);
-        let aads: Vec<&[u8]> = plaintexts.iter().map(|_| &aad[..]).collect();
-        let payloads = state
-            .aead
-            .seal_many(&nonces, plaintexts, &aads)
-            .map_err(|_| PonError::DecryptFailed)?;
         state.send_counter += plaintexts.len() as u64;
+        let aad = aad_for(port, target);
+        let inputs: Vec<Input> = plaintexts
+            .iter()
+            .zip(counter0..)
+            .map(|(&text, counter)| Input {
+                nonce: nonce_for(port, counter),
+                aad: &aad,
+                text,
+            })
+            .collect();
+        let payloads = state.aead.seal_many(&inputs);
         Ok(payloads
             .into_iter()
-            .enumerate()
-            .map(|(i, payload)| DownstreamFrame {
+            .zip(counter0..)
+            .map(|(payload, counter)| DownstreamFrame {
                 port,
                 target,
-                counter: counter0 + i as u64,
+                counter,
                 payload,
                 kind: PayloadKind::Encrypted,
             })
@@ -247,7 +236,7 @@ impl GemCrypto {
     /// A counter at or below the run's starting `recv_high` is a replay
     /// whatever else the run holds, because `recv_high` only rises, so
     /// only the frames above it reach the AEAD: a replayed frame costs no
-    /// open here, as on [`GemCrypto::decrypt`].
+    /// open, in a burst or alone.
     fn decrypt_run(&mut self, run: &[DownstreamFrame], results: &mut Vec<crate::Result<Vec<u8>>>) {
         let Some(first) = run.first() else { return };
         let port = first.port;
@@ -256,45 +245,24 @@ impl GemCrypto {
             return;
         };
         let start_high = state.recv_high;
-        let fresh = |f: &&DownstreamFrame| start_high.is_none_or(|high| f.counter > high);
-        let nonces: Vec<[u8; 12]> = run
+        let fresh = |f: &DownstreamFrame| start_high.is_none_or(|high| f.counter > high);
+        let aads: Vec<[u8; 6]> = run.iter().map(|f| aad_for(f.port, f.target)).collect();
+        let inputs: Vec<Input> = run
             .iter()
-            .filter(fresh)
-            .map(|f| nonce_for(f.port, f.counter))
+            .zip(&aads)
+            .filter(|(f, _)| fresh(f))
+            .map(|(f, aad)| Input {
+                nonce: nonce_for(f.port, f.counter),
+                aad,
+                text: &f.payload,
+            })
             .collect();
-        let aads: Vec<[u8; 6]> = run
-            .iter()
-            .filter(fresh)
-            .map(|f| aad_for(f.port, f.target))
-            .collect();
-        let aad_refs: Vec<&[u8]> = aads.iter().map(|a| &a[..]).collect();
-        let payloads: Vec<&[u8]> = run
-            .iter()
-            .filter(fresh)
-            .map(|f| f.payload.as_slice())
-            .collect();
-        let opened = match state.aead.open_many(&nonces, &payloads, &aad_refs) {
-            Ok(opened) => opened,
-            // Unreachable (equal-length slices by construction); fall back
-            // to per-frame opens rather than assume.
-            Err(_) => run
-                .iter()
-                .filter(fresh)
-                .map(|f| {
-                    let nonce = nonce_for(f.port, f.counter);
-                    let aad = aad_for(f.port, f.target);
-                    state.aead.open(&nonce, &f.payload, &aad)
-                })
-                .collect(),
-        };
-        let mut opened = opened.into_iter();
+        let mut opened = state.aead.open_many(&inputs).into_iter();
         for frame in run {
-            let open_result = if fresh(&frame) { opened.next() } else { None };
-            if let Some(high) = state.recv_high {
-                if frame.counter <= high {
-                    results.push(Err(PonError::Replay));
-                    continue;
-                }
+            let open_result = if fresh(frame) { opened.next() } else { None };
+            if state.recv_high.is_some_and(|high| frame.counter <= high) {
+                results.push(Err(PonError::Replay));
+                continue;
             }
             // Every frame past the replay check was opened: it is above
             // the starting mark.

@@ -395,19 +395,11 @@ impl BandwidthMap {
         Ok(())
     }
 
-    /// Jain's fairness index over granted bytes: 1.0 = perfectly fair.
-    /// Returns `None` when nothing was granted.
+    /// Jain's fairness index over granted bytes, in ONU-id order
+    /// ([`jain_fairness`]): 1.0 = perfectly fair. Returns `None` when
+    /// nothing was granted.
     pub fn fairness_index(&self) -> Option<f64> {
-        let xs: Vec<f64> = self.grants.values().map(|g| g.bytes as f64).collect();
-        if xs.is_empty() {
-            return None;
-        }
-        let sum: f64 = xs.iter().sum();
-        let sum_sq: f64 = xs.iter().map(|x| x * x).sum();
-        if sum_sq == 0.0 {
-            return None;
-        }
-        Some(sum * sum / (xs.len() as f64 * sum_sq))
+        jain_fairness(self.grants.values().map(|g| g.bytes))
     }
 }
 

@@ -1,8 +1,11 @@
 //! Property-based tests for the PON substrate: DBA invariants, replay
-//! monotonicity and topology bounds.
+//! monotonicity, drawn GEM faults across burst boundaries and topology
+//! bounds.
 
 use genio_testkit::prelude::*;
 
+use genio_crypto::gcm::TAG_LEN;
+use genio_pon::frame::DownstreamFrame;
 use genio_pon::security::GemCrypto;
 use genio_pon::tdma::{compute_map, BandwidthRequest, DbaConfig, ServiceClass};
 use genio_pon::topology::PonTree;
@@ -88,6 +91,140 @@ property! {
         // Every replay rejected.
         for f in &frames {
             prop_assert!(onu.decrypt(f).is_err());
+        }
+    }
+}
+
+/// GEM ports both receivers key, and one only the OLT keys.
+const KEYED_PORTS: [u16; 2] = [1, 2];
+const UNKEYED_PORT: u16 = 9;
+
+/// One drawn frame of a burst: the fault kind, a port selector and two
+/// free positions (a frame, a byte or a length, then a bit).
+type Draw = (u8, u8, Index, Index);
+
+/// A frame as delivered, and whether the receiver must reject it
+/// (tampered, cut or sent on a port it has no key for).
+type Delivered = (DownstreamFrame, bool);
+
+/// The OLT side: seals a stream of frames and keeps every frame it sent,
+/// untampered, so a burst can replay any of them.
+struct GemStream {
+    olt: GemCrypto,
+    sent: Vec<DownstreamFrame>,
+}
+
+impl GemStream {
+    fn fresh(&mut self, port: u16) -> DownstreamFrame {
+        let n = self.sent.len();
+        let payload = vec![n as u8; 1 + n * 7 % 80];
+        let frame = self
+            .olt
+            .encrypt_downstream(port, 1, &payload)
+            .expect("the OLT keys every port");
+        self.sent.push(frame.clone());
+        frame
+    }
+}
+
+fn gem_receiver() -> GemCrypto {
+    let mut onu = GemCrypto::new(b"faults");
+    for port in KEYED_PORTS {
+        onu.establish_key(port, 1);
+    }
+    onu
+}
+
+/// Builds one burst from `draws`. `earlier` is the previous burst and
+/// `marks` holds each port's highest accepted counter when this burst
+/// starts (the runs' starting `recv_high`).
+fn gem_burst(
+    stream: &mut GemStream,
+    draws: &[Draw],
+    earlier: &[Delivered],
+    marks: &[(u16, u64)],
+) -> Vec<Delivered> {
+    let mut burst: Vec<Delivered> = Vec::new();
+    for &(kind, sel, a, b) in draws {
+        let port = KEYED_PORTS[usize::from(sel) % KEYED_PORTS.len()];
+        match kind {
+            0..=3 => burst.push((stream.fresh(port), false)),
+            // A replay of the frame at the port's starting mark.
+            4 => {
+                let at_mark = marks
+                    .iter()
+                    .find(|(p, _)| *p == port)
+                    .and_then(|&(_, high)| {
+                        stream
+                            .sent
+                            .iter()
+                            .find(|f| f.port == port && f.counter == high)
+                    });
+                burst.extend(at_mark.map(|f| (f.clone(), false)));
+            }
+            // A replay of any frame of the earlier burst, as delivered.
+            5 if !earlier.is_empty() => burst.push(earlier[a.index(earlier.len())].clone()),
+            6 if !burst.is_empty() => {
+                let dup = burst[a.index(burst.len())].clone();
+                burst.push(dup);
+            }
+            // A fresh frame that overtakes the one before it.
+            7 => {
+                let at = burst.len().saturating_sub(1);
+                burst.insert(at, (stream.fresh(port), false));
+            }
+            8 => {
+                let mut frame = stream.fresh(port);
+                let at = a.index(frame.payload.len());
+                frame.payload[at] ^= 1 << b.index(8);
+                burst.push((frame, true));
+            }
+            9 => {
+                let mut frame = stream.fresh(port);
+                frame.payload.truncate(a.index(TAG_LEN));
+                burst.push((frame, true));
+            }
+            10 => burst.push((stream.fresh(UNKEYED_PORT), true)),
+            _ => {}
+        }
+    }
+    burst
+}
+
+property! {
+    /// GEM faults drawn across burst boundaries: two consecutive bursts
+    /// of one sealed stream mix in-order frames on two interleaved
+    /// ports, replays of the earlier burst at and below each run's
+    /// starting `recv_high`, in-burst duplicates and reorders, bit flips
+    /// in ciphertext or tag, payloads cut below the tag and frames on a
+    /// port the receiver has no key for. Frame by frame, `decrypt_many`
+    /// equals `decrypt` on a twin receiver, and no tampered frame is
+    /// ever accepted.
+    fn gem_burst_faults_match_one_at_a_time(first in vec((0u8..11, 0u8..2, index(), index()), 0..24),
+                                            second in vec((0u8..11, 0u8..2, index(), index()), 0..24)) {
+        let mut olt = GemCrypto::new(b"faults");
+        for port in KEYED_PORTS.into_iter().chain([UNKEYED_PORT]) {
+            olt.establish_key(port, 1);
+        }
+        let mut stream = GemStream { olt, sent: Vec::new() };
+        let (mut batch, mut twin) = (gem_receiver(), gem_receiver());
+        let mut earlier = Vec::new();
+        let mut marks: Vec<(u16, u64)> = Vec::new();
+        for draws in [first, second] {
+            let burst = gem_burst(&mut stream, &draws, &earlier, &marks);
+            let frames: Vec<DownstreamFrame> = burst.iter().map(|(f, _)| f.clone()).collect();
+            let got = batch.decrypt_many(&frames);
+            let want: Vec<_> = frames.iter().map(|f| twin.decrypt(f)).collect();
+            prop_assert_eq!(&got, &want);
+            for ((frame, must_fail), result) in burst.iter().zip(&got) {
+                prop_assert!(!must_fail || result.is_err(),
+                             "forged frame {} on port {} accepted", frame.counter, frame.port);
+                if result.is_ok() {
+                    marks.retain(|(p, _)| *p != frame.port);
+                    marks.push((frame.port, frame.counter));
+                }
+            }
+            earlier = burst;
         }
     }
 }
