@@ -11,26 +11,26 @@ pub enum CryptoError {
         /// Human-readable description of the accepted lengths.
         expected: &'static str,
     },
-    /// A nonce/IV had an unsupported length.
-    InvalidNonceLength {
-        /// Length that was supplied, in bytes.
-        got: usize,
-        /// Required length in bytes.
-        expected: usize,
-    },
     /// Authenticated decryption failed: the tag did not verify.
     ///
     /// The ciphertext or associated data was corrupted or forged.
     AuthenticationFailed,
     /// A ciphertext was shorter than the mandatory tag/header overhead.
     CiphertextTooShort,
+    /// A received sequence number repeated one already accepted or fell
+    /// below the replay window ([`crate::seq`]).
+    Replayed {
+        /// The rejected sequence number.
+        seq: u64,
+    },
+    /// Sealing would reach the key's sequence limit ([`crate::seq`]); the
+    /// key is spent.
+    SequenceExhausted,
     /// A signature did not verify against the given public key.
     BadSignature,
     /// A one-time key was asked to sign more than once, or a Merkle signer
     /// ran out of leaf keys.
     KeyExhausted,
-    /// An index was outside the valid range for the structure.
-    IndexOutOfRange,
     /// Hex input had odd length or non-hex characters.
     InvalidHex,
     /// A certificate failed validation.
@@ -73,14 +73,12 @@ impl fmt::Display for CryptoError {
             CryptoError::InvalidKeyLength { got, expected } => {
                 write!(f, "invalid key length {got}, expected {expected}")
             }
-            CryptoError::InvalidNonceLength { got, expected } => {
-                write!(f, "invalid nonce length {got}, expected {expected}")
-            }
             CryptoError::AuthenticationFailed => write!(f, "authentication failed"),
             CryptoError::CiphertextTooShort => write!(f, "ciphertext too short"),
+            CryptoError::Replayed { seq } => write!(f, "replayed sequence number {seq}"),
+            CryptoError::SequenceExhausted => write!(f, "sequence numbers exhausted"),
             CryptoError::BadSignature => write!(f, "signature verification failed"),
             CryptoError::KeyExhausted => write!(f, "signing key exhausted"),
-            CryptoError::IndexOutOfRange => write!(f, "index out of range"),
             CryptoError::InvalidHex => write!(f, "invalid hex input"),
             CryptoError::CertificateInvalid(e) => write!(f, "certificate invalid: {e}"),
             CryptoError::InvalidPublicValue => write!(f, "invalid public value"),

@@ -44,7 +44,7 @@
 use crate::aes::{increment_counter, xor_block_into, Aes, Block, BLOCK_LEN, KS_LANES};
 use crate::ghash::{ghash_reference, GhashKey, LOCKSTEP};
 use crate::{ct, CryptoError};
-use genio_telemetry::{Counter, Histogram, Telemetry};
+use genio_telemetry::{Counter, Telemetry};
 
 /// Required nonce length in bytes (the 96-bit fast path of SP 800-38D).
 pub const NONCE_LEN: usize = 12;
@@ -89,8 +89,6 @@ pub struct AesGcm {
     /// The raw GHASH key `E_K(0^128)`, kept for the reference path.
     h_raw: u128,
     telemetry: Telemetry,
-    seal_time: Histogram,
-    open_time: Histogram,
     sealed_bytes: Counter,
     opened_bytes: Counter,
     sealed_frames: Counter,
@@ -122,8 +120,6 @@ impl AesGcm {
             h,
             h_raw,
             telemetry: Telemetry::disabled(),
-            seal_time: Histogram::disabled(),
-            open_time: Histogram::disabled(),
             sealed_bytes: Counter::disabled(),
             opened_bytes: Counter::disabled(),
             sealed_frames: Counter::disabled(),
@@ -131,16 +127,14 @@ impl AesGcm {
         })
     }
 
-    /// Attaches telemetry: per-call seal/open latency histograms
-    /// (`crypto.gcm.seal_ns` / `crypto.gcm.open_ns`), byte/frame counters,
-    /// and per-batch spans `crypto.gcm.seal_many` / `crypto.gcm.open_many`.
-    /// Handles are resolved here, once; per-call cost is two clock reads
-    /// and a few relaxed atomics, and batched calls pay it once per burst
-    /// rather than once per frame.
+    /// Attaches telemetry: byte/frame counters and per-call spans
+    /// `crypto.gcm.seal_many` / `crypto.gcm.open_many`, which every seal
+    /// and open records, a single frame being a burst of one. Handles are
+    /// resolved here, once; per-call cost is two clock reads and a few
+    /// relaxed atomics, and batched calls pay it once per burst rather
+    /// than once per frame.
     pub fn instrument(mut self, telemetry: &Telemetry) -> Self {
         self.telemetry = telemetry.clone();
-        self.seal_time = telemetry.histogram("crypto.gcm.seal_ns");
-        self.open_time = telemetry.histogram("crypto.gcm.open_ns");
         self.sealed_bytes = telemetry.counter("crypto.gcm.sealed_bytes");
         self.opened_bytes = telemetry.counter("crypto.gcm.opened_bytes");
         self.sealed_frames = telemetry.counter("crypto.gcm.sealed_frames");
@@ -158,17 +152,18 @@ impl AesGcm {
     }
 
     /// Encrypts `plaintext` bound to `aad`, returning `ciphertext || tag`:
-    /// the burst kernel of [`AesGcm::seal_many`] on a burst of one.
+    /// [`AesGcm::seal_many`] on a burst of one.
     ///
     /// Never reuse a `(key, nonce)` pair — GCM's guarantees collapse if the
     /// counter stream repeats.
     pub fn seal(&self, nonce: &[u8; NONCE_LEN], plaintext: &[u8], aad: &[u8]) -> Vec<u8> {
-        let _timer = self.seal_time.start();
-        self.sealed_bytes.incr(plaintext.len() as u64);
-        let mut frames = [Frame::new(nonce, aad, plaintext)];
-        self.seal_frames(&mut frames);
-        let [frame] = frames;
-        frame.buf
+        let frame = Input {
+            nonce: *nonce,
+            aad,
+            text: plaintext,
+        };
+        // One output per input, so `pop` finds the frame.
+        self.seal_many(&[frame]).pop().unwrap_or_default()
     }
 
     /// Reference-path twin of [`AesGcm::seal`]: S-box AES rounds and bitwise
@@ -191,7 +186,7 @@ impl AesGcm {
     }
 
     /// Decrypts `sealed` (as produced by [`AesGcm::seal`]) bound to `aad`:
-    /// the burst kernel of [`AesGcm::open_many`] on a burst of one.
+    /// [`AesGcm::open_many`] on a burst of one.
     ///
     /// # Errors
     ///
@@ -205,13 +200,15 @@ impl AesGcm {
         sealed: &[u8],
         aad: &[u8],
     ) -> crate::Result<Vec<u8>> {
-        let _timer = self.open_time.start();
-        let mut frames = [Frame::opening(nonce, aad, sealed)];
-        self.open_frames(&mut frames);
-        let [frame] = frames;
-        let pt = frame.verify(sealed)?;
-        self.opened_bytes.incr(pt.len() as u64);
-        Ok(pt)
+        let frame = Input {
+            nonce: *nonce,
+            aad,
+            text: sealed,
+        };
+        // One result per input; none would be a rejection.
+        self.open_many(&[frame])
+            .pop()
+            .unwrap_or(Err(CryptoError::AuthenticationFailed))
     }
 
     /// Reference-path twin of [`AesGcm::open`]. Differential oracle.

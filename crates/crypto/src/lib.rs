@@ -20,6 +20,9 @@
 //!   corpus. Table-driven fast path with batched `seal_many`/`open_many`
 //!   over one slice of per-frame inputs, plus `_reference` oracle twins
 //!   that tests call directly.
+//! * [`seq`] — the sequenced AEAD under GEM ports, MACsec associations
+//!   and session records: one `salt || seq` nonce layout, one sealing
+//!   limit, one replay window and one run walk over the batched GCM.
 //! * [`ghash`] — GHASH over GF(2^128): bitwise reference multiply and the
 //!   per-key 8-bit windowed tables the fast path uses.
 //! * [`dh`] — Diffie–Hellman over the Mersenne prime 2^127 − 1.
@@ -64,6 +67,7 @@ pub mod hex;
 pub mod hkdf;
 pub mod hmac;
 pub mod pki;
+pub mod seq;
 pub mod sha256;
 pub mod sig;
 

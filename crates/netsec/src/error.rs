@@ -6,16 +6,8 @@ use genio_crypto::CryptoError;
 #[derive(Debug, Clone, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum NetsecError {
-    /// A frame arrived on an unknown secure channel.
-    UnknownChannel(u64),
-    /// A frame referenced an association number with no installed key.
-    NoAssociation {
-        /// Channel identifier.
-        sci: u64,
-        /// Association number (0–3).
-        an: u8,
-    },
-    /// The packet number fell outside the anti-replay window or repeated.
+    /// The packet (or record sequence) number fell outside the
+    /// anti-replay window or repeated.
     ReplayDetected {
         /// Offending packet number.
         pn: u64,
@@ -24,8 +16,6 @@ pub enum NetsecError {
     IntegrityFailure,
     /// Packet-number space exhausted; the SAK must be rotated.
     PnExhausted,
-    /// A handshake message arrived out of order.
-    HandshakeOutOfOrder(&'static str),
     /// Peer authentication failed during the handshake.
     PeerAuthentication(&'static str),
     /// The handshake transcript did not match (Finished verification).
@@ -41,16 +31,9 @@ pub enum NetsecError {
 impl fmt::Display for NetsecError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            NetsecError::UnknownChannel(sci) => write!(f, "unknown secure channel {sci:#x}"),
-            NetsecError::NoAssociation { sci, an } => {
-                write!(f, "no association {an} on channel {sci:#x}")
-            }
             NetsecError::ReplayDetected { pn } => write!(f, "replay detected at pn {pn}"),
             NetsecError::IntegrityFailure => write!(f, "integrity check failed"),
             NetsecError::PnExhausted => write!(f, "packet number space exhausted"),
-            NetsecError::HandshakeOutOfOrder(what) => {
-                write!(f, "handshake message out of order: {what}")
-            }
             NetsecError::PeerAuthentication(why) => write!(f, "peer authentication failed: {why}"),
             NetsecError::TranscriptMismatch => write!(f, "handshake transcript mismatch"),
             NetsecError::NameNotFound(name) => write!(f, "name not found: {name}"),
@@ -72,6 +55,16 @@ impl std::error::Error for NetsecError {
 impl From<CryptoError> for NetsecError {
     fn from(e: CryptoError) -> Self {
         NetsecError::Crypto(e)
+    }
+}
+
+/// The error of a MACsec frame or session record that
+/// `genio_crypto::seq::SeqAead::open_many` rejected: a replay, or else an
+/// integrity failure.
+pub(crate) fn open_error(e: CryptoError) -> NetsecError {
+    match e {
+        CryptoError::Replayed { seq } => NetsecError::ReplayDetected { pn: seq },
+        _ => NetsecError::IntegrityFailure,
     }
 }
 

@@ -16,20 +16,26 @@
 //! produce a valid `CertificateVerify` without the certified private key —
 //! exactly the property M4 relies on.
 //!
-//! Application records are protected by [`SessionKeys`], whose single
-//! record calls (`seal_client`, `open_server`, …) are bursts of one
-//! through the same batched AEAD path as `seal_client_many` and friends,
-//! so sequence numbering exists once per direction.
+//! Application records are protected by [`SessionKeys`]: each direction
+//! is one sequenced AEAD (`genio_crypto::seq::SeqAead`), so records carry
+//! strictly increasing sequence numbers and the receiving side rejects a
+//! replayed or stale record with [`NetsecError::ReplayDetected`], as
+//! TLS 1.3's implicit record sequence does. The single record calls
+//! (`seal_client`, `open_server`, …) are bursts of one through the same
+//! batched path as `seal_client_many` and friends, so sequence numbering
+//! and the replay check exist once per direction.
 
 use genio_crypto::dh::KeyPair;
 use genio_crypto::drbg::HmacDrbg;
-use genio_crypto::gcm::{AesGcm, Input};
+use genio_crypto::gcm::AesGcm;
 use genio_crypto::hkdf;
 use genio_crypto::hmac::HmacSha256;
 use genio_crypto::pki::{validate_chain, Certificate, KeyUsage, RevocationList};
+use genio_crypto::seq::{Received, SeqAead};
 use genio_crypto::sha256::Sha256;
 use genio_crypto::sig::{MerklePublicKey, MerkleSignature};
 
+use crate::error::open_error;
 use crate::onboarding::NodeIdentity;
 use crate::NetsecError;
 
@@ -80,7 +86,7 @@ pub struct ClientFlight {
 /// An AEAD-protected application record.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Record {
-    /// Per-direction sequence number (nonce basis).
+    /// Per-direction sequence number (nonce basis and replay handle).
     pub seq: u64,
     /// Ciphertext plus tag.
     pub body: Vec<u8>,
@@ -88,46 +94,51 @@ pub struct Record {
 
 /// Directional record protection derived from a completed handshake.
 ///
-/// Both per-direction AEADs — including their AES key schedules and 64 KiB
-/// GHASH multiplication tables — are built once here at session setup and
+/// Each direction is a [`SeqAead`] (`genio_crypto::seq`) built once here at
+/// session setup, with its AES key schedule and 64 KiB GHASH tables, and
 /// reused for every record; no per-record (or per-batch) key material is
-/// ever re-derived. Session setup itself is cheap because `AesGcm::new`
-/// constructs the GHASH tables via the shift-based recurrence in
-/// `genio_crypto::ghash` instead of 128 bitwise field multiplies.
+/// ever re-derived. A record's nonce is its sequence number under a zero
+/// salt, sequence numbers start at 0, and the receiving side's window
+/// of 0 accepts only a sequence number above the highest it has opened,
+/// so a replayed or stale record is [`NetsecError::ReplayDetected`].
+/// Session setup itself is cheap because `AesGcm::new` constructs the
+/// GHASH tables via the shift-based recurrence in `genio_crypto::ghash`
+/// instead of 128 bitwise field multiplies.
 #[derive(Debug)]
 pub struct SessionKeys {
-    client_aead: AesGcm,
-    server_aead: AesGcm,
-    client_seq: u64,
-    server_seq: u64,
+    client: SeqAead,
+    server: SeqAead,
     /// Hash of the full handshake transcript (channel binding token).
     pub transcript_hash: [u8; 32],
 }
 
 impl SessionKeys {
     /// Seals a record in the client→server direction: a burst of one
-    /// through the path of [`SessionKeys::seal_client_many`].
+    /// through [`SessionKeys::seal_client_many`].
     ///
     /// # Errors
     ///
-    /// Currently infallible in practice; returns `Err` only on internal
-    /// sequence exhaustion.
+    /// [`NetsecError::PnExhausted`] once the direction's sequence numbers
+    /// are spent.
     pub fn seal_client(&mut self, plaintext: &[u8]) -> crate::Result<Record> {
         // The burst returns one record per plaintext, so `pop` finds one.
-        Self::seal_many_with(&self.client_aead, &mut self.client_seq, &[plaintext], b"c")
+        self.seal_client_many(&[plaintext])?
             .pop()
             .ok_or(NetsecError::PnExhausted)
     }
 
-    /// Opens a client→server record: a burst of one through the path of
+    /// Opens a client→server record: a burst of one through
     /// [`SessionKeys::open_client_many`].
     ///
     /// # Errors
     ///
-    /// [`NetsecError::IntegrityFailure`] on tag mismatch.
+    /// * [`NetsecError::ReplayDetected`] if the record's sequence number
+    ///   is not above every one opened before in this direction (a replayed
+    ///   or stale record).
+    /// * [`NetsecError::IntegrityFailure`] on tag mismatch.
     pub fn open_client(&mut self, record: &Record) -> crate::Result<Vec<u8>> {
         // One result per record; none would be a rejection.
-        Self::open_many_with(&self.client_aead, std::slice::from_ref(record), b"c")
+        self.open_client_many(std::slice::from_ref(record))
             .pop()
             .unwrap_or(Err(NetsecError::IntegrityFailure))
     }
@@ -138,7 +149,7 @@ impl SessionKeys {
     ///
     /// See [`SessionKeys::seal_client`].
     pub fn seal_server(&mut self, plaintext: &[u8]) -> crate::Result<Record> {
-        Self::seal_many_with(&self.server_aead, &mut self.server_seq, &[plaintext], b"s")
+        self.seal_server_many(&[plaintext])?
             .pop()
             .ok_or(NetsecError::PnExhausted)
     }
@@ -147,32 +158,29 @@ impl SessionKeys {
     ///
     /// # Errors
     ///
-    /// [`NetsecError::IntegrityFailure`] on tag mismatch.
+    /// See [`SessionKeys::open_client`].
     pub fn open_server(&mut self, record: &Record) -> crate::Result<Vec<u8>> {
-        Self::open_many_with(&self.server_aead, std::slice::from_ref(record), b"s")
+        self.open_server_many(std::slice::from_ref(record))
             .pop()
             .unwrap_or(Err(NetsecError::IntegrityFailure))
     }
 
     /// Seals a burst of client→server records with one batched AEAD call.
-    /// Record `i` carries sequence `client_seq + i` and is byte-identical
-    /// to the `i`-th sequential [`SessionKeys::seal_client`].
+    /// Record `i` carries the direction's next sequence number plus `i` and
+    /// is byte-identical to the `i`-th sequential
+    /// [`SessionKeys::seal_client`].
     ///
     /// # Errors
     ///
-    /// See [`SessionKeys::seal_client`].
+    /// See [`SessionKeys::seal_client`]; nothing is sealed then.
     pub fn seal_client_many(&mut self, plaintexts: &[&[u8]]) -> crate::Result<Vec<Record>> {
-        Ok(Self::seal_many_with(
-            &self.client_aead,
-            &mut self.client_seq,
-            plaintexts,
-            b"c",
-        ))
+        seal_records(&mut self.client, plaintexts, b"c")
     }
 
-    /// Opens a burst of client→server records, one result per record.
+    /// Opens a burst of client→server records, one result per record,
+    /// each equal to what [`SessionKeys::open_client`] gives it in order.
     pub fn open_client_many(&mut self, records: &[Record]) -> Vec<crate::Result<Vec<u8>>> {
-        Self::open_many_with(&self.client_aead, records, b"c")
+        open_records(&mut self.client, records, b"c")
     }
 
     /// Seals a burst of server→client records with one batched AEAD call.
@@ -181,67 +189,47 @@ impl SessionKeys {
     ///
     /// See [`SessionKeys::seal_client_many`].
     pub fn seal_server_many(&mut self, plaintexts: &[&[u8]]) -> crate::Result<Vec<Record>> {
-        Ok(Self::seal_many_with(
-            &self.server_aead,
-            &mut self.server_seq,
-            plaintexts,
-            b"s",
-        ))
+        seal_records(&mut self.server, plaintexts, b"s")
     }
 
     /// Opens a burst of server→client records, one result per record.
     pub fn open_server_many(&mut self, records: &[Record]) -> Vec<crate::Result<Vec<u8>>> {
-        Self::open_many_with(&self.server_aead, records, b"s")
-    }
-
-    fn seal_many_with(
-        aead: &AesGcm,
-        seq: &mut u64,
-        plaintexts: &[&[u8]],
-        aad: &'static [u8],
-    ) -> Vec<Record> {
-        let seq0 = *seq;
-        *seq += plaintexts.len() as u64;
-        let inputs: Vec<Input> = plaintexts
-            .iter()
-            .zip(seq0..)
-            .map(|(&text, seq)| Input {
-                nonce: nonce_from_seq(seq),
-                aad,
-                text,
-            })
-            .collect();
-        aead.seal_many(&inputs)
-            .into_iter()
-            .zip(seq0..)
-            .map(|(body, seq)| Record { seq, body })
-            .collect()
-    }
-
-    fn open_many_with(
-        aead: &AesGcm,
-        records: &[Record],
-        aad: &'static [u8],
-    ) -> Vec<crate::Result<Vec<u8>>> {
-        let inputs: Vec<Input> = records
-            .iter()
-            .map(|r| Input {
-                nonce: nonce_from_seq(r.seq),
-                aad,
-                text: &r.body,
-            })
-            .collect();
-        aead.open_many(&inputs)
-            .into_iter()
-            .map(|r| r.map_err(|_| NetsecError::IntegrityFailure))
-            .collect()
+        open_records(&mut self.server, records, b"s")
     }
 }
 
-fn nonce_from_seq(seq: u64) -> [u8; 12] {
-    let mut n = [0u8; 12];
-    n[4..12].copy_from_slice(&seq.to_be_bytes());
-    n
+/// Seals `plaintexts` as the next records of one direction, bound to the
+/// direction label `aad`.
+fn seal_records(
+    direction: &mut SeqAead,
+    plaintexts: &[&[u8]],
+    aad: &'static [u8],
+) -> crate::Result<Vec<Record>> {
+    let sealed = direction
+        .seal_many(plaintexts, |_| aad)
+        .map_err(|_| NetsecError::PnExhausted)?;
+    Ok(sealed.map(|(seq, body)| Record { seq, body }).collect())
+}
+
+/// Opens records of one direction through its run walk.
+fn open_records(
+    direction: &mut SeqAead,
+    records: &[Record],
+    aad: &'static [u8],
+) -> Vec<crate::Result<Vec<u8>>> {
+    let received: Vec<Received> = records
+        .iter()
+        .map(|r| Received {
+            seq: r.seq,
+            aad,
+            text: &r.body,
+        })
+        .collect();
+    direction
+        .open_many(&received)
+        .into_iter()
+        .map(|r| r.map_err(open_error))
+        .collect()
 }
 
 fn hash_hello(t: &mut Sha256, random: &[u8; 32], dh_public: u128) {
@@ -286,11 +274,12 @@ impl KeySchedule {
     fn session_keys(&self, transcript: [u8; 32]) -> crate::Result<SessionKeys> {
         let ck = self.traffic_key("c ap traffic", &transcript);
         let sk = self.traffic_key("s ap traffic", &transcript);
+        let direction = |key: &[u8; 16]| -> crate::Result<SeqAead> {
+            Ok(SeqAead::new(AesGcm::new(key)?, [0; 4], 0..u64::MAX, 0))
+        };
         Ok(SessionKeys {
-            client_aead: AesGcm::new(&ck)?,
-            server_aead: AesGcm::new(&sk)?,
-            client_seq: 0,
-            server_seq: 0,
+            client: direction(&ck)?,
+            server: direction(&sk)?,
             transcript_hash: transcript,
         })
     }
@@ -737,7 +726,6 @@ mod tests {
 
         // Client burst, opened as a burst on the server side.
         let recs = ck.seal_client_many(&refs).unwrap();
-        assert_eq!(ck.client_seq, 9);
         for (i, r) in recs.iter().enumerate() {
             assert_eq!(r.seq, i as u64);
         }
@@ -757,6 +745,61 @@ mod tests {
         for (r, want) in srecs.iter().zip(payloads.iter()) {
             assert_eq!(&ck.open_server(r).unwrap(), want);
         }
+    }
+
+    #[test]
+    fn replayed_record_is_rejected() {
+        let (e, _, mut server) = fleet();
+        let cfg = HandshakeConfig {
+            require_client_auth: false,
+            now: 10,
+        };
+        let (mut ck, mut sk) = run(&cfg, None, &mut server, &[e.trust_anchor()], e.crl()).unwrap();
+        // Client to server, one record at a time: a record opened twice,
+        // and an older record opened after a newer one.
+        let old = ck.seal_client(b"old").unwrap();
+        let new = ck.seal_client(b"new").unwrap();
+        assert_eq!(sk.open_client(&old).unwrap(), b"old");
+        assert_eq!(
+            sk.open_client(&old),
+            Err(NetsecError::ReplayDetected { pn: old.seq })
+        );
+        assert_eq!(sk.open_client(&new).unwrap(), b"new");
+        assert_eq!(
+            sk.open_client(&old),
+            Err(NetsecError::ReplayDetected { pn: old.seq })
+        );
+        // Server to client, through the batched open: a duplicate in the
+        // burst, a stale record after a newer one, and a replay of an
+        // earlier burst.
+        let recs = sk.seal_server_many(&[b"a", b"b", b"c"]).unwrap();
+        let burst = [
+            recs[0].clone(),
+            recs[0].clone(),
+            recs[2].clone(),
+            recs[1].clone(),
+        ];
+        assert_eq!(
+            ck.open_server_many(&burst),
+            vec![
+                Ok(b"a".to_vec()),
+                Err(NetsecError::ReplayDetected { pn: recs[0].seq }),
+                Ok(b"c".to_vec()),
+                Err(NetsecError::ReplayDetected { pn: recs[1].seq }),
+            ]
+        );
+        assert_eq!(
+            ck.open_server_many(&recs[2..]),
+            vec![Err(NetsecError::ReplayDetected { pn: recs[2].seq })]
+        );
+        // The client direction rejects the same way through its batch.
+        assert_eq!(
+            sk.open_client_many(&[new.clone(), old]),
+            vec![
+                Err(NetsecError::ReplayDetected { pn: new.seq }),
+                Err(NetsecError::ReplayDetected { pn: 0 }),
+            ]
+        );
     }
 
     #[test]

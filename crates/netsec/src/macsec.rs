@@ -17,20 +17,36 @@
 //! from a pre-shared Connectivity Association Key (CAK) with HKDF, the same
 //! trust bootstrap 802.1X-2010 uses.
 //!
+//! Every association, on either side, is a [`SeqAead`]
+//! (`genio_crypto::seq`): the PN is its sequence number, so the nonce is
+//! the SCI's low 32 bits followed by the PN, PNs run from 1 up to
+//! [`MacsecConfig::pn_limit`], and the receiver keeps a
+//! [`MacsecConfig::replay_window`]-wide window per (SCI, AN). A SAK
+//! depends only on (CAK, SCI, AN), so the AN wrapping from 3 back to 0
+//! brings back AN 0's key: a peer keeps every transmit association it has
+//! used, and [`MacsecPeer::rotate_sak`] back to an AN resumes that AN's
+//! PNs where they stopped. No (key, nonce) pair is sealed twice, and the
+//! receiver's window for that AN accepts the resumed frames. Once every
+//! AN has reached the PN limit, [`MacsecPeer::protect`] keeps returning
+//! [`NetsecError::PnExhausted`]: the CAK is spent.
+//!
 //! Each direction has one implementation, the burst:
 //! [`MacsecPeer::protect_many`] seals a TDMA burst with one AEAD call, and
-//! [`MacsecPeer::validate_many`] opens each same-(SCI, AN) run with one
-//! call and then walks it for the replay window. [`MacsecPeer::protect`]
-//! and [`MacsecPeer::validate`] are bursts of one through the same code,
-//! so PN bookkeeping, association lookup and the replay check exist once.
+//! [`MacsecPeer::validate_many`] opens each same-(SCI, AN) run through
+//! the association's run walk ([`SeqAead::open_many`]).
+//! [`MacsecPeer::protect`] and [`MacsecPeer::validate`] are bursts of one
+//! through the same code, so PN bookkeeping, association lookup and the
+//! replay check exist once.
 
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 
-use genio_crypto::gcm::{AesGcm, Input};
+use genio_crypto::gcm::AesGcm;
 use genio_crypto::hkdf;
+use genio_crypto::seq::{Received, SeqAead};
 use genio_telemetry::{Counter, Histogram, Telemetry};
 
+use crate::error::open_error;
 use crate::NetsecError;
 
 /// Association number: 2 bits, so four concurrent SAs per channel.
@@ -70,74 +86,6 @@ impl Default for MacsecConfig {
     }
 }
 
-#[derive(Debug)]
-struct TxState {
-    an: An,
-    next_pn: u64,
-    aead: AesGcm,
-}
-
-#[derive(Debug)]
-struct RxAssociation {
-    aead: AesGcm,
-    replay: ReplayWindow,
-}
-
-/// Anti-replay state of one receive association. It is `Copy`, so a
-/// batch can keep the state a run started from while the walk marks.
-#[derive(Debug, Clone, Copy, Default)]
-struct ReplayWindow {
-    /// Highest PN validated so far.
-    high: u64,
-    /// Bitmap of the `replay_window` packets below `high`.
-    window: u128,
-    /// True once any frame has been accepted.
-    seen_any: bool,
-}
-
-impl ReplayWindow {
-    fn check_and_mark(&self, pn: u64, window_size: u64) -> Result<(), NetsecError> {
-        if !self.seen_any {
-            return Ok(());
-        }
-        if pn > self.high {
-            return Ok(());
-        }
-        let age = self.high - pn;
-        if age >= window_size.min(127) || window_size == 0 {
-            return Err(NetsecError::ReplayDetected { pn });
-        }
-        if (self.window >> age) & 1 == 1 {
-            return Err(NetsecError::ReplayDetected { pn });
-        }
-        Ok(())
-    }
-
-    fn mark(&mut self, pn: u64) {
-        if !self.seen_any {
-            self.seen_any = true;
-            self.high = pn;
-            self.window = 1;
-            return;
-        }
-        if pn > self.high {
-            let shift = pn - self.high;
-            self.window = if shift >= 128 {
-                0
-            } else {
-                self.window << shift
-            };
-            self.window |= 1;
-            self.high = pn;
-        } else {
-            let age = self.high - pn;
-            if age < 128 {
-                self.window |= 1 << age;
-            }
-        }
-    }
-}
-
 /// One endpoint of a MACsec-protected link.
 ///
 /// Each peer transmits on its own secure channel (keyed by its SCI) and
@@ -147,8 +95,13 @@ pub struct MacsecPeer {
     sci: Sci,
     config: MacsecConfig,
     cak: Vec<u8>,
-    tx: TxState,
-    rx: HashMap<(Sci, An), RxAssociation>,
+    /// The transmit association in use, `tx`, and its AN.
+    an: An,
+    tx: SeqAead,
+    /// Transmit associations used before, by AN, so rotating back to
+    /// one resumes its PNs.
+    tx_parked: HashMap<An, SeqAead>,
+    rx: HashMap<(Sci, An), SeqAead>,
     /// Count of frames rejected on receive, by cause, for the benchmarks.
     pub rejected_replay: u64,
     /// Count of integrity failures observed on receive.
@@ -161,9 +114,23 @@ pub struct MacsecPeer {
     rx_integrity: Counter,
 }
 
-fn derive_sak(cak: &[u8], sci: Sci, an: An) -> Vec<u8> {
+/// The association `an` of channel `sci`: its SAK, derived from the CAK,
+/// under the channel's nonce salt and the PN range and window of `config`.
+fn association(
+    cak: &[u8],
+    sci: Sci,
+    an: An,
+    config: &MacsecConfig,
+) -> genio_crypto::Result<SeqAead> {
     let info = format!("macsec-sak sci={sci} an={an}");
-    hkdf::derive(b"genio-mka", cak, info.as_bytes(), 16)
+    let sak = hkdf::derive(b"genio-mka", cak, info.as_bytes(), 16);
+    let [.., s4, s5, s6, s7] = sci.to_be_bytes();
+    Ok(SeqAead::new(
+        AesGcm::new(&sak)?,
+        [s4, s5, s6, s7],
+        1..config.pn_limit,
+        config.replay_window,
+    ))
 }
 
 impl MacsecPeer {
@@ -174,17 +141,13 @@ impl MacsecPeer {
     ///
     /// Propagates key-setup failures from the AEAD layer.
     pub fn new(sci: Sci, config: &MacsecConfig, cak: &[u8]) -> crate::Result<Self> {
-        let sak = derive_sak(cak, sci, 0);
-        let aead = AesGcm::new(&sak)?;
         Ok(MacsecPeer {
             sci,
             config: *config,
             cak: cak.to_vec(),
-            tx: TxState {
-                an: 0,
-                next_pn: 1,
-                aead,
-            },
+            an: 0,
+            tx: association(cak, sci, 0, config)?,
+            tx_parked: HashMap::new(),
             rx: HashMap::new(),
             rejected_replay: 0,
             rejected_integrity: 0,
@@ -218,23 +181,26 @@ impl MacsecPeer {
 
     /// Current transmit association number.
     pub fn current_an(&self) -> An {
-        self.tx.an
+        self.an
     }
 
-    /// Rotates the transmit SAK to the next association number, resetting
-    /// the packet number. Receivers derive the same SAK lazily from the CAK.
+    /// Rotates the transmit SAK to the next association number. An AN
+    /// used before resumes its packet numbers where they stopped (its SAK
+    /// is the same); a new one starts at PN 1. Receivers derive the same
+    /// SAK lazily from the CAK.
     ///
     /// # Errors
     ///
     /// Propagates key-setup failures from the AEAD layer.
     pub fn rotate_sak(&mut self) -> crate::Result<()> {
-        let next_an = (self.tx.an + 1) % 4;
-        let sak = derive_sak(&self.cak, self.sci, next_an);
-        self.tx = TxState {
-            an: next_an,
-            next_pn: 1,
-            aead: AesGcm::new(&sak)?,
+        let next_an = (self.an + 1) % 4;
+        let next = match self.tx_parked.remove(&next_an) {
+            Some(parked) => parked,
+            None => association(&self.cak, self.sci, next_an, &self.config)?,
         };
+        let used = std::mem::replace(&mut self.tx, next);
+        self.tx_parked.insert(self.an, used);
+        self.an = next_an;
         Ok(())
     }
 
@@ -267,11 +233,12 @@ impl MacsecPeer {
             .unwrap_or(Err(NetsecError::IntegrityFailure))
     }
 
-    /// Protects a whole TDMA burst in one call: frame `i` carries PN
-    /// `next_pn + i` and is byte-identical to what the `i`-th sequential
-    /// [`MacsecPeer::protect`] call would have produced. The burst shares
-    /// one batched AEAD call ([`AesGcm::seal_many`]), paying telemetry and
-    /// dispatch once per burst instead of once per frame.
+    /// Protects a whole TDMA burst in one call: frame `i` carries the
+    /// association's next PN plus `i` and is byte-identical to what the
+    /// `i`-th sequential [`MacsecPeer::protect`] call would have produced.
+    /// The burst shares one batched AEAD call ([`SeqAead::seal_many`]),
+    /// paying telemetry and dispatch once per burst instead of once per
+    /// frame.
     ///
     /// # Errors
     ///
@@ -280,33 +247,14 @@ impl MacsecPeer {
     /// nothing is sealed and the PN does not advance in that case.
     pub fn protect_many(&mut self, payloads: &[&[u8]]) -> crate::Result<Vec<MacsecFrame>> {
         let _timer = self.protect_time.start();
-        let n = payloads.len() as u64;
-        if n == 0 {
-            return Ok(Vec::new());
-        }
-        if self.tx.next_pn.saturating_add(n - 1) >= self.config.pn_limit {
-            return Err(NetsecError::PnExhausted);
-        }
-        let pn0 = self.tx.next_pn;
-        self.tx.next_pn += n;
-        self.tx_frames.incr(n);
-        let (sci, an) = (self.sci, self.tx.an);
-        let aads: Vec<[u8; 17]> = (pn0..pn0 + n).map(|pn| aad_for(sci, an, pn)).collect();
-        let inputs: Vec<Input> = payloads
-            .iter()
-            .zip(&aads)
-            .zip(pn0..)
-            .map(|((&text, aad), pn)| Input {
-                nonce: nonce_for(sci, pn),
-                aad,
-                text,
-            })
-            .collect();
-        let sealed = self.tx.aead.seal_many(&inputs);
+        let (sci, an) = (self.sci, self.an);
+        let sealed = self
+            .tx
+            .seal_many(payloads, |pn| aad_for(sci, an, pn))
+            .map_err(|_| NetsecError::PnExhausted)?;
+        self.tx_frames.incr(payloads.len() as u64);
         Ok(sealed
-            .into_iter()
-            .zip(pn0..)
-            .map(|(secure_data, pn)| MacsecFrame {
+            .map(|(pn, secure_data)| MacsecFrame {
                 sci,
                 an,
                 pn,
@@ -321,24 +269,17 @@ impl MacsecPeer {
     /// in-burst duplicate is rejected exactly as it would be sequentially,
     /// and error precedence (replay before integrity) is preserved.
     ///
-    /// Internally, consecutive frames from the same (SCI, AN) are opened
-    /// with one batched [`AesGcm::open_many`] call — safe because `open`
-    /// mutates nothing; only the replay bookkeeping is order-dependent and
-    /// that still runs strictly sequentially.
+    /// Internally, each run of consecutive frames from the same (SCI, AN)
+    /// goes through that association's run walk ([`SeqAead::open_many`]):
+    /// one batched open of the frames its starting window accepts, then
+    /// the replay bookkeeping strictly in arrival order.
     pub fn validate_many(&mut self, frames: &[MacsecFrame]) -> Vec<crate::Result<Vec<u8>>> {
         let _timer = self.validate_time.start();
         let mut results = Vec::with_capacity(frames.len());
-        let mut start = 0usize;
-        while start < frames.len() {
-            // (SCI, AN) is a public association identifier, not secret
-            // material; grouping on it leaks nothing.
-            let assoc_id = (frames[start].sci, frames[start].an);
-            let mut end = start + 1;
-            while end < frames.len() && (frames[end].sci, frames[end].an) == assoc_id {
-                end += 1;
-            }
-            self.validate_run(&frames[start..end], &mut results);
-            start = end;
+        // (SCI, AN) is a public association identifier, not secret
+        // material; grouping on it leaks nothing.
+        for run in frames.chunk_by(|a, b| (a.sci, a.an) == (b.sci, b.an)) {
+            self.validate_run(run, &mut results);
         }
         results
     }
@@ -346,78 +287,44 @@ impl MacsecPeer {
     /// One same-(SCI, AN) run of [`MacsecPeer::validate_many`].
     fn validate_run(&mut self, run: &[MacsecFrame], results: &mut Vec<crate::Result<Vec<u8>>>) {
         let Some(first) = run.first() else { return };
-        let window = self.config.replay_window;
         let assoc = match self.rx.entry((first.sci, first.an)) {
             Entry::Occupied(e) => e.into_mut(),
-            Entry::Vacant(e) => {
-                let sak = derive_sak(&self.cak, first.sci, first.an);
-                match AesGcm::new(&sak) {
-                    Ok(aead) => e.insert(RxAssociation {
-                        aead,
-                        replay: ReplayWindow::default(),
-                    }),
-                    Err(err) => {
-                        // Sequential validation would fail key setup for
-                        // every frame of the run the same way.
-                        for _ in run {
-                            results.push(Err(NetsecError::Crypto(err.clone())));
-                        }
-                        return;
-                    }
+            Entry::Vacant(e) => match association(&self.cak, first.sci, first.an, &self.config) {
+                Ok(assoc) => e.insert(assoc),
+                Err(err) => {
+                    // Sequential validation would fail key setup for
+                    // every frame of the run the same way.
+                    results.extend(run.iter().map(|_| Err(NetsecError::Crypto(err.clone()))));
+                    return;
                 }
-            }
+            },
         };
-        // A frame the run's starting window already rejects stays
-        // rejected after any marks the run makes (the window only moves
-        // forward and only gains bits), so only the others reach the AEAD:
-        // a replay costs no open, in a burst or alone.
-        let start = assoc.replay;
-        let fresh = |f: &MacsecFrame| start.check_and_mark(f.pn, window).is_ok();
         let aads: Vec<[u8; 17]> = run.iter().map(|f| aad_for(f.sci, f.an, f.pn)).collect();
-        let inputs: Vec<Input> = run
+        let received: Vec<Received> = run
             .iter()
             .zip(&aads)
-            .filter(|(f, _)| fresh(f))
-            .map(|(f, aad)| Input {
-                nonce: nonce_for(f.sci, f.pn),
+            .map(|(f, aad)| Received {
+                seq: f.pn,
                 aad,
                 text: &f.secure_data,
             })
             .collect();
-        let mut opened = assoc.aead.open_many(&inputs).into_iter();
-        for frame in run {
-            let open_result = if fresh(frame) { opened.next() } else { None };
-            if let Err(e) = assoc.replay.check_and_mark(frame.pn, window) {
-                self.rejected_replay += 1;
-                self.rx_replay.incr(1);
-                results.push(Err(e));
-                continue;
-            }
-            // Every frame past the replay check was opened: the starting
-            // window passed it too.
-            match open_result {
-                Some(Ok(pt)) => {
-                    assoc.replay.mark(frame.pn);
-                    self.rx_accepted.incr(1);
-                    results.push(Ok(pt));
+        for result in assoc.open_many(&received) {
+            let result = result.map_err(open_error);
+            match result {
+                Ok(_) => self.rx_accepted.incr(1),
+                Err(NetsecError::ReplayDetected { .. }) => {
+                    self.rejected_replay += 1;
+                    self.rx_replay.incr(1);
                 }
-                _ => {
+                Err(_) => {
                     self.rejected_integrity += 1;
                     self.rx_integrity.incr(1);
-                    results.push(Err(NetsecError::IntegrityFailure));
                 }
             }
+            results.push(result);
         }
     }
-}
-
-fn nonce_for(sci: Sci, pn: u64) -> [u8; 12] {
-    let mut nonce = [0u8; 12];
-    // Low 32 bits of the SCI, taken byte-wise to avoid a lossy cast.
-    let sci_be = sci.to_be_bytes();
-    nonce[0..4].copy_from_slice(&sci_be[4..8]);
-    nonce[4..12].copy_from_slice(&pn.to_be_bytes());
-    nonce
 }
 
 fn aad_for(sci: Sci, an: An, pn: u64) -> [u8; 17] {
@@ -556,6 +463,21 @@ mod tests {
     }
 
     #[test]
+    fn rotating_back_to_an_an_resumes_its_packet_numbers() {
+        let (mut a, mut b) = pair();
+        let first = a.protect(b"before the wrap").unwrap();
+        assert_eq!((first.an, first.pn), (0, 1));
+        assert_eq!(b.validate(&first).unwrap(), b"before the wrap");
+        for _ in 0..4 {
+            a.rotate_sak().unwrap();
+        }
+        assert_eq!(a.current_an(), 0);
+        let second = a.protect(b"after the wrap").unwrap();
+        assert_eq!((second.an, second.pn), (0, 2));
+        assert_eq!(b.validate(&second).unwrap(), b"after the wrap");
+    }
+
+    #[test]
     fn pn_exhaustion_forces_rotation() {
         let cfg = MacsecConfig {
             replay_window: 64,
@@ -648,7 +570,7 @@ mod tests {
         assert!(rx.validate_many(&first[..1]).iter().all(Result::is_ok));
         let telemetry = genio_telemetry::Telemetry::enabled();
         if let Some(assoc) = rx.rx.get_mut(&(0xA, 0)) {
-            assoc.aead = assoc.aead.clone().instrument(&telemetry);
+            *assoc = assoc.clone().instrument(&telemetry);
         }
         let opened = telemetry.counter("crypto.gcm.opened_frames");
         assert!(rx.validate_many(&first[1..]).iter().all(Result::is_ok));

@@ -1,7 +1,7 @@
 //! Property-based tests for the MACsec anti-replay window and record
 //! protection, and drawn MACsec faults across burst boundaries.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 
 use genio_testkit::prelude::*;
 
@@ -86,11 +86,12 @@ property! {
 const WINDOWS: [u64; 3] = [0, 4, 64];
 
 /// One drawn frame of a burst: the fault kind, a transmitter selector
-/// and two free positions (a frame, a byte or a length, then a bit).
+/// and two free positions (a frame, a byte, a length or a SecTAG bit,
+/// then a bit or a SecTAG field).
 type Draw = (u8, u8, Index, Index);
 
 /// A frame as delivered, and whether the receiver must reject it
-/// (tampered or cut).
+/// (tampered, cut or with a flipped SecTAG).
 type Delivered = (MacsecFrame, bool);
 
 /// Two transmitting channels and every frame they sent, untampered, so
@@ -173,6 +174,16 @@ fn macsec_burst(
                     .expect("a derived SAK is a valid key");
                 burst.push((stream.fresh(tx), false));
             }
+            // A SecTAG bit flipped in flight: PN, SCI or AN.
+            12 => {
+                let mut frame = stream.fresh(tx);
+                match b.index(3) {
+                    0 => frame.pn ^= 1 << a.index(64),
+                    1 => frame.sci ^= 1 << a.index(64),
+                    _ => frame.an ^= 1 << a.index(8),
+                }
+                burst.push((frame, true));
+            }
             _ => {}
         }
     }
@@ -184,13 +195,14 @@ property! {
     /// 0, 4 and 64: two consecutive bursts from two interleaved channels
     /// mix in-order frames, replays of the earlier burst at age
     /// `window - 1` and `window`, in-burst duplicates and reorders, bit
-    /// flips in ciphertext or tag, payloads cut below the tag and AN
-    /// rotations. Frame by frame, `validate_many` equals `validate` on a
-    /// twin receiver, both count the same rejections, and no tampered
-    /// frame is ever accepted.
+    /// flips in ciphertext or tag, payloads cut below the tag, flipped
+    /// PN, SCI or AN bits and AN rotations (wrapping past AN 3). Frame by
+    /// frame, `validate_many` equals `validate` on a twin receiver, both
+    /// count the same rejections, no tampered frame is ever accepted, and
+    /// no (SCI, AN, PN) is sealed twice.
     fn macsec_burst_faults_match_one_at_a_time(window_sel in 0usize..3,
-                                               first in vec((0u8..12, 0u8..2, index(), index()), 0..24),
-                                               second in vec((0u8..12, 0u8..2, index(), index()), 0..24)) {
+                                               first in vec((0u8..13, 0u8..2, index(), index()), 0..24),
+                                               second in vec((0u8..13, 0u8..2, index(), index()), 0..24)) {
         let window = WINDOWS[window_sel];
         let cfg = MacsecConfig { replay_window: window, pn_limit: u32::MAX as u64 };
         let txs = [0xA, 0xC].map(|sci| MacsecPeer::new(sci, &cfg, b"cak").unwrap());
@@ -216,6 +228,11 @@ property! {
                 }
             }
             earlier = burst;
+        }
+        let mut sealed = HashSet::new();
+        for frame in &stream.sent {
+            prop_assert!(sealed.insert((frame.sci, frame.an, frame.pn)),
+                         "(SCI {:#x}, AN {}, PN {}) sealed twice", frame.sci, frame.an, frame.pn);
         }
     }
 }

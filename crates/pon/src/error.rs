@@ -36,6 +36,12 @@ pub enum PonError {
         /// The GEM port in question.
         port: u16,
     },
+    /// The GEM port's frame counter is spent; the key must be
+    /// re-established before the port sends again.
+    CounterExhausted {
+        /// The GEM port in question.
+        port: u16,
+    },
     /// An upstream burst arrived outside the granted window.
     OutsideGrant {
         /// The ONU that transmitted.
@@ -62,6 +68,9 @@ impl fmt::Display for PonError {
             PonError::AdmissionDenied(why) => write!(f, "admission denied: {why}"),
             PonError::DecryptFailed => write!(f, "payload decryption failed"),
             PonError::NoKey { port } => write!(f, "no key established for gem port {port}"),
+            PonError::CounterExhausted { port } => {
+                write!(f, "frame counter exhausted on gem port {port}")
+            }
             PonError::OutsideGrant { onu } => {
                 write!(f, "onu {onu} transmitted outside its granted window")
             }

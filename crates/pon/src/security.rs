@@ -3,8 +3,12 @@
 //! ITU-T G.987.3 recommends AES-based payload encryption between OLT and
 //! ONU so that the physically broadcast downstream cannot be read by fiber
 //! taps or promiscuous ONUs. This module implements that with AES-GCM keyed
-//! per GEM port, deriving the nonce from the per-port frame counter, and
-//! enforcing strictly increasing counters on receive (replay defence).
+//! per GEM port. Each port key is a [`SeqAead`] (`genio_crypto::seq`): the
+//! frame counter is its sequence number, so the nonce is
+//! `port || 0x0000 || counter`, counters start at 0 and never wrap
+//! ([`PonError::CounterExhausted`]), and the receiver's window of 0
+//! accepts only counters above the highest it has accepted (replay
+//! defence).
 //!
 //! Each direction has one implementation, the burst: an OLT seals and an
 //! ONU opens a whole TDMA burst per port with one AEAD call
@@ -16,21 +20,13 @@
 use std::collections::HashMap;
 
 use genio_crypto::drbg::HmacDrbg;
-use genio_crypto::gcm::{AesGcm, Input};
+use genio_crypto::gcm::AesGcm;
+use genio_crypto::seq::{Received, SeqAead};
+use genio_crypto::CryptoError;
 
 use crate::frame::{DownstreamFrame, GemPort, PayloadKind};
 use crate::topology::OnuId;
 use crate::PonError;
-
-/// Per-port AEAD state shared (conceptually) between the OLT and one ONU.
-#[derive(Debug)]
-struct PortKey {
-    aead: AesGcm,
-    /// Next counter to use when sending.
-    send_counter: u64,
-    /// Highest counter accepted so far on receive.
-    recv_high: Option<u64>,
-}
 
 /// Encryption engine for one side of a PON tree (the OLT holds one; each
 /// ONU conceptually holds the mirror image for its own ports).
@@ -53,7 +49,7 @@ struct PortKey {
 #[derive(Debug)]
 pub struct GemCrypto {
     master_seed: Vec<u8>,
-    ports: HashMap<GemPort, PortKey>,
+    ports: HashMap<GemPort, SeqAead>,
 }
 
 impl GemCrypto {
@@ -77,24 +73,9 @@ impl GemCrypto {
         // keyless, so traffic is dropped) rather than panic the OLT
         // data plane on the impossible branch.
         let Ok(aead) = AesGcm::new(&key) else { return };
-        self.ports.insert(
-            port,
-            PortKey {
-                aead,
-                send_counter: 0,
-                recv_high: None,
-            },
-        );
-    }
-
-    /// True if a key is installed for `port`.
-    pub fn has_key(&self, port: GemPort) -> bool {
-        self.ports.contains_key(&port)
-    }
-
-    /// Number of keyed ports.
-    pub fn keyed_ports(&self) -> usize {
-        self.ports.len()
+        let [hi, lo] = port.to_be_bytes();
+        self.ports
+            .insert(port, SeqAead::new(aead, [hi, lo, 0, 0], 0..u64::MAX, 0));
     }
 
     /// Encrypts a downstream payload for `port`, producing a broadcastable
@@ -103,7 +84,8 @@ impl GemCrypto {
     ///
     /// # Errors
     ///
-    /// Returns [`PonError::NoKey`] if the port has no established key.
+    /// Returns [`PonError::NoKey`] if the port has no established key, and
+    /// [`PonError::CounterExhausted`] once its counter space is spent.
     pub fn encrypt_downstream(
         &mut self,
         port: GemPort,
@@ -135,38 +117,28 @@ impl GemCrypto {
     /// Encrypts a whole downstream burst for one `port` with a single
     /// batched AEAD call ([`genio_crypto::gcm::AesGcm::seal_many`]).
     ///
-    /// Frame `i` carries counter `send_counter + i` and is byte-identical to
-    /// the frame the `i`-th sequential [`GemCrypto::encrypt_downstream`]
-    /// call would have produced.
+    /// Frame `i` carries the port's next counter plus `i` and is
+    /// byte-identical to the frame the `i`-th sequential
+    /// [`GemCrypto::encrypt_downstream`] call would have produced.
     ///
     /// # Errors
     ///
-    /// Returns [`PonError::NoKey`] if the port has no established key; the
-    /// counter does not advance on error.
+    /// Returns [`PonError::NoKey`] if the port has no established key, and
+    /// [`PonError::CounterExhausted`] if the burst would run past the last
+    /// counter; the counter does not advance on error.
     pub fn encrypt_downstream_many(
         &mut self,
         port: GemPort,
         target: OnuId,
         plaintexts: &[&[u8]],
     ) -> crate::Result<Vec<DownstreamFrame>> {
-        let state = self.ports.get_mut(&port).ok_or(PonError::NoKey { port })?;
-        let counter0 = state.send_counter;
-        state.send_counter += plaintexts.len() as u64;
+        let aead = self.ports.get_mut(&port).ok_or(PonError::NoKey { port })?;
         let aad = aad_for(port, target);
-        let inputs: Vec<Input> = plaintexts
-            .iter()
-            .zip(counter0..)
-            .map(|(&text, counter)| Input {
-                nonce: nonce_for(port, counter),
-                aad: &aad,
-                text,
-            })
-            .collect();
-        let payloads = state.aead.seal_many(&inputs);
-        Ok(payloads
-            .into_iter()
-            .zip(counter0..)
-            .map(|(payload, counter)| DownstreamFrame {
+        let sealed = aead
+            .seal_many(plaintexts, |_| aad)
+            .map_err(|_| PonError::CounterExhausted { port })?;
+        Ok(sealed
+            .map(|(counter, payload)| DownstreamFrame {
                 port,
                 target,
                 counter,
@@ -188,21 +160,15 @@ impl GemCrypto {
         items: &[(GemPort, OnuId, &[u8])],
     ) -> Vec<crate::Result<DownstreamFrame>> {
         let mut results = Vec::with_capacity(items.len());
-        let mut start = 0;
-        while start < items.len() {
-            let (port, target, _) = items[start];
-            let mut end = start + 1;
-            while end < items.len() && items[end].0 == port && items[end].1 == target {
-                end += 1;
-            }
-            let plaintexts: Vec<&[u8]> = items[start..end].iter().map(|&(_, _, p)| p).collect();
+        for run in items.chunk_by(|a, b| (a.0, a.1) == (b.0, b.1)) {
+            let Some(&(port, target, _)) = run.first() else {
+                continue;
+            };
+            let plaintexts: Vec<&[u8]> = run.iter().map(|&(_, _, p)| p).collect();
             match self.encrypt_downstream_many(port, target, &plaintexts) {
                 Ok(frames) => results.extend(frames.into_iter().map(Ok)),
-                Err(err) => {
-                    results.extend(std::iter::repeat_n(err, end - start).map(Err));
-                }
+                Err(err) => results.extend(std::iter::repeat_n(err, run.len()).map(Err)),
             }
-            start = end;
         }
         results
     }
@@ -216,64 +182,39 @@ impl GemCrypto {
     /// [`GemCrypto::decrypt`].
     pub fn decrypt_many(&mut self, frames: &[DownstreamFrame]) -> Vec<crate::Result<Vec<u8>>> {
         let mut results = Vec::with_capacity(frames.len());
-        let mut start = 0;
-        while start < frames.len() {
-            let port = frames[start].port;
-            let mut end = start + 1;
-            while end < frames.len() && frames[end].port == port {
-                end += 1;
-            }
-            self.decrypt_run(&frames[start..end], &mut results);
-            start = end;
+        for run in frames.chunk_by(|a, b| a.port == b.port) {
+            self.decrypt_run(run, &mut results);
         }
         results
     }
 
-    /// Opens one same-port run of a burst, preserving sequential semantics:
-    /// batch-open first (opening mutates nothing), then walk frames in order
-    /// applying the replay check and advancing `recv_high` only on success.
-    ///
-    /// A counter at or below the run's starting `recv_high` is a replay
-    /// whatever else the run holds, because `recv_high` only rises, so
-    /// only the frames above it reach the AEAD: a replayed frame costs no
-    /// open, in a burst or alone.
+    /// Opens one same-port run of a burst through the port key's run walk
+    /// ([`SeqAead::open_many`]): a counter at or below the highest one
+    /// accepted before the run costs no AEAD open, and the results equal
+    /// looping [`GemCrypto::decrypt`].
     fn decrypt_run(&mut self, run: &[DownstreamFrame], results: &mut Vec<crate::Result<Vec<u8>>>) {
         let Some(first) = run.first() else { return };
         let port = first.port;
-        let Some(state) = self.ports.get_mut(&port) else {
+        let Some(aead) = self.ports.get_mut(&port) else {
             results.extend(run.iter().map(|_| Err(PonError::NoKey { port })));
             return;
         };
-        let start_high = state.recv_high;
-        let fresh = |f: &DownstreamFrame| start_high.is_none_or(|high| f.counter > high);
         let aads: Vec<[u8; 6]> = run.iter().map(|f| aad_for(f.port, f.target)).collect();
-        let inputs: Vec<Input> = run
+        let received: Vec<Received> = run
             .iter()
             .zip(&aads)
-            .filter(|(f, _)| fresh(f))
-            .map(|(f, aad)| Input {
-                nonce: nonce_for(f.port, f.counter),
+            .map(|(f, aad)| Received {
+                seq: f.counter,
                 aad,
                 text: &f.payload,
             })
             .collect();
-        let mut opened = state.aead.open_many(&inputs).into_iter();
-        for frame in run {
-            let open_result = if fresh(frame) { opened.next() } else { None };
-            if state.recv_high.is_some_and(|high| frame.counter <= high) {
-                results.push(Err(PonError::Replay));
-                continue;
-            }
-            // Every frame past the replay check was opened: it is above
-            // the starting mark.
-            match open_result {
-                Some(Ok(plaintext)) => {
-                    state.recv_high = Some(frame.counter);
-                    results.push(Ok(plaintext));
-                }
-                _ => results.push(Err(PonError::DecryptFailed)),
-            }
-        }
+        results.extend(aead.open_many(&received).into_iter().map(|result| {
+            result.map_err(|err| match err {
+                CryptoError::Replayed { .. } => PonError::Replay,
+                _ => PonError::DecryptFailed,
+            })
+        }));
     }
 
     /// Builds a cleartext frame (what the tree carries when M3 is disabled).
@@ -291,13 +232,6 @@ impl GemCrypto {
             kind: PayloadKind::Clear,
         }
     }
-}
-
-fn nonce_for(port: GemPort, counter: u64) -> [u8; 12] {
-    let mut nonce = [0u8; 12];
-    nonce[0..2].copy_from_slice(&port.to_be_bytes());
-    nonce[4..12].copy_from_slice(&counter.to_be_bytes());
-    nonce
 }
 
 fn aad_for(port: GemPort, target: OnuId) -> [u8; 6] {
@@ -473,7 +407,7 @@ mod tests {
         let (mut olt, mut onu) = pair();
         let telemetry = genio_telemetry::Telemetry::enabled();
         if let Some(state) = onu.ports.get_mut(&10) {
-            state.aead = state.aead.clone().instrument(&telemetry);
+            *state = state.clone().instrument(&telemetry);
         }
         let opened = telemetry.counter("crypto.gcm.opened_frames");
         let first: Vec<_> = (0..4u8)

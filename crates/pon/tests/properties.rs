@@ -100,11 +100,13 @@ const KEYED_PORTS: [u16; 2] = [1, 2];
 const UNKEYED_PORT: u16 = 9;
 
 /// One drawn frame of a burst: the fault kind, a port selector and two
-/// free positions (a frame, a byte or a length, then a bit).
+/// free positions (a frame, a byte, a length or a header bit, then a bit
+/// or a header field).
 type Draw = (u8, u8, Index, Index);
 
 /// A frame as delivered, and whether the receiver must reject it
-/// (tampered, cut or sent on a port it has no key for).
+/// (tampered, cut, with a flipped header, or sent on a port it has no
+/// key for).
 type Delivered = (DownstreamFrame, bool);
 
 /// The OLT side: seals a stream of frames and keeps every frame it sent,
@@ -185,6 +187,16 @@ fn gem_burst(
                 burst.push((frame, true));
             }
             10 => burst.push((stream.fresh(UNKEYED_PORT), true)),
+            // A header bit flipped in flight: the counter or the target.
+            11 => {
+                let mut frame = stream.fresh(port);
+                if b.index(2) == 0 {
+                    frame.counter ^= 1 << a.index(64);
+                } else {
+                    frame.target ^= 1 << a.index(32);
+                }
+                burst.push((frame, true));
+            }
             _ => {}
         }
     }
@@ -196,12 +208,12 @@ property! {
     /// of one sealed stream mix in-order frames on two interleaved
     /// ports, replays of the earlier burst at and below each run's
     /// starting `recv_high`, in-burst duplicates and reorders, bit flips
-    /// in ciphertext or tag, payloads cut below the tag and frames on a
-    /// port the receiver has no key for. Frame by frame, `decrypt_many`
-    /// equals `decrypt` on a twin receiver, and no tampered frame is
-    /// ever accepted.
-    fn gem_burst_faults_match_one_at_a_time(first in vec((0u8..11, 0u8..2, index(), index()), 0..24),
-                                            second in vec((0u8..11, 0u8..2, index(), index()), 0..24)) {
+    /// in ciphertext or tag, payloads cut below the tag, flipped counter
+    /// or target bits and frames on a port the receiver has no key for.
+    /// Frame by frame, `decrypt_many` equals `decrypt` on a twin
+    /// receiver, and no tampered frame is ever accepted.
+    fn gem_burst_faults_match_one_at_a_time(first in vec((0u8..12, 0u8..2, index(), index()), 0..24),
+                                            second in vec((0u8..12, 0u8..2, index(), index()), 0..24)) {
         let mut olt = GemCrypto::new(b"faults");
         for port in KEYED_PORTS.into_iter().chain([UNKEYED_PORT]) {
             olt.establish_key(port, 1);

@@ -5,7 +5,9 @@
 #   scripts/verify.sh           build + tests + examples smoke + the
 #                               genio-analyzer ratchet gate (new static-
 #                               analysis findings vs analyzer-baseline.json
-#                               fail the build) + the genio-perf smoke
+#                               fail the build) + the traffic-fault
+#                               properties (GEM, MACsec, sequenced AEAD)
+#                               under seeds 1-64 + the genio-perf smoke
 #                               digests (scripts/genio-perf-digests.txt)
 #   scripts/verify.sh --quick   the above, then a quick bench pass that
 #                               merges one experiment report per bench
@@ -79,6 +81,25 @@ echo "diff scans are deterministic (json and SARIF agree across runs)"
 echo "==> genio-analyzer SARIF export gate (document re-parses with the testkit JSON parser)"
 cargo test --release -q -p genio-analyzer --test sarif_export
 echo "SARIF 2.1.0 export validated"
+
+echo "==> traffic-fault seed gate (GEM, MACsec and sequenced-AEAD fault properties under seeds 1-64)"
+# Each property binary is built once and called directly under every
+# seed; the crypto binary runs only its sequenced-AEAD property (its
+# signature properties add half a minute and no traffic faults).
+for spec in genio-pon: genio-netsec: genio-crypto:seq_aead; do
+    crate=${spec%%:*}
+    filter=${spec#*:}
+    properties=$(cargo test --release -q -p "$crate" --test properties --no-run \
+        --message-format=json | sed -n 's/.*"executable":"\([^"]*\)".*/\1/p')
+    [ -x "$properties" ] || { echo "$crate properties test binary not found" >&2; exit 1; }
+    "$properties" --list ${filter:+"$filter"} | grep -q ': test$' ||
+        { echo "no $crate property matches '$filter'" >&2; exit 1; }
+    for seed in $(seq 1 64); do
+        GENIO_TEST_SEED=$seed "$properties" -q ${filter:+"$filter"} >/dev/null ||
+            { echo "$crate properties failed under GENIO_TEST_SEED=$seed" >&2; exit 1; }
+    done
+done
+echo "traffic fault properties hold under all 64 seeds"
 
 echo "==> determinism-under-load gate (trace properties under 64 seeds in 4 concurrent loops)"
 # Build once, then call the test binary directly so the four loops
