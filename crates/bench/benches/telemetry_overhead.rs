@@ -66,7 +66,8 @@ fn bench(c: &mut Criterion) {
     group.finish();
 
     // --- Workload 1: sharded fleet engine (E-S2 hot loop): causal
-    // spans through every shard worker and wheel batch, batch counters. ---
+    // spans through every shard worker and its two phases, per-phase
+    // counters. ---
     let fleet_cfg = FleetSimConfig {
         trees: 48,
         onus_per_tree: 24,

@@ -616,7 +616,8 @@ pub fn run_fleet_t1(config: &FleetScenarioConfig) -> Vec<FleetT1Row> {
 }
 
 /// [`run_fleet_t1`] under a `core.scenario.fleet_t1` span; the engine's
-/// own `pon.shard.step` / `pon.wheel.advance` spans nest inside it.
+/// own `pon.fleet.run` span, with each shard's `pon.shard.step` and its
+/// `pon.shard.activation` / `pon.shard.cycles` phases, nests inside it.
 pub fn run_fleet_t1_instrumented(
     config: &FleetScenarioConfig,
     telemetry: &Telemetry,

@@ -38,7 +38,6 @@
 //! through the same code, so PN bookkeeping, association lookup and the
 //! replay check exist once.
 
-use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 
 use genio_crypto::gcm::AesGcm;
@@ -287,10 +286,15 @@ impl MacsecPeer {
     /// One same-(SCI, AN) run of [`MacsecPeer::validate_many`].
     fn validate_run(&mut self, run: &[MacsecFrame], results: &mut Vec<crate::Result<Vec<u8>>>) {
         let Some(first) = run.first() else { return };
-        let assoc = match self.rx.entry((first.sci, first.an)) {
-            Entry::Occupied(e) => e.into_mut(),
-            Entry::Vacant(e) => match association(&self.cak, first.sci, first.an, &self.config) {
-                Ok(assoc) => e.insert(assoc),
+        let key = (first.sci, first.an);
+        // An unknown (SCI, AN) opens with a freshly derived association,
+        // which is kept only if a frame of the run verifies: forged
+        // SecTAGs must leave no receive state behind.
+        let mut fresh = None;
+        let assoc = match self.rx.get_mut(&key) {
+            Some(assoc) => assoc,
+            None => match association(&self.cak, first.sci, first.an, &self.config) {
+                Ok(assoc) => fresh.insert(assoc),
                 Err(err) => {
                     // Sequential validation would fail key setup for
                     // every frame of the run the same way.
@@ -309,10 +313,14 @@ impl MacsecPeer {
                 text: &f.secure_data,
             })
             .collect();
+        let mut verified = false;
         for result in assoc.open_many(&received) {
             let result = result.map_err(open_error);
             match result {
-                Ok(_) => self.rx_accepted.incr(1),
+                Ok(_) => {
+                    verified = true;
+                    self.rx_accepted.incr(1);
+                }
                 Err(NetsecError::ReplayDetected { .. }) => {
                     self.rejected_replay += 1;
                     self.rx_replay.incr(1);
@@ -323,6 +331,9 @@ impl MacsecPeer {
                 }
             }
             results.push(result);
+        }
+        if let Some(assoc) = fresh.filter(|_| verified) {
+            self.rx.insert(key, assoc);
         }
     }
 }
@@ -447,6 +458,21 @@ mod tests {
         let mut f = a.protect(b"config").unwrap();
         f.pn += 10; // forge a newer PN to slip past the replay check
         assert_eq!(b.validate(&f), Err(NetsecError::IntegrityFailure));
+    }
+
+    #[test]
+    fn forged_sectags_leave_no_receive_state() {
+        let (mut a, mut b) = pair();
+        let genuine = a.protect(b"config").unwrap();
+        for bit in 0..64 {
+            let mut forged = genuine.clone();
+            forged.sci ^= 1 << bit;
+            assert_eq!(b.validate(&forged), Err(NetsecError::IntegrityFailure));
+        }
+        assert_eq!(b.rejected_integrity, 64);
+        assert!(b.rx.is_empty(), "forged SecTAGs installed receive state");
+        assert_eq!(b.validate(&genuine).unwrap(), b"config");
+        assert_eq!(b.rx.len(), 1);
     }
 
     #[test]

@@ -1,24 +1,33 @@
-//! Fleet-scale PON simulation: a sharded, struct-of-arrays
-//! discrete-event engine.
+//! Fleet-scale PON simulation: a sharded discrete-event engine.
 //!
 //! The object-per-ONU stepper in [`crate::reference`] is fine for one
 //! tree with a handful of ONUs, but the paper's architecture serves
 //! operator-scale fleets — thousands of PON trees, a million ONUs. This
 //! module rebuilds the simulation core for that scale:
 //!
-//! * **Discrete events, not ticks.** A hierarchical timer wheel
-//!   ([`crate::wheel`]) drives activation announcements, TDMA cycles
-//!   and attack events at nanosecond timestamps; nothing iterates over
-//!   idle ONUs.
-//! * **Struct-of-arrays ONU state.** Activation phase, equalization
-//!   delay and per-ONU grant/frame counters live in parallel flat
-//!   `Vec`s indexed by `(tree, onu)` — no per-ONU heap objects.
+//! * **A timeline known up front.** Every event is a pure function of
+//!   `(seed, tree, ONU, cycle)`: each announcement falls inside the
+//!   activation window, which ends where cycle 0 starts, and each replay
+//!   lands [`REPLAY_OFFSET_NS`] into its cycle, before the next one
+//!   starts. So a shard steps its timeline in two phases instead of
+//!   draining a timer queue. *Activation* collects the shard's
+//!   announcements as `(announce_ns, tree, index)` — the tree's rogue
+//!   takes index `n`, after its subscribers — sorts them once and emits
+//!   them in that order. *Cycles* loops over the TDMA cycles and emits
+//!   every tree's grants at the cycle start, then, on a replay cycle,
+//!   every tree's replay.
+//! * **Per-tree state only.** Every ONU is active from cycle 0 on, so a
+//!   shard keeps no per-ONU state: per tree it keeps the farthest round
+//!   trip (the equalization reference), the event sequence number and
+//!   the fairness partials.
 //! * **Per-tree shards on worker threads.** Trees are independent, so
 //!   contiguous tree ranges run on `std::thread` workers. Determinism
 //!   is by construction: per-tree RNG streams are split from the seed
 //!   ([`mix64`]), events carry a per-tree sequence number, and the
 //!   merged log is canonically ordered by `(time, tree, seq)` — the
-//!   same fleet at 1, 2 or 8 workers yields a byte-identical log.
+//!   same fleet at 1, 2 or 8 workers yields a byte-identical log. Both
+//!   phases emit a shard's log already in that order, so on one worker
+//!   the merge's sort finds its input sorted.
 //! * **Batched TDMA.** Each cycle computes one tree's whole grant
 //!   schedule through [`compute_grants_into`] into reusable buffers.
 //!
@@ -33,7 +42,6 @@ use crate::tdma::{
     compute_grants_into, jain_fairness, BandwidthRequest, BatchGrants, DbaConfig, ServiceClass,
 };
 use crate::topology::propagation_delay_ns;
-use crate::wheel::TimerWheel;
 use genio_telemetry::{Telemetry, TraceContext};
 
 /// Window (ns) within which every ONU announces itself for activation.
@@ -45,6 +53,9 @@ pub const CYCLE_NS: u64 = 125_000;
 /// Offset (ns) after a cycle start at which the replay attacker
 /// re-injects its captured frame.
 pub const REPLAY_OFFSET_NS: u64 = 60_000;
+
+// A shard emits a cycle's replays before the next cycle's grants.
+const _: () = assert!(REPLAY_OFFSET_NS < CYCLE_NS);
 
 /// Trunk fiber from OLT to splitter (m), uniform across the fleet.
 pub const TRUNK_M: u32 = 10_000;
@@ -73,11 +84,12 @@ fn h3(seed: u64, tag: u64, tree: u32, x: u64) -> u64 {
     mix64(seed ^ mix64(tag ^ mix64((u64::from(tree) << 32) ^ x)))
 }
 
-/// Trace-slot namespaces: shard spans, wheel-advance batches and the
-/// platform merge each derive child span IDs from disjoint slot ranges,
-/// so spans from different phases can never collide.
+/// Trace slots: shard spans, the two phase spans of a shard and the
+/// platform merge each derive child span IDs from disjoint slots, so
+/// spans from different phases can never collide.
 const TRACE_SLOT_SHARD: u64 = 0x5348_4152_4400_0000; // "SHARD"
-const TRACE_SLOT_BATCH: u64 = 0x4241_5443_4800_0000; // "BATCH"
+const TRACE_SLOT_ACTIVATION: u64 = 0x4143_5449_5600_0000; // "ACTIV"
+const TRACE_SLOT_CYCLES: u64 = 0x4359_434c_4500_0000; // "CYCLE"
 
 /// Root causal context for a fleet run keyed by `seed`. Deterministic:
 /// same seed, same trace — which is what lets two runs of the same
@@ -487,45 +499,6 @@ pub fn merge_shards(shards: Vec<ShardOutput>) -> FleetRunResult {
     }
 }
 
-/// Event payloads carried through the timer wheel.
-#[derive(Debug, Clone, Copy)]
-enum Ev {
-    Announce { tree: u32, onu: u32 },
-    Rogue { tree: u32 },
-    Cycle { tree: u32, k: u32 },
-    Replay { tree: u32, k: u32 },
-}
-
-/// Events delivered per `pon.wheel.advance` span.
-const ADVANCE_BATCH: usize = 4096;
-
-fn emit(
-    log: &mut Vec<EventRecord>,
-    tree_seq: &mut [u32],
-    tree_start: u32,
-    tree: u32,
-    time_ns: u64,
-    kind: EventKind,
-    a: u64,
-    b: u64,
-    c: u64,
-) {
-    let lt = (tree - tree_start) as usize;
-    let seq = tree_seq.get(lt).copied().unwrap_or(0);
-    if let Some(s) = tree_seq.get_mut(lt) {
-        *s += 1;
-    }
-    log.push(EventRecord {
-        time_ns,
-        tree,
-        seq,
-        kind,
-        a,
-        b,
-        c,
-    });
-}
-
 fn run_shard(
     cfg: &FleetSimConfig,
     tree_start: u32,
@@ -538,205 +511,137 @@ fn run_shard(
     let frames_ctr = telemetry.counter("pon.fleet.frames");
 
     let n = cfg.onus_per_tree;
-    let n_us = n as usize;
-    let shard_trees = (tree_end - tree_start) as usize;
-    let cells = shard_trees * n_us;
-
-    // Struct-of-arrays ONU state, indexed by `local_tree * n + onu`.
-    let mut active = vec![false; cells];
-    let mut eq_delay_ns = vec![0u64; cells];
-    let mut granted_bytes = vec![0u64; cells];
-    let mut frames_tx = vec![0u64; cells];
-    // Per-tree state.
-    let mut tree_seq = vec![0u32; shard_trees];
-    let mut max_rtt = vec![0u64; shard_trees];
-    let mut fairness = vec![(0.0f64, 0u64); shard_trees];
-
+    let trees = tree_start..tree_end;
+    // Per-tree state, indexed by `tree - tree_start`.
+    let mut tree_seq = vec![0u32; trees.len()];
+    let mut fairness = vec![(0.0f64, 0u64); trees.len()];
+    let mut log: Vec<EventRecord> = Vec::new();
     let mut stats = FleetStats {
         trees: u64::from(tree_end - tree_start),
         onus: u64::from(tree_end - tree_start) * u64::from(n),
         ..FleetStats::default()
     };
 
-    let mut wheel: TimerWheel<Ev> = TimerWheel::new();
-    for tree in tree_start..tree_end {
-        let lt = (tree - tree_start) as usize;
-        if let Some(m) = max_rtt.get_mut(lt) {
-            *m = (0..n).map(|onu| onu_rtt_ns(tree, onu)).max().unwrap_or(0);
+    {
+        let _phase_span =
+            telemetry.span_at("pon.shard.activation", ctx.child(TRACE_SLOT_ACTIVATION));
+        let max_rtt: Vec<u64> = trees
+            .clone()
+            .map(|tree| (0..n).map(|onu| onu_rtt_ns(tree, onu)).max().unwrap_or(0))
+            .collect();
+        // The rogue takes index `n`, so same-nanosecond announcements
+        // break by tree, then by ONU index, with the rogue last.
+        let mut announces: Vec<(u64, u32, u32)> = Vec::new();
+        for tree in trees.clone() {
+            announces.extend((0..n).map(|onu| (announce_ns(cfg.seed, tree, onu), tree, onu)));
+            if cfg.rogue_per_tree {
+                announces.push((rogue_announce_ns(cfg.seed, tree), tree, n));
+            }
         }
-        for onu in 0..n {
-            wheel.schedule(announce_ns(cfg.seed, tree, onu), Ev::Announce { tree, onu });
-        }
-        if cfg.rogue_per_tree {
-            wheel.schedule(rogue_announce_ns(cfg.seed, tree), Ev::Rogue { tree });
-        }
-    }
-    if cfg.cycles > 0 {
-        for tree in tree_start..tree_end {
-            wheel.schedule(cycle_start_ns(0), Ev::Cycle { tree, k: 0 });
-        }
-    }
-
-    let dba = DbaConfig::default();
-    let mut requests: Vec<BandwidthRequest> = Vec::with_capacity(n_us);
-    let mut batch = BatchGrants::new();
-    let mut log: Vec<EventRecord> = Vec::new();
-    let mut batch_seq = 0u64;
-
-    loop {
-        let _advance_span =
-            telemetry.span_at("pon.wheel.advance", ctx.child(TRACE_SLOT_BATCH | batch_seq));
-        batch_seq += 1;
-        let mut drained = 0usize;
-        while drained < ADVANCE_BATCH {
-            let Some((time_ns, ev)) = wheel.pop_next() else {
-                break;
+        announces.sort_unstable();
+        for (time_ns, tree, index) in announces {
+            let lt = (tree - tree_start) as usize;
+            let (Some(seq), Some(&farthest)) = (tree_seq.get_mut(lt), max_rtt.get(lt)) else {
+                continue;
             };
-            drained += 1;
-            match ev {
-                Ev::Announce { tree, onu } => {
-                    let lt = (tree - tree_start) as usize;
-                    let idx = lt * n_us + onu as usize;
-                    if !active.get(idx).copied().unwrap_or(true) {
-                        if let Some(slot) = active.get_mut(idx) {
-                            *slot = true;
-                        }
-                        let rtt = onu_rtt_ns(tree, onu);
-                        let eq = max_rtt.get(lt).copied().unwrap_or(rtt) - rtt;
-                        if let Some(slot) = eq_delay_ns.get_mut(idx) {
-                            *slot = eq;
-                        }
-                        stats.activated += 1;
-                        emit(
-                            &mut log,
-                            &mut tree_seq,
-                            tree_start,
-                            tree,
-                            time_ns,
-                            EventKind::Activation,
-                            u64::from(onu),
-                            0,
-                            eq,
-                        );
-                    }
+            let (kind, a, b, c) = if index < n {
+                stats.activated += 1;
+                let eq = farthest - onu_rtt_ns(tree, index);
+                (EventKind::Activation, u64::from(index), 0, eq)
+            } else {
+                stats.rogues_attempted += 1;
+                // The rogue clones subscriber 0's serial with forged key
+                // evidence: a serial allowlist (M4 off) admits it as the
+                // victim; certificate admission rejects the forged chain.
+                // With no subscribers there is no serial to clone, so
+                // admission always fails.
+                let admitted = !cfg.certificate_admission && n > 0;
+                if admitted {
+                    stats.rogues_admitted += 1;
                 }
-                Ev::Rogue { tree } => {
-                    stats.rogues_attempted += 1;
-                    // The rogue clones subscriber 0's serial with forged
-                    // key evidence: a serial allowlist (M4 off) admits
-                    // it as the victim; certificate admission rejects
-                    // the forged chain. With no subscribers there is no
-                    // serial to clone, so admission always fails.
-                    let admitted = !cfg.certificate_admission && n > 0;
-                    if admitted {
-                        stats.rogues_admitted += 1;
-                    }
-                    emit(
-                        &mut log,
-                        &mut tree_seq,
-                        tree_start,
-                        tree,
-                        time_ns,
-                        EventKind::RogueAttempt,
-                        u64::from(n),
-                        if admitted { 0 } else { 1 },
-                        if admitted { 1 } else { 0 },
-                    );
+                let (b, c) = if admitted { (0, 1) } else { (1, 0) };
+                (EventKind::RogueAttempt, u64::from(n), b, c)
+            };
+            log.push(EventRecord {
+                time_ns,
+                tree,
+                seq: *seq,
+                kind,
+                a,
+                b,
+                c,
+            });
+            *seq += 1;
+        }
+        events_ctr.incr(log.len() as u64);
+    }
+
+    {
+        let _phase_span = telemetry.span_at("pon.shard.cycles", ctx.child(TRACE_SLOT_CYCLES));
+        let activation_events = log.len();
+        let dba = DbaConfig::default();
+        let mut requests: Vec<BandwidthRequest> = Vec::with_capacity(n as usize);
+        let mut batch = BatchGrants::new();
+        for k in 0..cfg.cycles {
+            let time_ns = cycle_start_ns(k);
+            // Every ONU announced before cycle 0, so every ONU requests.
+            for ((tree, seq), acc) in trees.clone().zip(&mut tree_seq).zip(&mut fairness) {
+                requests.clear();
+                requests.extend((0..n).map(|onu| BandwidthRequest {
+                    onu: onu + 1,
+                    queued_bytes: demand_bytes(cfg.seed, tree, k, onu, cfg.greedy_every),
+                    class: service_class(cfg.seed, tree, onu),
+                }));
+                compute_grants_into(&dba, &requests, &mut batch);
+                let granted = batch.total_bytes();
+                stats.frames_sent += requests.len() as u64;
+                stats.granted_bytes += granted;
+                if let Some(f) = jain_fairness(batch.bytes.iter().copied()) {
+                    acc.0 += f;
+                    acc.1 += 1;
                 }
-                Ev::Cycle { tree, k } => {
-                    let lt = (tree - tree_start) as usize;
-                    let base = lt * n_us;
-                    requests.clear();
-                    for onu in 0..n {
-                        if active.get(base + onu as usize).copied().unwrap_or(false) {
-                            requests.push(BandwidthRequest {
-                                onu: onu + 1,
-                                queued_bytes: demand_bytes(
-                                    cfg.seed,
-                                    tree,
-                                    k,
-                                    onu,
-                                    cfg.greedy_every,
-                                ),
-                                class: service_class(cfg.seed, tree, onu),
-                            });
-                        }
-                    }
-                    let ops = requests.len() as u64;
-                    compute_grants_into(&dba, &requests, &mut batch);
-                    for (g_onu, g_bytes, _, _) in batch.iter() {
-                        if let Some(slot) = granted_bytes.get_mut(base + (g_onu - 1) as usize) {
-                            *slot += g_bytes;
-                        }
-                    }
-                    for req in &requests {
-                        if let Some(slot) = frames_tx.get_mut(base + (req.onu - 1) as usize) {
-                            *slot += 1;
-                        }
-                    }
-                    frames_ctr.incr(ops);
-                    if let Some(f) = jain_fairness(batch.bytes.iter().copied()) {
-                        if let Some(acc) = fairness.get_mut(lt) {
-                            acc.0 += f;
-                            acc.1 += 1;
-                        }
-                    }
-                    emit(
-                        &mut log,
-                        &mut tree_seq,
-                        tree_start,
-                        tree,
-                        time_ns,
-                        EventKind::CycleGrants,
-                        u64::from(k),
-                        grants_digest(batch.iter()),
-                        batch.total_bytes(),
-                    );
-                    if cfg.replay_every > 0 && k % cfg.replay_every == 0 && n > 0 {
-                        wheel.schedule(
-                            cycle_start_ns(k) + REPLAY_OFFSET_NS,
-                            Ev::Replay { tree, k },
-                        );
-                    }
-                    if k + 1 < cfg.cycles {
-                        wheel.schedule(cycle_start_ns(k + 1), Ev::Cycle { tree, k: k + 1 });
-                    }
-                }
-                Ev::Replay { tree, k } => {
+                log.push(EventRecord {
+                    time_ns,
+                    tree,
+                    seq: *seq,
+                    kind: EventKind::CycleGrants,
+                    a: u64::from(k),
+                    b: grants_digest(batch.iter()),
+                    c: granted,
+                });
+                *seq += 1;
+            }
+            if cfg.replay_every > 0 && k % cfg.replay_every == 0 && n > 0 {
+                // Replayed downstream frames carry an already-used
+                // counter: with encryption on, the victim's replay window
+                // rejects them; cleartext has no freshness check, so the
+                // replay lands.
+                let accepted = !cfg.encrypt;
+                for (tree, seq) in trees.clone().zip(&mut tree_seq) {
                     stats.replays_attempted += 1;
-                    // Replayed downstream frames carry an already-used
-                    // counter: with encryption on, the victim's replay
-                    // window rejects them; cleartext has no freshness
-                    // check, so the replay lands.
-                    let accepted = !cfg.encrypt;
                     if accepted {
                         stats.replays_accepted += 1;
                     }
-                    emit(
-                        &mut log,
-                        &mut tree_seq,
-                        tree_start,
+                    log.push(EventRecord {
+                        time_ns: time_ns + REPLAY_OFFSET_NS,
                         tree,
-                        time_ns,
-                        EventKind::Replay,
-                        u64::from(k),
-                        if accepted { 0 } else { 1 },
-                        u64::from(k),
-                    );
+                        seq: *seq,
+                        kind: EventKind::Replay,
+                        a: u64::from(k),
+                        b: if accepted { 0 } else { 1 },
+                        c: u64::from(k),
+                    });
+                    *seq += 1;
                 }
             }
         }
-        events_ctr.incr(drained as u64);
-        if drained < ADVANCE_BATCH {
-            break;
-        }
+        events_ctr.incr((log.len() - activation_events) as u64);
     }
 
-    stats.frames_sent = frames_tx.iter().sum();
+    frames_ctr.incr(stats.frames_sent);
     stats.frames_delivered = stats.frames_sent;
     stats.attacker_observed = stats.frames_sent;
     stats.attacker_readable = if cfg.encrypt { 0 } else { stats.frames_sent };
-    stats.granted_bytes = granted_bytes.iter().sum();
 
     ShardOutput {
         log,

@@ -28,10 +28,9 @@
 //!   ITU-T G.987.3.
 //! * [`attack`] — attack injectors for the paper's T1 threats: fiber taps,
 //!   replay, ONU impersonation and downstream hijack.
-//! * [`wheel`] — a hierarchical timer wheel (4 levels × 64 slots) with
-//!   deterministic timestamp-then-insertion-order firing.
 //! * [`engine`] — the fleet-scale sharded discrete-event engine
-//!   (experiment E-S2): struct-of-arrays ONU state, per-tree event
+//!   (experiment E-S2): a two-phase timeline per shard (one sort of the
+//!   activation window, one loop over the TDMA cycles), per-tree event
 //!   streams on shard workers, batched TDMA, deterministic merge.
 //! * [`reference`] — the object-per-ONU stepper retained as the oracle
 //!   for the differential test harness (`tests/engine_differential.rs`);
@@ -64,7 +63,6 @@ pub mod reference;
 pub mod security;
 pub mod tdma;
 pub mod topology;
-pub mod wheel;
 
 mod error;
 

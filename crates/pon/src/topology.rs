@@ -51,8 +51,8 @@ pub struct Onu {
 
 /// One-way propagation delay over `total_m` meters of fiber, in
 /// nanoseconds. Free-function form of [`Onu::propagation_ns`] so the
-/// struct-of-arrays fleet engine (which has no `Onu` objects) computes
-/// bit-identical delays to the object-per-ONU reference path.
+/// fleet engine (which has no `Onu` objects) computes bit-identical
+/// delays to the object-per-ONU reference path.
 pub fn propagation_delay_ns(total_m: u64) -> u64 {
     (total_m as f64 / FIBER_M_PER_US * 1_000.0) as u64
 }

@@ -10,7 +10,8 @@
 
 use genio::core::fleet::{Fleet, FleetConfig};
 use genio::core::scenario::{run_campaign_instrumented, CampaignConfig};
-use genio::crypto::gcm::{AesGcm, NONCE_LEN};
+use genio::crypto::gcm::AesGcm;
+use genio::crypto::seq::{Received, SeqAead};
 use genio::netsec::macsec::{MacsecConfig, MacsecPeer};
 use genio::netsec::onboarding::{onboard_instrumented, DeviceClass, Enrollment};
 use genio::orchestrator::admission::{evaluate_instrumented, AdmissionLevel};
@@ -56,15 +57,26 @@ fn main() {
         stats.frames_sent, stats.frames_delivered, stats.replays_attempted
     );
 
-    // crypto: GEM payload seal/open round-trips.
-    let gcm = AesGcm::new(b"0123456789abcdef")
-        .expect("16-byte key")
-        .instrument(&telemetry);
-    let nonce = [7u8; NONCE_LEN];
+    // crypto: GEM payload seal/open round-trips through a sequenced
+    // sender/receiver pair, so every frame is sealed under its own nonce.
+    let endpoint = || {
+        let gcm = AesGcm::new(b"0123456789abcdef").expect("16-byte key");
+        SeqAead::new(gcm, [0; 4], 0..u64::MAX, 0).instrument(&telemetry)
+    };
+    let (mut sender, mut receiver) = (endpoint(), endpoint());
     for i in 0..32u8 {
-        let sealed = gcm.seal(&nonce, &[i; 48], b"gem");
-        let opened = gcm.open(&nonce, &sealed, b"gem").expect("round-trip");
-        assert_eq!(opened, [i; 48]);
+        let plain = [i; 48];
+        let (seq, text) = sender
+            .seal_many(&[plain.as_slice()], |_| *b"gem")
+            .expect("sequence numbers left")
+            .next()
+            .expect("one frame sealed");
+        let opened = receiver.open_many(&[Received {
+            seq,
+            aad: b"gem",
+            text: &text,
+        }]);
+        assert_eq!(opened, [Ok(plain.to_vec())]);
     }
 
     // netsec: MACsec frames (including a replay) and the onboarding
