@@ -16,10 +16,14 @@
 //!   admission on, eavesdropping, replay and impersonation verdicts
 //!   all come back blocked.
 //!
-//! Throughput is reported in downstream frames per second; the printed
-//! table also gives ONUs simulated and events processed. On a
-//! single-CPU host the shard workers still run (determinism is
-//! asserted), but no parallel speedup is claimed.
+//! Two rows time the same fleet: `fleet_sim/engine` with one shard
+//! worker per CPU (the k-way merge path) and `fleet_sim/engine_1worker`
+//! with one worker, the path genio-perf's `fleet_1m` runs (one shard,
+//! whose log the merge passes through). Throughput is reported in
+//! downstream frames per second; the printed table also gives ONUs
+//! simulated and events processed. On a single-CPU host the shard
+//! workers still run (determinism is asserted), but no parallel
+//! speedup is claimed.
 
 use std::num::NonZeroUsize;
 use std::sync::Once;
@@ -107,25 +111,50 @@ fn bench(c: &mut Criterion) {
     group.bench_with_input(BenchmarkId::from_parameter("engine"), &cfg, |b, cfg| {
         b.iter(|| std::hint::black_box(engine::run(cfg)))
     });
+    let one_worker = EngineOptions { workers: 1 };
+    group.bench_with_input(
+        BenchmarkId::from_parameter("engine_1worker"),
+        &cfg,
+        |b, cfg| {
+            b.iter(|| {
+                std::hint::black_box(engine::run_with(cfg, &one_worker, &Telemetry::disabled()))
+            })
+        },
+    );
     group.finish();
 
-    let Some(engine_ns) = c
-        .records()
-        .iter()
-        .find(|r| r.name == "fleet_sim/engine")
-        .map(|r| r.median_ns)
-    else {
-        // A `--filter` run can skip the row; no verdict then.
+    let rows = [
+        ("fleet_sim/engine", format!("{cpus} workers")),
+        ("fleet_sim/engine_1worker", "1 worker".to_string()),
+    ];
+    let mut table = String::new();
+    for (name, label) in rows {
+        let Some(ns) = c
+            .records()
+            .iter()
+            .find(|r| r.name == name)
+            .map(|r| r.median_ns)
+        else {
+            continue;
+        };
+        table.push_str(&format!(
+            "  {:<14} {:>9.2} ms {:>12.2}M/s {:>12.2}M/s\n",
+            label,
+            ns / 1e6,
+            frames as f64 / (ns / 1e9) / 1e6,
+            events as f64 / (ns / 1e9) / 1e6,
+        ));
+    }
+    if table.is_empty() {
+        // A `--filter` run can skip both rows; no table then.
         return;
-    };
+    }
 
-    let frames_per_s = frames as f64 / (engine_ns / 1e9);
-    let events_per_s = events as f64 / (engine_ns / 1e9);
     let body = format!(
         "fleet: {} trees x {} ONUs = {} ONUs, {} TDMA cycles\n\
          activated: {} ONUs; events: {}; downstream frames: {}\n\n\
          \x20 {:<14} {:>12} {:>14} {:>14}\n\
-         \x20 {:<14} {:>9.2} ms {:>12.2}M/s {:>12.2}M/s\n\n\
+         {}\n\
          host CPUs: {}; scale bound: >= {} ONUs (asserted); \
          shard determinism at 1/2/8 workers (asserted)\n",
         cfg.trees,
@@ -139,10 +168,7 @@ fn bench(c: &mut Criterion) {
         "median",
         "frames/s",
         "events/s",
-        "full fleet",
-        engine_ns / 1e6,
-        frames_per_s / 1e6,
-        events_per_s / 1e6,
+        table,
         cpus,
         MIN_FLEET_ONUS,
     );

@@ -10,12 +10,13 @@
 //!   activation window, which ends where cycle 0 starts, and each replay
 //!   lands [`REPLAY_OFFSET_NS`] into its cycle, before the next one
 //!   starts. So a shard steps its timeline in two phases instead of
-//!   draining a timer queue. *Activation* collects the shard's
-//!   announcements as `(announce_ns, tree, index)` — the tree's rogue
-//!   takes index `n`, after its subscribers — sorts them once and emits
-//!   them in that order. *Cycles* loops over the TDMA cycles and emits
-//!   every tree's grants at the cycle start, then, on a replay cycle,
-//!   every tree's replay.
+//!   draining a timer queue. *Activation* packs each of the shard's
+//!   announcements into one `u64` sort key — the announce time above
+//!   the announcement's position in `(tree, index)` order, where the
+//!   tree's rogue takes index `n`, after its subscribers — sorts the
+//!   keys once and emits them in that order. *Cycles* loops over the
+//!   TDMA cycles and emits every tree's grants at the cycle start,
+//!   then, on a replay cycle, every tree's replay.
 //! * **Per-tree state only.** Every ONU is active from cycle 0 on, so a
 //!   shard keeps no per-ONU state: per tree it keeps the farthest round
 //!   trip (the equalization reference), the event sequence number and
@@ -26,8 +27,10 @@
 //!   ([`mix64`]), events carry a per-tree sequence number, and the
 //!   merged log is canonically ordered by `(time, tree, seq)` — the
 //!   same fleet at 1, 2 or 8 workers yields a byte-identical log. Both
-//!   phases emit a shard's log already in that order, so on one worker
-//!   the merge's sort finds its input sorted.
+//!   phases emit a shard's log already in that order, into a buffer
+//!   sized once from the closed-form event count, so the merge never
+//!   sorts: one shard's log becomes the result as it is, and several
+//!   are k-way merged ([`merge_shards`]).
 //! * **Batched TDMA.** Each cycle computes one tree's whole grant
 //!   schedule through [`compute_grants_into`] into reusable buffers.
 //!
@@ -36,6 +39,8 @@
 //! `tests/engine_differential.rs`: identical activation sequences,
 //! grant schedules and attack verdicts, event for event.
 
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 use std::thread;
 
 use crate::tdma::{
@@ -57,6 +62,17 @@ pub const REPLAY_OFFSET_NS: u64 = 60_000;
 // A shard emits a cycle's replays before the next cycle's grants.
 const _: () = assert!(REPLAY_OFFSET_NS < CYCLE_NS);
 
+/// Low bits of an activation sort key: the announcement's position in
+/// the shard's `(tree, index)` order. The announce time takes the bits
+/// above, so one shard sorts at most 2^44 announcements ([`shard_count`]
+/// cuts the fleet to keep it there).
+const POSITION_BITS: u32 = 44;
+const POSITION_MASK: u64 = (1 << POSITION_BITS) - 1;
+
+// Every announce time fits the 20 bits above the position.
+const _: () = assert!(ACTIVATION_WINDOW_NS <= 1 << 20);
+const _: () = assert!(POSITION_BITS + 20 == u64::BITS);
+
 /// Trunk fiber from OLT to splitter (m), uniform across the fleet.
 pub const TRUNK_M: u32 = 10_000;
 
@@ -68,6 +84,33 @@ const TAG_CLASS: u64 = 0x0043_4c41_5353_0000;
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+
+/// `FNV_PRIME^k` for `k` in `0..=8`: what FNV-1a does to a hash over
+/// `k` zero bytes.
+const PRIME_POW: [u64; 9] = {
+    let mut pow = [1u64; 9];
+    let mut k = 1;
+    while k < pow.len() {
+        pow[k] = pow[k - 1].wrapping_mul(FNV_PRIME);
+        k += 1;
+    }
+    pow
+};
+
+/// Folds the eight little-endian bytes of `v` into the FNV-1a hash `h`,
+/// bit-identical to folding them one at a time. A zero byte's step is
+/// only `h *= FNV_PRIME`, so the bytes above `v`'s highest non-zero byte
+/// fold into one multiply by a power of the prime. Log words are small
+/// (times below 2^21, trees below 2^14), so most of a word's eight
+/// steps collapse into that one multiply.
+fn fnv_word(mut h: u64, v: u64) -> u64 {
+    let zero_bytes = (v.leading_zeros() / 8) as usize;
+    for b in v.to_le_bytes().into_iter().take(8 - zero_bytes) {
+        h ^= u64::from(b);
+        h = h.wrapping_mul(FNV_PRIME);
+    }
+    h.wrapping_mul(PRIME_POW.get(zero_bytes).copied().unwrap_or(1))
+}
 
 /// SplitMix64 finalizer: the engine's seed-split primitive. Each tree's
 /// event stream is derived from `(seed, tree)` through this mix, so
@@ -154,18 +197,14 @@ pub fn onu_rtt_ns(tree: u32, onu: u32) -> u64 {
 }
 
 /// FNV-1a digest of a grant schedule, as produced by either the batched
-/// engine path or the reference `compute_map` path.
+/// engine path or the reference `compute_map` path: the little-endian
+/// bytes of each grant's `(onu, bytes, start_ns, duration_ns)`, in order.
 pub fn grants_digest(grants: impl Iterator<Item = (u32, u64, u64, u64)>) -> u64 {
-    let mut h = FNV_OFFSET;
-    for (onu, bytes, start_ns, duration_ns) in grants {
-        for v in [u64::from(onu), bytes, start_ns, duration_ns] {
-            for b in v.to_le_bytes() {
-                h ^= u64::from(b);
-                h = h.wrapping_mul(FNV_PRIME);
-            }
-        }
-    }
-    h
+    grants.fold(FNV_OFFSET, |h, (onu, bytes, start_ns, duration_ns)| {
+        [u64::from(onu), bytes, start_ns, duration_ns]
+            .into_iter()
+            .fold(h, fnv_word)
+    })
 }
 
 /// Fleet simulation parameters.
@@ -275,11 +314,13 @@ impl EventLog {
     }
 
     /// FNV-1a digest over every field of every record — the byte-level
-    /// identity the determinism gates compare.
+    /// identity the determinism gates compare. Each record contributes
+    /// the little-endian bytes of `(time_ns, tree, seq, kind, a, b, c)`
+    /// as seven `u64` words; the zero bytes above a word's highest
+    /// non-zero byte fold into one multiply.
     pub fn digest(&self) -> u64 {
-        let mut h = FNV_OFFSET;
-        for r in &self.records {
-            for v in [
+        self.records.iter().fold(FNV_OFFSET, |h, r| {
+            [
                 r.time_ns,
                 u64::from(r.tree),
                 u64::from(r.seq),
@@ -287,14 +328,10 @@ impl EventLog {
                 r.a,
                 r.b,
                 r.c,
-            ] {
-                for b in v.to_le_bytes() {
-                    h ^= u64::from(b);
-                    h = h.wrapping_mul(FNV_PRIME);
-                }
-            }
-        }
-        h
+            ]
+            .into_iter()
+            .fold(h, fnv_word)
+        })
     }
 }
 
@@ -425,6 +462,8 @@ pub fn run_with(
 
 /// Phase one: runs every shard and returns their outputs in tree order
 /// (shard *i* owns a contiguous tree range below shard *i + 1*'s).
+/// There is one shard per worker, and more only for a fleet so large
+/// that a shard would hold over 2^44 announcements.
 pub fn run_shards(
     config: &FleetSimConfig,
     options: &EngineOptions,
@@ -434,21 +473,20 @@ pub fn run_shards(
     let _run_span = telemetry.span_at("pon.fleet.run", root);
     let auto = thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
     let requested = if options.workers == 0 { auto } else { options.workers };
-    let workers = u32::try_from(requested)
-        .unwrap_or(u32::MAX)
-        .clamp(1, config.trees.max(1));
+    let workers = u32::try_from(requested).unwrap_or(u32::MAX);
+    let shards = shard_count(config.trees, announces_per_tree(config), workers);
 
-    if workers <= 1 {
+    if shards <= 1 {
         let ctx = root.child(TRACE_SLOT_SHARD).with_shard(0);
         return vec![run_shard(config, 0, config.trees, telemetry, ctx)];
     }
 
-    let base = config.trees / workers;
-    let rem = config.trees % workers;
+    let base = config.trees / shards;
+    let rem = config.trees % shards;
     thread::scope(|scope| {
-        let mut handles = Vec::with_capacity(workers as usize);
+        let mut handles = Vec::with_capacity(shards as usize);
         let mut start = 0u32;
-        for w in 0..workers {
+        for w in 0..shards {
             let len = base + u32::from(w < rem);
             let (lo, hi) = (start, start + len);
             start = hi;
@@ -459,6 +497,40 @@ pub fn run_shards(
         }
         join_in_order(handles)
     })
+}
+
+/// Announcements per tree: its subscribers, plus its rogue if any.
+fn announces_per_tree(cfg: &FleetSimConfig) -> u64 {
+    u64::from(cfg.onus_per_tree) + u64::from(cfg.rogue_per_tree)
+}
+
+/// Shards `trees` trees of `per_tree` announcements each are cut into:
+/// `workers`, or more where that many would leave a shard more than
+/// 2^44 announcements to sort; at least one, and at most one per tree.
+/// [`run_shards`] splits the trees as evenly as possible, so the largest
+/// shard holds `⌈trees / shards⌉`.
+fn shard_count(trees: u32, per_tree: u64, workers: u32) -> u32 {
+    let trees_per_shard = ((1 << POSITION_BITS) / per_tree.max(1)).max(1);
+    let needed = u64::from(trees).div_ceil(trees_per_shard);
+    workers
+        .max(u32::try_from(needed).unwrap_or(u32::MAX))
+        .clamp(1, trees.max(1))
+}
+
+/// Events a shard of `trees` trees logs, in closed form: every
+/// announcement, one grant event per tree and cycle, and one replay
+/// per tree and replay cycle (`k % replay_every == 0`, trees with
+/// subscribers only). `None` when the count overflows.
+fn shard_events(cfg: &FleetSimConfig, trees: u32) -> Option<usize> {
+    let trees = u64::from(trees);
+    let announces = trees.checked_mul(announces_per_tree(cfg))?;
+    let grants = trees.checked_mul(u64::from(cfg.cycles))?;
+    let replays = if cfg.replay_every > 0 && cfg.onus_per_tree > 0 {
+        trees.checked_mul(u64::from(cfg.cycles.div_ceil(cfg.replay_every)))?
+    } else {
+        0
+    };
+    usize::try_from(announces.checked_add(grants)?.checked_add(replays)?).ok()
 }
 
 /// Joins scoped workers in spawn order. A panicked worker's panic is
@@ -476,27 +548,67 @@ fn join_in_order<T>(handles: Vec<thread::ScopedJoinHandle<'_, T>>) -> Vec<T> {
 }
 
 /// Phase two: merges shard outputs (in tree order) into the canonical
-/// log and aggregate stats. Per-tree fairness sums are folded
-/// sequentially in tree order, so the f64 result is bitwise identical
-/// for every shard count.
+/// log and aggregate stats. Every shard log is already in canonical
+/// order and the shards own disjoint tree ranges, so nothing is sorted:
+/// a single shard's log becomes the result as it is, and several are
+/// k-way merged into one buffer of the exact size. Per-tree fairness
+/// sums are folded sequentially in tree order, so the f64 result is
+/// bitwise identical for every shard count.
 pub fn merge_shards(shards: Vec<ShardOutput>) -> FleetRunResult {
-    let total: usize = shards.iter().map(|s| s.log.len()).sum();
-    let mut records = Vec::with_capacity(total);
     let mut stats = FleetStats::default();
+    let mut logs = Vec::with_capacity(shards.len());
     for shard in shards {
         stats.absorb(&shard.stats);
         for (sum, cycles) in shard.tree_fairness {
             stats.fairness_sum += sum;
             stats.fairness_cycles += cycles;
         }
-        records.extend(shard.log);
+        logs.push(shard.log);
     }
-    records.sort_unstable_by_key(|r| (r.time_ns, r.tree, r.seq));
+    let records = merge_logs(logs);
     stats.events = records.len() as u64;
     FleetRunResult {
         log: EventLog { records },
         stats,
     }
+}
+
+/// A record's place in the canonical order: `(time_ns, tree, seq)`.
+/// Unique per record: a tree belongs to one shard and numbers its own
+/// events.
+type OrderKey = (u64, u32, u32);
+
+fn order_key(r: &EventRecord) -> OrderKey {
+    (r.time_ns, r.tree, r.seq)
+}
+
+/// Merges canonically ordered logs into one: a heap holds each log's
+/// next key, and the least one's record moves next.
+fn merge_logs(mut logs: Vec<Vec<EventRecord>>) -> Vec<EventRecord> {
+    if logs.len() <= 1 {
+        return logs.pop().unwrap_or_default();
+    }
+    let mut records = Vec::with_capacity(logs.iter().map(Vec::len).sum());
+    let mut heads: Vec<&[EventRecord]> = logs.iter().map(Vec::as_slice).collect();
+    let mut heap: BinaryHeap<Reverse<(OrderKey, usize)>> = heads
+        .iter()
+        .enumerate()
+        .filter_map(|(i, head)| head.first().map(|r| Reverse((order_key(r), i))))
+        .collect();
+    while let Some(Reverse((_, i))) = heap.pop() {
+        let Some(head) = heads.get_mut(i) else {
+            continue;
+        };
+        let Some((first, rest)) = head.split_first() else {
+            continue;
+        };
+        records.push(*first);
+        *head = rest;
+        if let Some(r) = rest.first() {
+            heap.push(Reverse((order_key(r), i)));
+        }
+    }
+    records
 }
 
 fn run_shard(
@@ -515,7 +627,8 @@ fn run_shard(
     // Per-tree state, indexed by `tree - tree_start`.
     let mut tree_seq = vec![0u32; trees.len()];
     let mut fairness = vec![(0.0f64, 0u64); trees.len()];
-    let mut log: Vec<EventRecord> = Vec::new();
+    let mut log: Vec<EventRecord> =
+        Vec::with_capacity(shard_events(cfg, tree_end - tree_start).unwrap_or(0));
     let mut stats = FleetStats {
         trees: u64::from(tree_end - tree_start),
         onus: u64::from(tree_end - tree_start) * u64::from(n),
@@ -529,18 +642,40 @@ fn run_shard(
             .clone()
             .map(|tree| (0..n).map(|onu| onu_rtt_ns(tree, onu)).max().unwrap_or(0))
             .collect();
-        // The rogue takes index `n`, so same-nanosecond announcements
-        // break by tree, then by ONU index, with the rogue last.
-        let mut announces: Vec<(u64, u32, u32)> = Vec::new();
+        // One key per announcement: the time above its position in
+        // (tree, index) order. The rogue takes index `n`, so
+        // same-nanosecond announcements break by tree, then by ONU
+        // index, with the rogue last.
+        let per_tree = announces_per_tree(cfg);
+        let mut announces: Vec<u64> = Vec::with_capacity(
+            usize::try_from(per_tree * u64::from(tree_end - tree_start)).unwrap_or(0),
+        );
+        let mut position = 0u64;
         for tree in trees.clone() {
-            announces.extend((0..n).map(|onu| (announce_ns(cfg.seed, tree, onu), tree, onu)));
+            for onu in 0..n {
+                announces.push((announce_ns(cfg.seed, tree, onu) << POSITION_BITS) | position);
+                position += 1;
+            }
             if cfg.rogue_per_tree {
-                announces.push((rogue_announce_ns(cfg.seed, tree), tree, n));
+                announces.push((rogue_announce_ns(cfg.seed, tree) << POSITION_BITS) | position);
+                position += 1;
             }
         }
         announces.sort_unstable();
-        for (time_ns, tree, index) in announces {
-            let lt = (tree - tree_start) as usize;
+        for key in announces {
+            let time_ns = key >> POSITION_BITS;
+            let position = key & POSITION_MASK;
+            let (Some(lt), Some(index)) = (
+                position.checked_div(per_tree),
+                position.checked_rem(per_tree),
+            ) else {
+                continue;
+            };
+            let (Ok(lt), Ok(index)) = (u32::try_from(lt), u32::try_from(index)) else {
+                continue;
+            };
+            let tree = tree_start + lt;
+            let lt = lt as usize;
             let (Some(seq), Some(&farthest)) = (tree_seq.get_mut(lt), max_rtt.get(lt)) else {
                 continue;
             };
@@ -653,6 +788,184 @@ fn run_shard(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use genio_testkit::prelude::*;
+
+    /// Byte-at-a-time FNV-1a over a word's little-endian bytes: the
+    /// oracle for [`fnv_word`].
+    fn fnv_bytes(mut h: u64, v: u64) -> u64 {
+        for b in v.to_le_bytes() {
+            h ^= u64::from(b);
+            h = h.wrapping_mul(FNV_PRIME);
+        }
+        h
+    }
+
+    #[test]
+    fn fnv_word_matches_the_byte_oracle_on_edge_words() {
+        let mut words = vec![0, 1, 0xff, 0x100, u64::MAX, 1 << 63];
+        // One non-zero byte at every position.
+        for pos in 0..8 {
+            words.extend([1u64, 0x5a, 0xff].map(|b| b << (8 * pos)));
+        }
+        for h in [FNV_OFFSET, 0, 1, u64::MAX, mix64(3)] {
+            for &v in &words {
+                assert_eq!(fnv_word(h, v), fnv_bytes(h, v), "word {v:#x} from {h:#x}");
+            }
+        }
+    }
+
+    property! {
+        /// Drawn words, shifted down so that every count of leading
+        /// zero bytes occurs.
+        fn fnv_word_matches_the_byte_oracle(h in any_u64(), v in any_u64(), shift in 0u32..64) {
+            prop_assert_eq!(fnv_word(h, v), fnv_bytes(h, v));
+            prop_assert_eq!(fnv_word(h, v >> shift), fnv_bytes(h, v >> shift));
+        }
+    }
+
+    #[test]
+    fn digests_equal_the_byte_oracle() {
+        let result = run(&FleetSimConfig::default());
+        let oracle = result.log.records.iter().fold(FNV_OFFSET, |h, r| {
+            [
+                r.time_ns,
+                u64::from(r.tree),
+                u64::from(r.seq),
+                r.kind.code(),
+                r.a,
+                r.b,
+                r.c,
+            ]
+            .into_iter()
+            .fold(h, fnv_bytes)
+        });
+        assert_eq!(result.log.digest(), oracle);
+        let grants = [
+            (1, 0, 0, 0),
+            (2, 9_000, 0, 7_200),
+            (u32::MAX, u64::MAX, 1, 1 << 40),
+        ];
+        let oracle = grants
+            .iter()
+            .fold(FNV_OFFSET, |h, &(onu, bytes, start, dur)| {
+                [u64::from(onu), bytes, start, dur]
+                    .into_iter()
+                    .fold(h, fnv_bytes)
+            });
+        assert_eq!(grants_digest(grants.into_iter()), oracle);
+    }
+
+    /// `(len, capacity, closed form)` of each shard's log.
+    fn shard_log_sizes(cfg: &FleetSimConfig, workers: usize) -> Vec<(usize, usize, Option<usize>)> {
+        run_shards(cfg, &EngineOptions { workers }, &Telemetry::disabled())
+            .iter()
+            .map(|shard| {
+                let trees = u32::try_from(shard.stats.trees).unwrap_or(u32::MAX);
+                (
+                    shard.log.len(),
+                    shard.log.capacity(),
+                    shard_events(cfg, trees),
+                )
+            })
+            .collect()
+    }
+
+    #[test]
+    fn shard_logs_are_sized_once_at_the_edges() {
+        let base = FleetSimConfig {
+            trees: 3,
+            onus_per_tree: 5,
+            cycles: 6,
+            ..FleetSimConfig::default()
+        };
+        let edges = [
+            FleetSimConfig { cycles: 0, ..base },
+            FleetSimConfig {
+                replay_every: 0,
+                ..base
+            },
+            FleetSimConfig {
+                rogue_per_tree: false,
+                ..base
+            },
+            FleetSimConfig {
+                onus_per_tree: 0,
+                ..base
+            },
+            FleetSimConfig {
+                onus_per_tree: 0,
+                rogue_per_tree: false,
+                cycles: 0,
+                ..base
+            },
+            FleetSimConfig { trees: 0, ..base },
+            base,
+        ];
+        for cfg in edges {
+            for workers in [1, 2, 3] {
+                for (len, capacity, closed_form) in shard_log_sizes(&cfg, workers) {
+                    assert_eq!(Some(len), closed_form, "{cfg:?} at {workers} workers");
+                    assert_eq!(capacity, len, "{cfg:?} at {workers} workers");
+                }
+            }
+        }
+    }
+
+    property! {
+        /// Every shard's log ends exactly full: its length and capacity
+        /// both equal the closed form it was sized from.
+        fn shard_logs_are_sized_once(
+            shape in (0u32..5, 0u32..6, 0u32..7, 0u32..4),
+            flags in (any_bool(), any_bool(), 1usize..4)
+        ) {
+            let ((trees, onus_per_tree, cycles, replay_every), (rogue_per_tree, encrypt, workers)) =
+                (shape, flags);
+            let cfg = FleetSimConfig {
+                trees,
+                onus_per_tree,
+                cycles,
+                replay_every,
+                rogue_per_tree,
+                encrypt,
+                ..FleetSimConfig::default()
+            };
+            for (len, capacity, closed_form) in shard_log_sizes(&cfg, workers) {
+                prop_assert_eq!(Some(len), closed_form);
+                prop_assert_eq!(capacity, len);
+            }
+        }
+    }
+
+    #[test]
+    fn shard_count_keeps_every_shard_within_the_position_field() {
+        const LIMIT: u64 = 1 << POSITION_BITS;
+        // Fleets that fit take the worker count, within 1..=trees.
+        assert_eq!(shard_count(16_384, 65, 1), 1);
+        assert_eq!(shard_count(16_384, 65, 2), 2);
+        assert_eq!(shard_count(5, 7, 3), 3);
+        assert_eq!(shard_count(2, 7, 8), 2);
+        assert_eq!(shard_count(3, 0, 0), 1);
+        assert_eq!(shard_count(0, 0, 4), 1);
+        // Exactly 2^44 announcements fit one shard; one tree more does not.
+        assert_eq!(shard_count(1 << 24, 1 << 20, 1), 1);
+        assert_eq!(shard_count((1 << 24) + 1, 1 << 20, 1), 2);
+        assert_eq!(shard_count((1 << 24) + 1, 1 << 20, 5), 5);
+        // The largest fleets: the largest shard holds ⌈trees / shards⌉
+        // trees, and its announcements still fit the field.
+        for trees in [u32::MAX, 1 << 31, 12_345_678] {
+            for per_tree in [1u64, 1 << 20, (1 << 20) + 1, u64::from(u32::MAX), 1 << 32] {
+                for workers in [1, 2, 7, 1 << 20] {
+                    let shards = shard_count(trees, per_tree, workers);
+                    assert!(shards >= workers.min(trees) && shards <= trees);
+                    let largest = u64::from(trees.div_ceil(shards)) * per_tree;
+                    assert!(
+                        largest <= LIMIT,
+                        "{trees} trees x {per_tree}: {shards} shards"
+                    );
+                }
+            }
+        }
+    }
 
     #[test]
     fn cycle_period_matches_dba_default() {
@@ -706,7 +1019,7 @@ mod tests {
             .log
             .records
             .windows(2)
-            .all(|w| (w[0].time_ns, w[0].tree, w[0].seq) < (w[1].time_ns, w[1].tree, w[1].seq));
+            .all(|w| order_key(&w[0]) < order_key(&w[1]));
         assert!(ordered);
         assert_eq!(result.stats.events, result.log.len() as u64);
     }

@@ -50,6 +50,9 @@ use crate::PonError;
 pub struct GemCrypto {
     master_seed: Vec<u8>,
     ports: HashMap<GemPort, SeqAead>,
+    /// Key epoch of every port keyed so far: 0 from its first
+    /// [`GemCrypto::establish_key`], one more at each re-key.
+    epochs: HashMap<GemPort, u64>,
 }
 
 impl GemCrypto {
@@ -60,14 +63,31 @@ impl GemCrypto {
         GemCrypto {
             master_seed: master_seed.to_vec(),
             ports: HashMap::new(),
+            epochs: HashMap::new(),
         }
     }
 
     /// Derives and installs the AES-128 key for `port` bound to `onu`.
-    /// Idempotent: re-establishing resets counters (key rotation).
+    ///
+    /// Each call starts a new key epoch for the port, with its counter
+    /// at 0. Epoch 0, the first call, derives the key from the master
+    /// seed, the port and the ONU; re-establishing a keyed port (key
+    /// rotation) starts epoch `e + 1`, whose key also binds the epoch.
+    /// So a rotation never seals a counter again under the same key,
+    /// and frames from before it fail to open after it
+    /// ([`PonError::DecryptFailed`]). Both ends must rotate in step.
     pub fn establish_key(&mut self, port: GemPort, onu: OnuId) {
+        let epoch = *self
+            .epochs
+            .entry(port)
+            .and_modify(|epoch| *epoch += 1)
+            .or_insert(0);
+        let label = match epoch {
+            0 => format!("gem-port {port} onu {onu}"),
+            _ => format!("gem-port {port} onu {onu} epoch {epoch}"),
+        };
         let mut drbg = HmacDrbg::new(&self.master_seed);
-        drbg.reseed(format!("gem-port {port} onu {onu}").as_bytes());
+        drbg.reseed(label.as_bytes());
         let key = drbg.bytes(16);
         // A 16-byte key is always accepted; bail (leaving the port
         // keyless, so traffic is dropped) rather than panic the OLT
@@ -334,6 +354,25 @@ mod tests {
         let f2 = olt.encrypt_downstream(10, 1, b"post-rotation").unwrap();
         assert_eq!(f2.counter, 0);
         assert_eq!(onu.decrypt(&f2).unwrap(), b"post-rotation");
+    }
+
+    #[test]
+    fn rekey_starts_a_fresh_key_epoch() {
+        let (mut olt, mut onu) = pair();
+        let before = olt.encrypt_downstream(10, 1, b"aaaa").unwrap();
+        olt.establish_key(10, 1);
+        onu.establish_key(10, 1);
+        let after = olt.encrypt_downstream(10, 1, b"bbbb").unwrap();
+        assert_eq!((before.counter, after.counter), (0, 0));
+        // Under one key and nonce the ciphertext XOR would equal the
+        // plaintext XOR (keystream reuse).
+        let xor = |x: &[u8], y: &[u8]| -> Vec<u8> { x.iter().zip(y).map(|(a, b)| a ^ b).collect() };
+        assert_ne!(
+            xor(&before.payload[..4], &after.payload[..4]),
+            xor(b"aaaa", b"bbbb")
+        );
+        assert_eq!(onu.decrypt(&before), Err(PonError::DecryptFailed));
+        assert_eq!(onu.decrypt(&after).unwrap(), b"bbbb");
     }
 
     #[test]

@@ -177,18 +177,20 @@ pub fn compute_map(config: &DbaConfig, requests: &[BandwidthRequest]) -> Bandwid
 ///
 /// Shared by [`BandwidthMap::fairness_index`] and the batched engine
 /// path so both compute bit-identical values (the differential harness
-/// compares the folded sums exactly).
+/// compares the folded sums exactly). One pass: the count, the sum and
+/// the sum of squares fold left to right, with no buffer.
 pub fn jain_fairness(bytes: impl Iterator<Item = u64>) -> Option<f64> {
-    let xs: Vec<f64> = bytes.map(|b| b as f64).collect();
-    if xs.is_empty() {
+    let (mut n, mut sum, mut sum_sq) = (0u64, 0.0f64, 0.0f64);
+    for b in bytes {
+        let x = b as f64;
+        n += 1;
+        sum += x;
+        sum_sq += x * x;
+    }
+    if n == 0 || sum_sq == 0.0 {
         return None;
     }
-    let sum: f64 = xs.iter().sum();
-    let sum_sq: f64 = xs.iter().map(|x| x * x).sum();
-    if sum_sq == 0.0 {
-        return None;
-    }
-    Some(sum * sum / (xs.len() as f64 * sum_sq))
+    Some(sum * sum / (n as f64 * sum_sq))
 }
 
 /// Reusable struct-of-arrays output of the batched DBA path
@@ -264,8 +266,11 @@ impl BatchGrants {
 /// for the same input — the same class passes, the same 8-round
 /// best-effort water-fill with identical integer arithmetic, the same
 /// back-to-back window layout — which the differential suite pins
-/// grant-for-grant. The only difference is mechanical: no `BTreeMap`,
-/// no per-call allocation.
+/// grant-for-grant. The differences are mechanical: no `BTreeMap`, no
+/// per-call allocation, and no work once the cycle is full. When the
+/// Fixed and Assured passes spend the whole capacity they stop there and
+/// the best-effort rounds are skipped: with nothing remaining every
+/// later grant would be 0, so the allocation is the same.
 pub fn compute_grants_into(
     config: &DbaConfig,
     requests: &[BandwidthRequest],
@@ -280,7 +285,7 @@ pub fn compute_grants_into(
     let per_onu_cap = (cycle_capacity as f64 * config.max_share) as u64;
     let mut remaining = cycle_capacity;
 
-    for class in [ServiceClass::Fixed, ServiceClass::Assured] {
+    'passes: for class in [ServiceClass::Fixed, ServiceClass::Assured] {
         for (i, req) in requests.iter().enumerate() {
             if req.class != class {
                 continue;
@@ -293,13 +298,20 @@ pub fn compute_grants_into(
                     *a += give;
                 }
                 remaining -= give;
+                if remaining == 0 {
+                    break 'passes;
+                }
             }
         }
     }
 
     // Best effort: the same iterative water-filling as `compute_map`,
-    // over the implicit per-ONU demand (one request per ONU here).
+    // over the implicit per-ONU demand (one request per ONU here). A
+    // full cycle ends it before a round's demand scan.
     for _round in 0..8 {
+        if remaining == 0 {
+            break;
+        }
         let mut total_unmet = 0u64;
         for (i, req) in requests.iter().enumerate() {
             let want = if req.class == ServiceClass::BestEffort {
@@ -315,7 +327,7 @@ pub fn compute_grants_into(
             }
             total_unmet += want;
         }
-        if total_unmet == 0 || remaining == 0 {
+        if total_unmet == 0 {
             break;
         }
         let pool = remaining;
@@ -407,6 +419,7 @@ impl BandwidthMap {
 mod tests {
     use super::*;
     use crate::frame::PayloadKind;
+    use genio_testkit::prelude::*;
 
     fn req(onu: OnuId, bytes: u64, class: ServiceClass) -> BandwidthRequest {
         BandwidthRequest {
@@ -582,6 +595,50 @@ mod tests {
         let map = compute_map(&DbaConfig::default(), &[]);
         assert_eq!(map.total_bytes(), 0);
         assert!(map.fairness_index().is_none());
+    }
+
+    /// The collect-then-sum formula `jain_fairness` folded into one pass.
+    fn jain_fairness_collected(bytes: &[u64]) -> Option<f64> {
+        let xs: Vec<f64> = bytes.iter().map(|&b| b as f64).collect();
+        if xs.is_empty() {
+            return None;
+        }
+        let sum: f64 = xs.iter().sum();
+        let sum_sq: f64 = xs.iter().map(|x| x * x).sum();
+        if sum_sq == 0.0 {
+            return None;
+        }
+        Some(sum * sum / (xs.len() as f64 * sum_sq))
+    }
+
+    /// Bits of `jain_fairness` and of the collect-then-sum formula.
+    fn jain_bits(bytes: &[u64]) -> (Option<u64>, Option<u64>) {
+        (
+            jain_fairness(bytes.iter().copied()).map(f64::to_bits),
+            jain_fairness_collected(bytes).map(f64::to_bits),
+        )
+    }
+
+    #[test]
+    fn jain_fairness_is_bit_identical_on_empty_and_zero_grants() {
+        for bytes in [&[][..], &[0], &[0; 5], &[u64::MAX, 1, u64::MAX >> 11, 3]] {
+            let (one_pass, collected) = jain_bits(bytes);
+            assert_eq!(one_pass, collected, "jain_fairness drifted on {bytes:?}");
+        }
+    }
+
+    property! {
+        /// Drawn small counts (so zeros, repeats and all-zero vectors
+        /// occur) and drawn full-range counts.
+        fn jain_fairness_is_bit_identical_to_collect_then_sum(
+            small in vec(0u64..4, 0..48),
+            wide in vec(any_u64(), 0..48)
+        ) {
+            let (one_pass, collected) = jain_bits(&small);
+            prop_assert_eq!(one_pass, collected);
+            let (one_pass, collected) = jain_bits(&wide);
+            prop_assert_eq!(one_pass, collected);
+        }
     }
 
     #[test]

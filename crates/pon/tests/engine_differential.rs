@@ -47,17 +47,18 @@ fn arb_config() -> impl Strategy<Value = FleetSimConfig> {
 
 property! {
     /// The engine's merged log and stats equal the legacy stepper's on
-    /// randomized fleets, at one worker and at a worker count that does
-    /// not divide the tree count.
+    /// randomized fleets: at one worker, where the merge passes the one
+    /// shard log through, and at 2, 3 and 8 workers, where it k-way
+    /// merges the shard logs (3 does not divide most tree counts, and 8
+    /// is clamped to one shard per tree).
     fn engine_equals_reference(cfg in arb_config()) {
         let legacy = reference::run(&cfg);
-        let one = engine::run_with(&cfg, &EngineOptions { workers: 1 }, &Telemetry::disabled());
-        let three = engine::run_with(&cfg, &EngineOptions { workers: 3 }, &Telemetry::disabled());
-        prop_assert_eq!(&legacy.log, &one.log, "engine(1) diverged from reference");
-        prop_assert_eq!(&legacy.stats, &one.stats);
-        prop_assert_eq!(&one.log, &three.log, "worker count changed the log");
-        prop_assert_eq!(&one.stats, &three.stats);
-        prop_assert_eq!(legacy.log.digest(), three.log.digest());
+        for workers in [1usize, 2, 3, 8] {
+            let fast = engine::run_with(&cfg, &EngineOptions { workers }, &Telemetry::disabled());
+            prop_assert_eq!(&legacy.log, &fast.log, "engine({}) diverged from reference", workers);
+            prop_assert_eq!(&legacy.stats, &fast.stats, "engine({}) stats diverged", workers);
+            prop_assert_eq!(legacy.log.digest(), fast.log.digest());
+        }
     }
 }
 
