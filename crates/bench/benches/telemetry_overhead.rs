@@ -2,10 +2,11 @@
 //! within a bounded overhead envelope on the hot paths it instruments.
 //!
 //! Expected shape: disabled-mode primitives cost a branch (sub-ns to a
-//! few ns), enabled-mode primitives stay in the tens of ns, and the three
-//! end-to-end workloads (sharded PON fleet engine with causal tracing,
-//! batched AES-GCM data plane, runtime detection pipeline) run within
-//! `MAX_RATIO` of their uninstrumented baselines.
+//! few ns), an enabled counter stays in the tens of ns and an enabled
+//! span (clock reads, histogram record, ring push) in the hundreds, and
+//! the three end-to-end workloads (sharded PON fleet engine with causal
+//! tracing, batched AES-GCM data plane, runtime detection pipeline) run
+//! within `MAX_RATIO` of their uninstrumented baselines.
 //! The ratio is asserted here so a regression fails `cargo bench`. Each
 //! workload's two sides are sampled in lockstep pairs, alternating which
 //! goes first, and the bound applies to the median of the per-pair
@@ -41,12 +42,6 @@ fn bench(c: &mut Criterion) {
             BenchmarkId::from_parameter(format!("counter_incr/{label}")),
             &counter,
             |b, ctr| b.iter(|| std::hint::black_box(ctr).incr(1)),
-        );
-        let histogram = t.histogram("bench.histogram");
-        group.bench_with_input(
-            BenchmarkId::from_parameter(format!("histogram_observe/{label}")),
-            &histogram,
-            |b, h| b.iter(|| std::hint::black_box(h).observe(1_234)),
         );
         group.bench_with_input(
             BenchmarkId::from_parameter(format!("span_guard/{label}")),

@@ -43,7 +43,7 @@ use std::collections::HashMap;
 use genio_crypto::gcm::AesGcm;
 use genio_crypto::hkdf;
 use genio_crypto::seq::{Received, SeqAead};
-use genio_telemetry::{Counter, Histogram, Telemetry};
+use genio_telemetry::{Counter, Telemetry};
 
 use crate::error::open_error;
 use crate::NetsecError;
@@ -105,8 +105,7 @@ pub struct MacsecPeer {
     pub rejected_replay: u64,
     /// Count of integrity failures observed on receive.
     pub rejected_integrity: u64,
-    protect_time: Histogram,
-    validate_time: Histogram,
+    telemetry: Telemetry,
     tx_frames: Counter,
     rx_accepted: Counter,
     rx_replay: Counter,
@@ -150,8 +149,7 @@ impl MacsecPeer {
             rx: HashMap::new(),
             rejected_replay: 0,
             rejected_integrity: 0,
-            protect_time: Histogram::disabled(),
-            validate_time: Histogram::disabled(),
+            telemetry: Telemetry::disabled(),
             tx_frames: Counter::disabled(),
             rx_accepted: Counter::disabled(),
             rx_replay: Counter::disabled(),
@@ -159,13 +157,13 @@ impl MacsecPeer {
         })
     }
 
-    /// Attaches telemetry: TX/RX latency histograms
-    /// (`netsec.macsec.protect_ns` / `netsec.macsec.validate_ns`, one
-    /// sample per call, whether it carries one frame or a burst) and
-    /// frame-outcome counters. Handles are resolved once, here.
+    /// Attaches telemetry: one `netsec.macsec.protect` or
+    /// `netsec.macsec.validate` span per call, whether it carries one
+    /// frame or a burst (exported as the `netsec.macsec.protect_ns` /
+    /// `netsec.macsec.validate_ns` histograms), and frame-outcome
+    /// counters. The counters are resolved once, here.
     pub fn with_telemetry(mut self, telemetry: &Telemetry) -> Self {
-        self.protect_time = telemetry.histogram("netsec.macsec.protect_ns");
-        self.validate_time = telemetry.histogram("netsec.macsec.validate_ns");
+        self.telemetry = telemetry.clone();
         self.tx_frames = telemetry.counter("netsec.macsec.tx_frames");
         self.rx_accepted = telemetry.counter("netsec.macsec.rx_accepted");
         self.rx_replay = telemetry.counter("netsec.macsec.rx_replay");
@@ -245,7 +243,7 @@ impl MacsecPeer {
     /// would reach the configured PN limit; the batch is all-or-nothing, so
     /// nothing is sealed and the PN does not advance in that case.
     pub fn protect_many(&mut self, payloads: &[&[u8]]) -> crate::Result<Vec<MacsecFrame>> {
-        let _timer = self.protect_time.start();
+        let _span = self.telemetry.span("netsec.macsec.protect");
         let (sci, an) = (self.sci, self.an);
         let sealed = self
             .tx
@@ -273,7 +271,7 @@ impl MacsecPeer {
     /// one batched open of the frames its starting window accepts, then
     /// the replay bookkeeping strictly in arrival order.
     pub fn validate_many(&mut self, frames: &[MacsecFrame]) -> Vec<crate::Result<Vec<u8>>> {
-        let _timer = self.validate_time.start();
+        let _span = self.telemetry.span("netsec.macsec.validate");
         let mut results = Vec::with_capacity(frames.len());
         // (SCI, AN) is a public association identifier, not secret
         // material; grouping on it leaks nothing.
@@ -648,5 +646,37 @@ mod tests {
         let mut b = MacsecPeer::new(2, &cfg, b"cak-b").unwrap();
         let f = a.protect(b"secret").unwrap();
         assert_eq!(b.validate(&f), Err(NetsecError::IntegrityFailure));
+    }
+
+    #[test]
+    fn telemetry_records_one_span_per_call_and_counts_frames() {
+        let telemetry = Telemetry::enabled();
+        let cfg = MacsecConfig::default();
+        let mut a = MacsecPeer::new(0xA, &cfg, b"cak").unwrap().with_telemetry(&telemetry);
+        let mut b = MacsecPeer::new(0xB, &cfg, b"cak").unwrap().with_telemetry(&telemetry);
+        let payloads: Vec<Vec<u8>> = (0..5u8).map(|i| vec![i; 48]).collect();
+        let refs: Vec<&[u8]> = payloads.iter().map(Vec::as_slice).collect();
+        let mut frames = a.protect_many(&refs).unwrap();
+        frames.push(a.protect(b"single").unwrap());
+        frames[1].secure_data[0] ^= 1;
+        frames.push(frames[0].clone());
+        let results = b.validate_many(&frames);
+        assert_eq!(results.iter().filter(|r| r.is_ok()).count(), 5);
+
+        let snap = telemetry.snapshot();
+        // One sample per call, whatever the burst size.
+        let samples = |name: &str| snap.histogram(name).map(|h| h.count);
+        assert_eq!(samples("netsec.macsec.protect_ns"), Some(2));
+        assert_eq!(samples("netsec.macsec.validate_ns"), Some(1));
+        assert_eq!(snap.counter("netsec.macsec.tx_frames"), Some(6));
+        assert_eq!(snap.counter("netsec.macsec.rx_accepted"), Some(5));
+        assert_eq!((b.rejected_replay, b.rejected_integrity), (1, 1));
+        assert_eq!(snap.counter("netsec.macsec.rx_replay"), Some(b.rejected_replay));
+        assert_eq!(snap.counter("netsec.macsec.rx_integrity"), Some(b.rejected_integrity));
+        // Each call reaches the trace ring like every other layer's span.
+        let events = telemetry.drain_trace();
+        let spans = |name: &str| events.iter().filter(|e| e.name == name).count();
+        assert_eq!(spans("netsec.macsec.protect"), 2);
+        assert_eq!(spans("netsec.macsec.validate"), 1);
     }
 }

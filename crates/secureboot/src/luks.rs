@@ -115,6 +115,19 @@ impl LuksVolume {
 
     /// Adds a passphrase-protected key slot.
     ///
+    /// The slot wraps the master key under the fixed nonce `[0x5a; 12]`,
+    /// which is safe only because each KEK ever seals one plaintext:
+    ///
+    /// * the KEK is HKDF over the passphrase and a salt derived from
+    ///   (volume seed, label);
+    /// * the master key is HKDF of the same seed, so every wrap under a
+    ///   given KEK seals the same master key;
+    /// * a label holds one slot ([`SecureBootError::DuplicateSlot`]).
+    ///
+    /// A repeated (KEK, nonce) pair therefore only repeats a byte-identical
+    /// wrap. A master key that does not follow from the seed (drawn at
+    /// random, or re-keyed) would need a fresh nonce per wrap.
+    ///
     /// # Errors
     ///
     /// * [`SecureBootError::VolumeLocked`] if the volume is locked.
@@ -309,6 +322,21 @@ mod tests {
         vol.unlock_with_passphrase("s3cret").unwrap();
         assert!(vol.is_unlocked());
         assert!(vol.master_matches_format());
+    }
+
+    #[test]
+    fn fixed_slot_nonce_only_ever_rewraps_the_same_master() {
+        let wrap = |seed: &[u8], label: &str| {
+            let mut vol = LuksVolume::format(seed);
+            vol.add_passphrase_slot(label, "s3cret").unwrap();
+            let Some(KeySlot::Passphrase { wrapped, .. }) = vol.slots.remove(label) else {
+                panic!("{label} is not a passphrase slot");
+            };
+            wrapped
+        };
+        // One seed, label and passphrase: one KEK, one master, one wrap.
+        assert_eq!(wrap(b"vol", "admin"), wrap(b"vol", "admin"));
+        assert_ne!(wrap(b"vol", "admin"), wrap(b"vol", "recovery"));
     }
 
     #[test]

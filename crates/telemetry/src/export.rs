@@ -4,7 +4,7 @@
 
 use genio_testkit::json::Value;
 
-use crate::metrics::HISTOGRAM_BUCKETS;
+use crate::metrics::{quantile_from_buckets, HistogramCore, HISTOGRAM_BUCKETS};
 use crate::ring::RingStats;
 
 /// Quantile summary captured for each histogram.
@@ -23,13 +23,24 @@ pub struct HistogramSnapshot {
     pub buckets: [u64; HISTOGRAM_BUCKETS],
 }
 
+impl HistogramSnapshot {
+    /// Freezes `cell` under the exported name `name`; the quantiles are
+    /// walked over the same bucket counts the snapshot carries.
+    pub(crate) fn of(name: String, cell: &HistogramCore) -> HistogramSnapshot {
+        let (count, sum, max) = (cell.count(), cell.sum(), cell.max());
+        let buckets = cell.bucket_counts();
+        let mean = if count == 0 { 0.0 } else { sum as f64 / count as f64 };
+        let quantiles = QUANTILES.map(|(q, _)| (q, quantile_from_buckets(&buckets, count, max, q)));
+        HistogramSnapshot { name, count, sum, max, mean, quantiles, buckets }
+    }
+}
+
 /// Frozen view of the whole telemetry state, produced by
 /// [`crate::Telemetry::snapshot`]. All exporters read from here so the
 /// two formats can never disagree about the underlying numbers.
 #[derive(Clone, Debug, Default)]
 pub struct Snapshot {
     pub counters: Vec<(String, u64)>,
-    pub gauges: Vec<(String, i64)>,
     pub histograms: Vec<HistogramSnapshot>,
     pub ring: RingStats,
 }
@@ -49,9 +60,6 @@ impl Snapshot {
     pub fn to_json(&self) -> Value {
         let counters = Value::Obj(
             self.counters.iter().map(|(n, v)| (n.clone(), Value::Num(*v as f64))).collect(),
-        );
-        let gauges = Value::Obj(
-            self.gauges.iter().map(|(n, v)| (n.clone(), Value::Num(*v as f64))).collect(),
         );
         let histograms = Value::Arr(
             self.histograms
@@ -80,7 +88,6 @@ impl Snapshot {
         Value::Obj(vec![
             ("schema".to_string(), Value::Str("genio-telemetry/v1".to_string())),
             ("counters".to_string(), counters),
-            ("gauges".to_string(), gauges),
             ("histograms".to_string(), histograms),
             ("ring".to_string(), ring),
         ])
@@ -93,10 +100,6 @@ impl Snapshot {
         for (name, value) in &self.counters {
             let mangled = mangle(name);
             out.push_str(&format!("# TYPE {mangled} counter\n{mangled} {value}\n"));
-        }
-        for (name, value) in &self.gauges {
-            let mangled = mangle(name);
-            out.push_str(&format!("# TYPE {mangled} gauge\n{mangled} {value}\n"));
         }
         for h in &self.histograms {
             let mangled = mangle(&h.name);
@@ -193,7 +196,6 @@ mod tests {
     fn prometheus_histograms_are_cumulative_and_round_trip() {
         let snap = Snapshot {
             counters: vec![],
-            gauges: vec![],
             histograms: vec![sample_histogram()],
             ring: RingStats::default(),
         };
@@ -222,7 +224,6 @@ mod tests {
     fn prometheus_empty_histogram_still_emits_inf_bucket() {
         let snap = Snapshot {
             counters: vec![],
-            gauges: vec![],
             histograms: vec![HistogramSnapshot {
                 name: "quiet".to_string(),
                 count: 0,
@@ -250,13 +251,11 @@ mod tests {
     fn prometheus_text_mentions_every_metric() {
         let snap = Snapshot {
             counters: vec![("pon.frames_sent".to_string(), 7)],
-            gauges: vec![("runtime.queue_depth".to_string(), -2)],
             histograms: vec![],
             ring: RingStats::default(),
         };
         let text = snap.to_prometheus();
         assert!(text.contains("pon_frames_sent 7"));
-        assert!(text.contains("runtime_queue_depth -2"));
         assert!(text.contains("genio_trace_ring_events{state=\"recorded\"} 0"));
     }
 }

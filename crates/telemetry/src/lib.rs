@@ -4,12 +4,14 @@
 //! "per-event overhead stays bounded"; this crate is the executable form
 //! of that bound. It provides:
 //!
-//! - a **metrics registry** — atomic [`Counter`]s, [`Gauge`]s and
-//!   log-bucketed [`Histogram`]s with p50/p95/p99 extraction, one shared
+//! - a **metrics registry** of two instruments, counters that count and
+//!   spans that time: atomic [`Counter`]s and one log-bucketed duration
+//!   histogram per span name with p50/p95/p99 extraction, one shared
 //!   cell per metric (see [`metrics`]);
 //! - a **causal span API** — RAII guards ([`Span`], the [`span!`]
 //!   macro) timed by a pluggable [`Clock`] (deterministic
-//!   [`ManualClock`] in tests, monotonic in benches), carrying a
+//!   [`ManualClock`] in tests, monotonic in benches), recording into the
+//!   span's `<name>_ns` histogram and carrying a
 //!   [`TraceContext`] (trace/span/parent IDs derived deterministically
 //!   from run seeds) so a fleet campaign yields a reconstructable
 //!   cross-thread span tree;
@@ -51,7 +53,7 @@ pub use export::{HistogramSnapshot, Snapshot, QUANTILES};
 pub use flight::{
     chrome_trace, install_panic_dump, validate_tree, TraceTreeError, TraceTreeStats, TRACE_SCHEMA,
 };
-pub use metrics::{Counter, Gauge, Histogram, HistogramCore, Timer, HISTOGRAM_BUCKETS};
+pub use metrics::{Counter, HistogramCore, HISTOGRAM_BUCKETS};
 pub use ring::{RingStats, TraceEvent, TraceRing};
 pub use span::Span;
 pub use trace::TraceContext;
@@ -142,29 +144,11 @@ impl Telemetry {
         }
     }
 
-    /// Resolves (creating on first use) the gauge `name`.
-    pub fn gauge(&self, name: &str) -> Gauge {
-        match &self.inner {
-            Some(inner) => Gauge::enabled(inner.registry.gauge_cell(name)),
-            None => Gauge::disabled(),
-        }
-    }
-
-    /// Resolves (creating on first use) the histogram `name`.
-    pub fn histogram(&self, name: &str) -> Histogram {
-        match &self.inner {
-            Some(inner) => {
-                Histogram::enabled(inner.registry.histogram_cell(name), inner.clock.clone())
-            }
-            None => Histogram::disabled(),
-        }
-    }
-
     /// Opens an untraced timing span (no causal identity). On drop it
     /// records into the histogram `<name>_ns` and offers a
-    /// [`TraceEvent`] to the ring. Spans belong at tick/phase
-    /// granularity; for per-item costs inside a tight loop prefer a
-    /// pre-resolved [`Histogram::start`] timer.
+    /// [`TraceEvent`] to the ring. Spans belong at call, burst or phase
+    /// granularity; inside a per-item loop count with a pre-resolved
+    /// [`Counter`] and time the loop with one span around it.
     pub fn span(&self, name: &'static str) -> Span {
         self.span_at(name, TraceContext::default())
     }
@@ -201,42 +185,17 @@ impl Telemetry {
         let Some(inner) = &self.inner else {
             return Snapshot::default();
         };
-        // Merge plain histograms and span cells into one name-sorted
-        // sequence. A span named `x` renders as `x_ns`, which may
-        // coincide with an explicitly created histogram `x_ns`; merging
-        // their buckets preserves the pre-v2 shared-cell behaviour.
-        let mut merged: std::collections::BTreeMap<String, Vec<Arc<HistogramCore>>> =
-            std::collections::BTreeMap::new();
-        for (name, cells) in inner.registry.histogram_cells() {
-            merged.entry(name).or_default().push(cells);
-        }
-        for (name, cells) in inner.registry.span_cells() {
-            merged.entry(format!("{name}_ns")).or_default().push(cells);
-        }
-        let histograms = merged
-            .into_iter()
-            .map(|(name, cells)| {
-                let mut buckets = [0u64; HISTOGRAM_BUCKETS];
-                let (mut count, mut sum, mut max) = (0u64, 0u64, 0u64);
-                for c in &cells {
-                    count += c.count();
-                    sum += c.sum();
-                    max = max.max(c.max());
-                    for (slot, v) in buckets.iter_mut().zip(c.bucket_counts().iter()) {
-                        *slot += v;
-                    }
-                }
-                let mean = if count == 0 { 0.0 } else { sum as f64 / count as f64 };
-                let mut quantiles = [(0.0, 0u64); QUANTILES.len()];
-                for (slot, (q, _)) in quantiles.iter_mut().zip(QUANTILES.iter()) {
-                    *slot = (*q, metrics::quantile_from_buckets(&buckets, count, max, *q));
-                }
-                HistogramSnapshot { name, count, sum, max, mean, quantiles, buckets }
-            })
+        let mut histograms: Vec<HistogramSnapshot> = inner
+            .registry
+            .span_cells()
+            .iter()
+            .map(|(name, cell)| HistogramSnapshot::of(format!("{name}_ns"), cell))
             .collect();
+        // The registry keeps span-name order, but exports list rendered
+        // names in order, and the two differ: `a.b_ns` < `a_ns`.
+        histograms.sort_by(|a, b| a.name.cmp(&b.name));
         Snapshot {
             counters: inner.registry.counter_values(),
-            gauges: inner.registry.gauge_values(),
             histograms,
             ring: inner.ring.stats(),
         }
@@ -347,18 +306,14 @@ mod tests {
     }
 
     #[test]
-    fn span_and_explicit_histogram_with_same_name_merge_in_snapshot() {
+    fn snapshot_lists_histograms_by_rendered_name() {
         let source = ManualClock::new();
         let t = Telemetry::with_manual_clock(&source);
-        t.histogram("merge.me_ns").observe(7);
-        {
-            let _span = t.span("merge.me");
-            source.advance(9);
-        }
-        let snap = t.snapshot();
-        let h = snap.histogram("merge.me_ns");
-        assert_eq!(h.map(|h| h.count), Some(2));
-        assert_eq!(h.map(|h| h.max), Some(9));
+        drop(t.span("a"));
+        drop(t.span("a.b"));
+        let names: Vec<String> = t.snapshot().histograms.into_iter().map(|h| h.name).collect();
+        // Span-name order puts `a` first, but `.` sorts before `_`.
+        assert_eq!(names, ["a.b_ns", "a_ns"]);
     }
 
     #[test]
@@ -384,9 +339,8 @@ mod tests {
         let source = ManualClock::new();
         let t = Telemetry::with_manual_clock(&source);
         t.counter("a.b").incr(9);
-        t.gauge("g").set(-4);
         {
-            let _timer = t.histogram("h_ns").start();
+            let _span = t.span("h");
             source.advance(2_000);
         }
         let rendered = t.snapshot().to_json().to_string();

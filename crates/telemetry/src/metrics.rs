@@ -1,19 +1,18 @@
-//! Metrics primitives: atomic counters, gauges, and log-bucketed
-//! histograms with quantile extraction.
+//! Metrics primitives: atomic counters and the log-bucketed histogram
+//! cell behind every span, with quantile extraction.
 //!
-//! Handles are cheap clones around `Option<Arc<...>>`. A handle obtained
-//! from a disabled [`crate::Telemetry`] carries `None` and every
-//! operation on it is a branch on a `None` — no allocation, no lock, no
-//! atomic traffic. Enabled handles are resolved once by name against the
-//! registry (one `BTreeMap` lookup under a mutex) and from then on each
-//! update is a handful of relaxed atomic operations on the metric's one
-//! shared cell, which is what keeps the E-O1 overhead bound honest.
+//! Counters count; spans ([`crate::Span`]) time. A counter handle is a
+//! cheap clone around `Option<Arc<...>>`: one obtained from a disabled
+//! [`crate::Telemetry`] carries `None` and every operation on it is a
+//! branch on a `None` — no allocation, no lock, no atomic traffic. An
+//! enabled handle is resolved once by name against the registry (one
+//! `BTreeMap` lookup under a mutex) and from then on each update is a
+//! relaxed atomic add on the metric's one shared cell, which is what
+//! keeps the E-O1 overhead bound honest.
 
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
-
-use crate::clock::Clock;
 
 /// Number of power-of-two histogram buckets. Bucket `i` holds values
 /// whose highest set bit is `i`, i.e. the range `[2^i, 2^(i+1))`, with
@@ -46,44 +45,6 @@ impl Counter {
 
     /// Current value (0 when disabled).
     pub fn get(&self) -> u64 {
-        self.cell.as_ref().map_or(0, |c| c.load(Ordering::Relaxed))
-    }
-}
-
-/// A value that can move both ways (queue depths, open sessions).
-#[derive(Clone, Debug, Default)]
-pub struct Gauge {
-    cell: Option<Arc<AtomicI64>>,
-}
-
-impl Gauge {
-    pub(crate) fn enabled(cell: Arc<AtomicI64>) -> Gauge {
-        Gauge { cell: Some(cell) }
-    }
-
-    /// A no-op gauge.
-    pub fn disabled() -> Gauge {
-        Gauge::default()
-    }
-
-    /// Sets the gauge to an absolute value.
-    #[inline]
-    pub fn set(&self, v: i64) {
-        if let Some(cell) = &self.cell {
-            cell.store(v, Ordering::Relaxed);
-        }
-    }
-
-    /// Adds `delta` (may be negative).
-    #[inline]
-    pub fn add(&self, delta: i64) {
-        if let Some(cell) = &self.cell {
-            cell.fetch_add(delta, Ordering::Relaxed);
-        }
-    }
-
-    /// Current value (0 when disabled).
-    pub fn get(&self) -> i64 {
         self.cell.as_ref().map_or(0, |c| c.load(Ordering::Relaxed))
     }
 }
@@ -122,8 +83,8 @@ fn bucket_index(v: u64) -> usize {
 /// `u64::MAX`). Upper bounds grow with the bucket index, so the estimate
 /// is monotone in `q` by construction — the property the testkit harness
 /// pins. `max` is the fallback when the walk exhausts (can only happen
-/// if `total` overstates the bucket sum). Shared by single cores and
-/// merged snapshots so both paths agree bit-for-bit.
+/// if `total` overstates the bucket sum). Shared by a live cell and its
+/// exported snapshot so both agree bit-for-bit.
 pub fn quantile_from_buckets(
     buckets: &[u64; HISTOGRAM_BUCKETS],
     total: u64,
@@ -171,16 +132,6 @@ impl HistogramCore {
         self.max.load(Ordering::Relaxed)
     }
 
-    /// Mean observation (0.0 if empty).
-    pub fn mean(&self) -> f64 {
-        let n = self.count();
-        if n == 0 {
-            0.0
-        } else {
-            self.sum() as f64 / n as f64
-        }
-    }
-
     /// Bucketed quantile estimate (see [`quantile_from_buckets`]).
     pub fn quantile(&self, q: f64) -> u64 {
         quantile_from_buckets(&self.bucket_counts(), self.count(), self.max(), q)
@@ -196,88 +147,14 @@ impl HistogramCore {
     }
 }
 
-/// A named distribution, usually of durations in nanoseconds. Cloning is
-/// cheap; disabled histograms are no-ops.
-#[derive(Clone, Debug, Default)]
-pub struct Histogram {
-    core: Option<(Arc<HistogramCore>, Clock)>,
-}
-
-impl Histogram {
-    pub(crate) fn enabled(core: Arc<HistogramCore>, clock: Clock) -> Histogram {
-        Histogram { core: Some((core, clock)) }
-    }
-
-    /// A no-op histogram.
-    pub fn disabled() -> Histogram {
-        Histogram::default()
-    }
-
-    /// Records one observation (e.g. a duration in ns).
-    #[inline]
-    pub fn observe(&self, v: u64) {
-        if let Some((core, _)) = &self.core {
-            core.record(v);
-        }
-    }
-
-    /// Starts a timer; the elapsed nanoseconds are recorded when the
-    /// returned guard drops. On a disabled histogram the guard is inert.
-    #[inline]
-    pub fn start(&self) -> Timer {
-        Timer {
-            inner: self.core.as_ref().map(|(core, clock)| {
-                let start_ns = clock.now_ns();
-                (Arc::clone(core), clock.clone(), start_ns)
-            }),
-        }
-    }
-
-    /// Number of observations (0 when disabled).
-    pub fn count(&self) -> u64 {
-        self.core.as_ref().map_or(0, |(c, _)| c.count())
-    }
-
-    /// Mean observation.
-    pub fn mean(&self) -> f64 {
-        self.core.as_ref().map_or(0.0, |(c, _)| c.mean())
-    }
-
-    /// Largest observation.
-    pub fn max(&self) -> u64 {
-        self.core.as_ref().map_or(0, |(c, _)| c.max())
-    }
-
-    /// Bucketed quantile estimate (see [`quantile_from_buckets`]).
-    pub fn quantile(&self, q: f64) -> u64 {
-        self.core.as_ref().map_or(0, |(c, _)| c.quantile(q))
-    }
-}
-
-/// RAII duration recorder returned by [`Histogram::start`].
-#[derive(Debug)]
-pub struct Timer {
-    inner: Option<(Arc<HistogramCore>, Clock, u64)>,
-}
-
-impl Drop for Timer {
-    fn drop(&mut self) {
-        if let Some((core, clock, start_ns)) = self.inner.take() {
-            core.record(clock.now_ns().saturating_sub(start_ns));
-        }
-    }
-}
-
 /// Name → metric store behind an enabled `Telemetry`. The mutex is taken
 /// only when a handle is created or a snapshot is read, never on the
-/// per-event update path. Span-duration histograms live in their own
-/// map keyed by the `&'static str` span name, so `Telemetry::span` never
-/// allocates a `String` to find its cell.
+/// per-event update path. Span-duration histograms are keyed by the
+/// `&'static str` span name, so `Telemetry::span` never allocates a
+/// `String` to find its cell.
 #[derive(Debug, Default)]
 pub struct Registry {
     counters: Mutex<BTreeMap<String, Arc<AtomicU64>>>,
-    gauges: Mutex<BTreeMap<String, Arc<AtomicI64>>>,
-    histograms: Mutex<BTreeMap<String, Arc<HistogramCore>>>,
     spans: Mutex<BTreeMap<&'static str, Arc<HistogramCore>>>,
 }
 
@@ -289,34 +166,22 @@ fn relock<'a, T>(
     r.unwrap_or_else(|e| e.into_inner())
 }
 
-/// The cell named `name`, created zeroed on first use. A hit borrows
-/// `name` and allocates nothing.
-fn resolve<T: Default>(map: &Mutex<BTreeMap<String, Arc<T>>>, name: &str) -> Arc<T> {
-    let mut map = relock(map.lock());
-    if let Some(cell) = map.get(name) {
-        return Arc::clone(cell);
-    }
-    let cell = Arc::<T>::default();
-    map.insert(name.to_string(), Arc::clone(&cell));
-    cell
-}
-
 impl Registry {
+    /// The counter `name`, created zeroed on first use. A hit borrows
+    /// `name` and allocates nothing.
     pub(crate) fn counter_cell(&self, name: &str) -> Arc<AtomicU64> {
-        resolve(&self.counters, name)
-    }
-
-    pub(crate) fn gauge_cell(&self, name: &str) -> Arc<AtomicI64> {
-        resolve(&self.gauges, name)
-    }
-
-    pub(crate) fn histogram_cell(&self, name: &str) -> Arc<HistogramCore> {
-        resolve(&self.histograms, name)
+        let mut counters = relock(self.counters.lock());
+        if let Some(cell) = counters.get(name) {
+            return Arc::clone(cell);
+        }
+        let cell = Arc::new(AtomicU64::new(0));
+        counters.insert(name.to_string(), Arc::clone(&cell));
+        cell
     }
 
     /// Span-duration cell for the span `name`, keyed by the static name
     /// itself — no allocation on the open path. The snapshot renders it
-    /// under `<name>_ns` alongside plain histograms.
+    /// under `<name>_ns`.
     pub(crate) fn span_cell(&self, name: &'static str) -> Arc<HistogramCore> {
         Arc::clone(relock(self.spans.lock()).entry(name).or_default())
     }
@@ -326,22 +191,6 @@ impl Registry {
         relock(self.counters.lock())
             .iter()
             .map(|(k, v)| (k.clone(), v.load(Ordering::Relaxed)))
-            .collect()
-    }
-
-    /// Sorted (name, value) view of all gauges.
-    pub fn gauge_values(&self) -> Vec<(String, i64)> {
-        relock(self.gauges.lock())
-            .iter()
-            .map(|(k, v)| (k.clone(), v.load(Ordering::Relaxed)))
-            .collect()
-    }
-
-    /// Sorted (name, cell) view of all plain histograms.
-    pub fn histogram_cells(&self) -> Vec<(String, Arc<HistogramCore>)> {
-        relock(self.histograms.lock())
-            .iter()
-            .map(|(k, v)| (k.clone(), Arc::clone(v)))
             .collect()
     }
 
@@ -357,7 +206,6 @@ impl Registry {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::clock::{Clock, ManualClock};
 
     #[test]
     fn bucket_index_is_floor_log2() {
@@ -380,11 +228,6 @@ mod tests {
         // Same name resolves to the same cell.
         let c2 = Counter::enabled(reg.counter_cell("x"));
         assert_eq!(c2.get(), 7);
-
-        let g = Gauge::enabled(reg.gauge_cell("depth"));
-        g.set(10);
-        g.add(-3);
-        assert_eq!(g.get(), 7);
     }
 
     #[test]
@@ -392,26 +235,6 @@ mod tests {
         let c = Counter::disabled();
         c.incr(5);
         assert_eq!(c.get(), 0);
-        let h = Histogram::disabled();
-        h.observe(100);
-        drop(h.start());
-        assert_eq!(h.count(), 0);
-        assert_eq!(h.quantile(0.5), 0);
-    }
-
-    #[test]
-    fn histogram_timer_uses_manual_clock() {
-        let source = ManualClock::new();
-        let reg = Registry::default();
-        let h = Histogram::enabled(reg.histogram_cell("t"), Clock::manual(&source));
-        {
-            let _t = h.start();
-            source.advance(1_000);
-        }
-        assert_eq!(h.count(), 1);
-        assert_eq!(h.max(), 1_000);
-        // 1000 lands in bucket 9 ([512, 1024)); upper bound 1023.
-        assert_eq!(h.quantile(0.5), 1_023);
     }
 
     #[test]
@@ -433,7 +256,7 @@ mod tests {
     fn concurrent_updates_to_one_cell_are_exact() {
         let reg = Registry::default();
         let counter = Counter::enabled(reg.counter_cell("shared"));
-        let hist = reg.histogram_cell("lat");
+        let hist = reg.span_cell("lat");
         std::thread::scope(|scope| {
             for t in 0..4u64 {
                 let (counter, hist) = (counter.clone(), Arc::clone(&hist));

@@ -50,11 +50,6 @@ impl Span {
         Span { inner: None }
     }
 
-    /// Span label, if enabled.
-    pub fn name(&self) -> Option<&'static str> {
-        self.inner.as_ref().map(|s| s.name)
-    }
-
     /// This span's causal context, if enabled — derive child contexts
     /// from it with [`TraceContext::child`].
     pub fn context(&self) -> Option<TraceContext> {

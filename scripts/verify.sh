@@ -5,11 +5,13 @@
 #   scripts/verify.sh           build + tests + examples smoke + the
 #                               genio-analyzer ratchet gate (new static-
 #                               analysis findings vs analyzer-baseline.json
-#                               fail the build) + the traffic-fault
-#                               properties (GEM, MACsec, sequenced AEAD)
-#                               and the fleet-engine differential tests
-#                               under seeds 1-64 + the genio-perf smoke
-#                               digests (scripts/genio-perf-digests.txt)
+#                               fail the build, and so do baseline entries
+#                               the scan no longer finds) + the traffic-
+#                               fault properties (GEM, MACsec, sequenced
+#                               AEAD), the fleet-engine differential tests
+#                               and the telemetry properties under seeds
+#                               1-64 + the genio-perf smoke digests
+#                               (scripts/genio-perf-digests.txt)
 #   scripts/verify.sh --quick   the above, then a quick bench pass that
 #                               merges one experiment report per bench
 #                               target under crates/bench/benches/ into a
@@ -52,7 +54,14 @@ cmp target/genio-analyzer/report-cold.json target/genio-analyzer/report-warm.jso
 echo "cold and cache-warm reports agree"
 
 echo "==> genio-analyzer ratchet gate (self-scan vs analyzer-baseline.json)"
-cargo run --release -q -p genio-analyzer
+# The baseline shrinks in the change that fixes a finding: a stale entry
+# would let that exact site come back without failing this gate.
+cargo run --release -q -p genio-analyzer | tee target/genio-analyzer/ratchet.txt
+if grep -q 'baseline finding(s) fixed' target/genio-analyzer/ratchet.txt; then
+    echo "analyzer-baseline.json lists findings the scan no longer finds;" \
+        "rewrite it with --write-baseline" >&2
+    exit 1
+fi
 
 echo "==> genio-analyzer fixture self-check (exact finding IDs on the miniws corpus)"
 cargo run --release -q -p genio-analyzer -- \
@@ -83,14 +92,17 @@ echo "==> genio-analyzer SARIF export gate (document re-parses with the testkit 
 cargo test --release -q -p genio-analyzer --test sarif_export
 echo "SARIF 2.1.0 export validated"
 
-echo "==> traffic-fault seed gate (GEM, MACsec, sequenced-AEAD and fleet-engine properties under seeds 1-64)"
+echo "==> seed gate (GEM, MACsec, sequenced-AEAD, fleet-engine and telemetry properties under seeds 1-64)"
 # Each spec is crate:test-binary:filter. Each test binary is built once
 # and called directly under every seed; the crypto binary runs only its
 # sequenced-AEAD property (its signature properties add half a minute
-# and no traffic faults), and genio-pon's engine_differential binary
-# checks the fleet engine against the reference stepper.
+# and no traffic faults), genio-pon's engine_differential binary checks
+# the fleet engine against the reference stepper, and genio-telemetry's
+# properties pin the exporter round trip and the ring accounting that
+# the trace drop counts rest on.
 for spec in genio-pon:properties: genio-pon:engine_differential: \
-    genio-netsec:properties: genio-crypto:properties:seq_aead; do
+    genio-netsec:properties: genio-crypto:properties:seq_aead \
+    genio-telemetry:properties:; do
     IFS=: read -r crate test filter <<<"$spec"
     binary=$(cargo test --release -q -p "$crate" --test "$test" --no-run \
         --message-format=json | sed -n 's/.*"executable":"\([^"]*\)".*/\1/p')
@@ -102,7 +114,7 @@ for spec in genio-pon:properties: genio-pon:engine_differential: \
             { echo "$crate $test failed under GENIO_TEST_SEED=$seed" >&2; exit 1; }
     done
 done
-echo "traffic fault and fleet engine properties hold under all 64 seeds"
+echo "traffic fault, fleet engine and telemetry properties hold under all 64 seeds"
 
 echo "==> determinism-under-load gate (trace properties under 64 seeds in 4 concurrent loops)"
 # Build once, then call the test binary directly so the four loops
