@@ -11,16 +11,21 @@
 //!   lands [`REPLAY_OFFSET_NS`] into its cycle, before the next one
 //!   starts. So a shard steps its timeline in two phases instead of
 //!   draining a timer queue. *Activation* packs each of the shard's
-//!   announcements into one `u64` sort key — the announce time above
-//!   the announcement's position in `(tree, index)` order, where the
-//!   tree's rogue takes index `n`, after its subscribers — sorts the
-//!   keys once and emits them in that order. *Cycles* loops over the
-//!   TDMA cycles and emits every tree's grants at the cycle start,
+//!   announcements into one `u64` sort key — from the top, the announce
+//!   time (20 bits), the announcement's position in `(tree, index)`
+//!   order (25 bits), where the tree's rogue takes index `n`, after its
+//!   subscribers, and the ONU's equalization delay (19 bits; the
+//!   rogue's is 0) — sorts the keys once and emits them in that order.
+//!   Positions are unique, so the delay never decides the order; it
+//!   rides in the key so that each ONU's round trip is hashed once, in
+//!   tree order, to find the tree's farthest ONU. *Cycles* loops over
+//!   the TDMA cycles and emits every tree's grants at the cycle start,
 //!   then, on a replay cycle, every tree's replay.
-//! * **Per-tree state only.** Every ONU is active from cycle 0 on, so a
-//!   shard keeps no per-ONU state: per tree it keeps the farthest round
-//!   trip (the equalization reference), the event sequence number and
-//!   the fairness partials.
+//! * **Per-tree state, and one class per ONU.** Every ONU is active
+//!   from cycle 0 on, so a shard keeps no per-ONU activation state: per
+//!   tree it keeps the event sequence number and the fairness partials.
+//!   The one per-ONU table is each ONU's service class (one byte),
+//!   hashed once for the whole run after the activation keys are freed.
 //! * **Per-tree shards on worker threads.** Trees are independent, so
 //!   contiguous tree ranges run on `std::thread` workers. Determinism
 //!   is by construction: per-tree RNG streams are split from the seed
@@ -32,7 +37,9 @@
 //!   sorts: one shard's log becomes the result as it is, and several
 //!   are k-way merged ([`merge_shards`]).
 //! * **Batched TDMA.** Each cycle computes one tree's whole grant
-//!   schedule through [`compute_grants_into`] into reusable buffers.
+//!   schedule through [`compute_grants_lazy`] into reusable buffers,
+//!   and hashes an ONU's demand only when the DBA reads it: once the
+//!   Fixed and Assured passes fill the cycle, the rest go unread.
 //!
 //! The engine is pinned to the legacy object-per-ONU semantics by
 //! [`crate::reference`] and the differential harness in
@@ -43,9 +50,7 @@ use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::thread;
 
-use crate::tdma::{
-    compute_grants_into, jain_fairness, BandwidthRequest, BatchGrants, DbaConfig, ServiceClass,
-};
+use crate::tdma::{compute_grants_lazy, jain_fairness, BatchGrants, DbaConfig, ServiceClass};
 use crate::topology::propagation_delay_ns;
 use genio_telemetry::{Telemetry, TraceContext};
 
@@ -62,16 +67,35 @@ pub const REPLAY_OFFSET_NS: u64 = 60_000;
 // A shard emits a cycle's replays before the next cycle's grants.
 const _: () = assert!(REPLAY_OFFSET_NS < CYCLE_NS);
 
-/// Low bits of an activation sort key: the announcement's position in
+/// Low bits of an activation sort key: the ONU's equalization delay
+/// (ns). Every round trip the model builds is below 2^19 ns, and so is
+/// every delay (pinned by a test over every drop-fiber length).
+const DELAY_BITS: u32 = 19;
+const DELAY_MASK: u64 = (1 << DELAY_BITS) - 1;
+
+/// Middle bits of an activation sort key: the announcement's position in
 /// the shard's `(tree, index)` order. The announce time takes the bits
-/// above, so one shard sorts at most 2^44 announcements ([`shard_count`]
-/// cuts the fleet to keep it there).
-const POSITION_BITS: u32 = 44;
+/// above, so one shard sorts at most 2^25 announcements ([`shard_count`]
+/// cuts the fleet to keep it there, and [`run_shards`] refuses a tree
+/// that alone holds more).
+const POSITION_BITS: u32 = 25;
 const POSITION_MASK: u64 = (1 << POSITION_BITS) - 1;
 
 // Every announce time fits the 20 bits above the position.
 const _: () = assert!(ACTIVATION_WINDOW_NS <= 1 << 20);
-const _: () = assert!(POSITION_BITS + 20 == u64::BITS);
+const _: () = assert!(20 + POSITION_BITS + DELAY_BITS == u64::BITS);
+
+/// Most announcements one shard may sort: its position field's range. A
+/// tree's announcements never span two shards, so one tree may make no
+/// more (a real PON tree serves at most a few hundred ONUs).
+const MAX_SHARD_ANNOUNCES: u64 = 1 << POSITION_BITS;
+
+/// An activation sort key: announce time, then position, then delay.
+/// Clamping the delay keeps it out of the position bits; every delay the
+/// model builds fits its field unclamped.
+fn activation_key(time_ns: u64, position: u64, delay_ns: u64) -> u64 {
+    (time_ns << (POSITION_BITS + DELAY_BITS)) | (position << DELAY_BITS) | delay_ns.min(DELAY_MASK)
+}
 
 /// Trunk fiber from OLT to splitter (m), uniform across the fleet.
 pub const TRUNK_M: u32 = 10_000;
@@ -193,7 +217,12 @@ pub fn cycle_start_ns(k: u32) -> u64 {
 
 /// Round-trip time (ns) from the OLT to `(tree, onu)`.
 pub fn onu_rtt_ns(tree: u32, onu: u32) -> u64 {
-    propagation_delay_ns(u64::from(drop_fiber_m(tree, onu)) + u64::from(TRUNK_M)) * 2
+    rtt_over_drop_ns(drop_fiber_m(tree, onu))
+}
+
+/// Round-trip time (ns) over the trunk and a `drop_m`-metre drop fiber.
+fn rtt_over_drop_ns(drop_m: u32) -> u64 {
+    propagation_delay_ns(u64::from(drop_m) + u64::from(TRUNK_M)) * 2
 }
 
 /// FNV-1a digest of a grant schedule, as produced by either the batched
@@ -421,7 +450,9 @@ pub struct FleetVerdicts {
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct EngineOptions {
     /// Shard worker threads; 0 means "one per available core". The
-    /// result is identical for any value — only wall time changes.
+    /// result is identical for any value — only wall time changes. A
+    /// shard sorts at most 2^25 announcements, so a fleet with more
+    /// than that per worker runs more shards (threads) than workers.
     pub workers: usize,
 }
 
@@ -463,12 +494,23 @@ pub fn run_with(
 /// Phase one: runs every shard and returns their outputs in tree order
 /// (shard *i* owns a contiguous tree range below shard *i + 1*'s).
 /// There is one shard per worker, and more only for a fleet so large
-/// that a shard would hold over 2^44 announcements.
+/// that a shard would hold over 2^25 announcements: such a fleet runs
+/// one thread per shard, more threads than workers.
+///
+/// # Panics
+///
+/// Panics if one tree makes more than 2^25 announcements (a tree of
+/// over 33 million subscribers), which no shard can sort.
 pub fn run_shards(
     config: &FleetSimConfig,
     options: &EngineOptions,
     telemetry: &Telemetry,
 ) -> Vec<ShardOutput> {
+    assert!(
+        announces_per_tree(config) <= MAX_SHARD_ANNOUNCES,
+        "a tree of {} subscribers overflows the activation key",
+        config.onus_per_tree
+    );
     let root = trace_root(config.seed);
     let _run_span = telemetry.span_at("pon.fleet.run", root);
     let auto = thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
@@ -506,11 +548,12 @@ fn announces_per_tree(cfg: &FleetSimConfig) -> u64 {
 
 /// Shards `trees` trees of `per_tree` announcements each are cut into:
 /// `workers`, or more where that many would leave a shard more than
-/// 2^44 announcements to sort; at least one, and at most one per tree.
+/// 2^25 announcements to sort; at least one, and at most one per tree.
 /// [`run_shards`] splits the trees as evenly as possible, so the largest
-/// shard holds `⌈trees / shards⌉`.
+/// shard holds `⌈trees / shards⌉`: within the limit whenever one tree
+/// is (`per_tree <= 2^25`, which [`run_shards`] checks).
 fn shard_count(trees: u32, per_tree: u64, workers: u32) -> u32 {
-    let trees_per_shard = ((1 << POSITION_BITS) / per_tree.max(1)).max(1);
+    let trees_per_shard = (MAX_SHARD_ANNOUNCES / per_tree.max(1)).max(1);
     let needed = u64::from(trees).div_ceil(trees_per_shard);
     workers
         .max(u32::try_from(needed).unwrap_or(u32::MAX))
@@ -638,33 +681,37 @@ fn run_shard(
     {
         let _phase_span =
             telemetry.span_at("pon.shard.activation", ctx.child(TRACE_SLOT_ACTIVATION));
-        let max_rtt: Vec<u64> = trees
-            .clone()
-            .map(|tree| (0..n).map(|onu| onu_rtt_ns(tree, onu)).max().unwrap_or(0))
-            .collect();
         // One key per announcement: the time above its position in
-        // (tree, index) order. The rogue takes index `n`, so
-        // same-nanosecond announcements break by tree, then by ONU
-        // index, with the rogue last.
+        // (tree, index) order, above the ONU's equalization delay. The
+        // rogue takes index `n`, so same-nanosecond announcements break
+        // by tree, then by ONU index, with the rogue last. Each tree's
+        // round trips are hashed once into `rtts` to find its farthest
+        // ONU, the equalization reference.
         let per_tree = announces_per_tree(cfg);
         let mut announces: Vec<u64> = Vec::with_capacity(
             usize::try_from(per_tree * u64::from(tree_end - tree_start)).unwrap_or(0),
         );
+        let mut rtts: Vec<u64> = Vec::with_capacity(usize::try_from(n).unwrap_or(0));
         let mut position = 0u64;
         for tree in trees.clone() {
-            for onu in 0..n {
-                announces.push((announce_ns(cfg.seed, tree, onu) << POSITION_BITS) | position);
+            rtts.clear();
+            rtts.extend((0..n).map(|onu| onu_rtt_ns(tree, onu)));
+            let farthest = rtts.iter().copied().max().unwrap_or(0);
+            for (onu, &rtt) in (0..n).zip(&rtts) {
+                let time_ns = announce_ns(cfg.seed, tree, onu);
+                announces.push(activation_key(time_ns, position, farthest - rtt));
                 position += 1;
             }
             if cfg.rogue_per_tree {
-                announces.push((rogue_announce_ns(cfg.seed, tree) << POSITION_BITS) | position);
+                let time_ns = rogue_announce_ns(cfg.seed, tree);
+                announces.push(activation_key(time_ns, position, 0));
                 position += 1;
             }
         }
         announces.sort_unstable();
         for key in announces {
-            let time_ns = key >> POSITION_BITS;
-            let position = key & POSITION_MASK;
+            let time_ns = key >> (POSITION_BITS + DELAY_BITS);
+            let position = (key >> DELAY_BITS) & POSITION_MASK;
             let (Some(lt), Some(index)) = (
                 position.checked_div(per_tree),
                 position.checked_rem(per_tree),
@@ -675,14 +722,12 @@ fn run_shard(
                 continue;
             };
             let tree = tree_start + lt;
-            let lt = lt as usize;
-            let (Some(seq), Some(&farthest)) = (tree_seq.get_mut(lt), max_rtt.get(lt)) else {
+            let Some(seq) = usize::try_from(lt).ok().and_then(|lt| tree_seq.get_mut(lt)) else {
                 continue;
             };
             let (kind, a, b, c) = if index < n {
                 stats.activated += 1;
-                let eq = farthest - onu_rtt_ns(tree, index);
-                (EventKind::Activation, u64::from(index), 0, eq)
+                (EventKind::Activation, u64::from(index), 0, key & DELAY_MASK)
             } else {
                 stats.rogues_attempted += 1;
                 // The rogue clones subscriber 0's serial with forged key
@@ -715,21 +760,38 @@ fn run_shard(
         let _phase_span = telemetry.span_at("pon.shard.cycles", ctx.child(TRACE_SLOT_CYCLES));
         let activation_events = log.len();
         let dba = DbaConfig::default();
-        let mut requests: Vec<BandwidthRequest> = Vec::with_capacity(n as usize);
         let mut batch = BatchGrants::new();
+        // Every ONU's service class, hashed once for the whole run (one
+        // byte per ONU, allocated after the activation keys are freed).
+        let per_tree_onus = usize::try_from(n).unwrap_or(0);
+        let mut classes: Vec<ServiceClass> = Vec::with_capacity(per_tree_onus * trees.len());
+        for tree in trees.clone() {
+            classes.extend((0..n).map(|onu| service_class(cfg.seed, tree, onu)));
+        }
+        // ONU `i` of a tree is ONU id `i + 1`, as in `reference`.
+        let index = |i: usize| u32::try_from(i).unwrap_or(u32::MAX);
         for k in 0..cfg.cycles {
             let time_ns = cycle_start_ns(k);
-            // Every ONU announced before cycle 0, so every ONU requests.
+            // Every ONU announced before cycle 0, so every ONU requests;
+            // the DBA hashes a demand only when it reads it.
+            let mut tree_classes = classes.as_slice();
             for ((tree, seq), acc) in trees.clone().zip(&mut tree_seq).zip(&mut fairness) {
-                requests.clear();
-                requests.extend((0..n).map(|onu| BandwidthRequest {
-                    onu: onu + 1,
-                    queued_bytes: demand_bytes(cfg.seed, tree, k, onu, cfg.greedy_every),
-                    class: service_class(cfg.seed, tree, onu),
-                }));
-                compute_grants_into(&dba, &requests, &mut batch);
+                let (own, rest) = tree_classes
+                    .split_at_checked(per_tree_onus)
+                    .unwrap_or_default();
+                tree_classes = rest;
+                compute_grants_lazy(
+                    &dba,
+                    own.len(),
+                    |i| {
+                        let class = own.get(i).copied().unwrap_or(ServiceClass::BestEffort);
+                        (index(i).saturating_add(1), class)
+                    },
+                    |i| demand_bytes(cfg.seed, tree, k, index(i), cfg.greedy_every),
+                    &mut batch,
+                );
                 let granted = batch.total_bytes();
-                stats.frames_sent += requests.len() as u64;
+                stats.frames_sent += u64::from(n);
                 stats.granted_bytes += granted;
                 if let Some(f) = jain_fairness(batch.bytes.iter().copied()) {
                     acc.0 += f;
@@ -938,7 +1000,7 @@ mod tests {
 
     #[test]
     fn shard_count_keeps_every_shard_within_the_position_field() {
-        const LIMIT: u64 = 1 << POSITION_BITS;
+        const LIMIT: u64 = MAX_SHARD_ANNOUNCES;
         // Fleets that fit take the worker count, within 1..=trees.
         assert_eq!(shard_count(16_384, 65, 1), 1);
         assert_eq!(shard_count(16_384, 65, 2), 2);
@@ -946,14 +1008,19 @@ mod tests {
         assert_eq!(shard_count(2, 7, 8), 2);
         assert_eq!(shard_count(3, 0, 0), 1);
         assert_eq!(shard_count(0, 0, 4), 1);
-        // Exactly 2^44 announcements fit one shard; one tree more does not.
-        assert_eq!(shard_count(1 << 24, 1 << 20, 1), 1);
-        assert_eq!(shard_count((1 << 24) + 1, 1 << 20, 1), 2);
-        assert_eq!(shard_count((1 << 24) + 1, 1 << 20, 5), 5);
+        // Exactly 2^25 announcements fit one shard; one tree more does not.
+        assert_eq!(shard_count(1 << 5, 1 << 20, 1), 1);
+        assert_eq!(shard_count((1 << 5) + 1, 1 << 20, 1), 2);
+        assert_eq!(shard_count((1 << 5) + 1, 1 << 20, 5), 5);
+        assert_eq!(shard_count(1, LIMIT, 1), 1);
+        assert_eq!(shard_count(2, LIMIT, 1), 2);
+        // 2^20 trees of 65 announcements need three shards at one worker.
+        assert_eq!(shard_count(1 << 20, 65, 1), 3);
         // The largest fleets: the largest shard holds ⌈trees / shards⌉
-        // trees, and its announcements still fit the field.
+        // trees, and its announcements still fit the field, for every
+        // tree size `run_shards` accepts.
         for trees in [u32::MAX, 1 << 31, 12_345_678] {
-            for per_tree in [1u64, 1 << 20, (1 << 20) + 1, u64::from(u32::MAX), 1 << 32] {
+            for per_tree in [1u64, 65, 1 << 20, (1 << 20) + 1, LIMIT - 1, LIMIT] {
                 for workers in [1, 2, 7, 1 << 20] {
                     let shards = shard_count(trees, per_tree, workers);
                     assert!(shards >= workers.min(trees) && shards <= trees);
@@ -965,6 +1032,42 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn a_tree_too_large_for_the_key_is_refused() {
+        let cfg = FleetSimConfig {
+            trees: 1,
+            onus_per_tree: 1 << POSITION_BITS,
+            cycles: 0,
+            ..FleetSimConfig::default()
+        };
+        let refused = std::panic::catch_unwind(|| {
+            run_shards(&cfg, &EngineOptions { workers: 1 }, &Telemetry::disabled())
+        });
+        assert!(refused.is_err());
+    }
+
+    #[test]
+    fn every_equalization_delay_fits_its_key_field() {
+        // Every length `drop_fiber_m` can return (200..=29_999 m). A
+        // delay is the farthest round trip minus one's own, so none
+        // exceeds the largest round trip.
+        let largest = (200..30_000)
+            .map(rtt_over_drop_ns)
+            .max()
+            .unwrap_or(u64::MAX);
+        assert_eq!(largest, 392_146);
+        assert!(largest <= DELAY_MASK, "round trip {largest} ns");
+        // The key keeps the largest delay whole, below the largest
+        // position and announce time.
+        let key = activation_key(ACTIVATION_WINDOW_NS - 1, POSITION_MASK, largest);
+        assert_eq!(key & DELAY_MASK, largest);
+        assert_eq!((key >> DELAY_BITS) & POSITION_MASK, POSITION_MASK);
+        assert_eq!(
+            key >> (POSITION_BITS + DELAY_BITS),
+            ACTIVATION_WINDOW_NS - 1
+        );
     }
 
     #[test]

@@ -194,10 +194,10 @@ pub fn jain_fairness(bytes: impl Iterator<Item = u64>) -> Option<f64> {
 }
 
 /// Reusable struct-of-arrays output of the batched DBA path
-/// ([`compute_grants_into`]): one entry per granted ONU, in ONU-id
-/// order, windows laid back-to-back. Private scratch vectors ride along
-/// so a per-shard instance makes the whole TDMA cycle allocation-free
-/// after warmup.
+/// ([`compute_grants_lazy`], [`compute_grants_into`]): one entry per
+/// granted ONU, in ONU-id order, windows laid back-to-back. Private
+/// scratch vectors ride along so a per-shard instance makes the whole
+/// TDMA cycle allocation-free after warmup.
 #[derive(Debug, Default, Clone)]
 pub struct BatchGrants {
     /// Grantees, ascending.
@@ -208,8 +208,9 @@ pub struct BatchGrants {
     pub start_ns: Vec<u64>,
     /// Window durations (ns), aligned with `onus`.
     pub duration_ns: Vec<u64>,
-    // Scratch (per-request, cleared each call).
+    // Scratch (per ONU, cleared each call).
     fixed_award: Vec<u64>,
+    be_demand: Vec<u64>,
     be_award: Vec<u64>,
     wants: Vec<u64>,
 }
@@ -246,31 +247,29 @@ impl BatchGrants {
             .map(|(((&onu, &bytes), &start), &dur)| (onu, bytes, start, dur))
     }
 
-    fn clear(&mut self, requests: usize) {
+    fn clear(&mut self, onus: usize) {
         self.onus.clear();
         self.bytes.clear();
         self.start_ns.clear();
         self.duration_ns.clear();
-        self.fixed_award.clear();
-        self.fixed_award.resize(requests, 0);
-        self.be_award.clear();
-        self.be_award.resize(requests, 0);
-        self.wants.clear();
-        self.wants.resize(requests, 0);
+        for scratch in [
+            &mut self.fixed_award,
+            &mut self.be_demand,
+            &mut self.be_award,
+            &mut self.wants,
+        ] {
+            scratch.clear();
+            scratch.resize(onus, 0);
+        }
     }
 }
 
-/// Batched DBA for the fleet engine: one request per ONU, sorted by
+/// Batched DBA over a slice of requests: one request per ONU, sorted by
 /// ascending ONU id, grants written into reusable [`BatchGrants`]
-/// buffers. Produces **exactly** the allocation [`compute_map`] would
-/// for the same input — the same class passes, the same 8-round
-/// best-effort water-fill with identical integer arithmetic, the same
-/// back-to-back window layout — which the differential suite pins
-/// grant-for-grant. The differences are mechanical: no `BTreeMap`, no
-/// per-call allocation, and no work once the cycle is full. When the
-/// Fixed and Assured passes spend the whole capacity they stop there and
-/// the best-effort rounds are skipped: with nothing remaining every
-/// later grant would be 0, so the allocation is the same.
+/// buffers. Runs [`compute_grants_lazy`] over the slice, so it reads a
+/// request's `queued_bytes` only when a pass needs it, and produces
+/// **exactly** the allocation [`compute_map`] would for the same input,
+/// which the differential suite pins grant-for-grant.
 pub fn compute_grants_into(
     config: &DbaConfig,
     requests: &[BandwidthRequest],
@@ -280,68 +279,96 @@ pub fn compute_grants_into(
         requests.windows(2).all(|w| w[0].onu < w[1].onu),
         "batched DBA input must be one request per ONU, ascending"
     );
-    out.clear(requests.len());
+    compute_grants_lazy(
+        config,
+        requests.len(),
+        |i| {
+            requests
+                .get(i)
+                .map_or((0, ServiceClass::BestEffort), |r| (r.onu, r.class))
+        },
+        |i| requests.get(i).map_or(0, |r| r.queued_bytes),
+        out,
+    );
+}
+
+/// The batched DBA for the fleet engine and [`compute_grants_into`]:
+/// `onus` ONUs in ascending id order, where ONU `i` has the id and class
+/// `onu(i)` and queues `demand(i)` bytes. Produces **exactly** the
+/// allocation [`compute_map`] would for the matching requests — the same
+/// class passes, the same 8-round best-effort water-fill with identical
+/// integer arithmetic, the same back-to-back window layout — with no
+/// `BTreeMap` and no per-call allocation.
+///
+/// A demand is read only when a pass needs it, and at most once. The
+/// Fixed and then the Assured pass read their ONUs' demands in id order
+/// and stop once the cycle is full; with nothing remaining every later
+/// grant would be 0, so the allocation is the same. The best-effort
+/// rounds run only while capacity remains, and read each best-effort
+/// demand once, before the first round.
+pub fn compute_grants_lazy(
+    config: &DbaConfig,
+    onus: usize,
+    onu: impl Fn(usize) -> (OnuId, ServiceClass),
+    mut demand: impl FnMut(usize) -> u64,
+    out: &mut BatchGrants,
+) {
+    out.clear(onus);
     let cycle_capacity = (config.cycle_ns as f64 * config.bytes_per_ns) as u64;
     let per_onu_cap = (cycle_capacity as f64 * config.max_share) as u64;
     let mut remaining = cycle_capacity;
 
+    // One request per ONU, so nothing is awarded to an ONU before its
+    // own class's pass: its headroom is the whole cap.
     'passes: for class in [ServiceClass::Fixed, ServiceClass::Assured] {
-        for (i, req) in requests.iter().enumerate() {
-            if req.class != class {
+        for (i, award) in out.fixed_award.iter_mut().enumerate() {
+            if remaining == 0 {
+                break 'passes;
+            }
+            if onu(i).1 != class {
                 continue;
             }
-            let already = out.fixed_award.get(i).copied().unwrap_or(0);
-            let headroom = per_onu_cap.saturating_sub(already);
-            let give = req.queued_bytes.min(headroom).min(remaining);
-            if give > 0 {
-                if let Some(a) = out.fixed_award.get_mut(i) {
-                    *a += give;
-                }
-                remaining -= give;
-                if remaining == 0 {
-                    break 'passes;
-                }
-            }
+            let give = demand(i).min(per_onu_cap).min(remaining);
+            *award = give;
+            remaining -= give;
         }
     }
 
     // Best effort: the same iterative water-filling as `compute_map`,
-    // over the implicit per-ONU demand (one request per ONU here). A
-    // full cycle ends it before a round's demand scan.
+    // over the implicit per-ONU demand (one request per ONU here), whose
+    // demands are read once if any capacity remains. A best-effort ONU
+    // has no Fixed or Assured award, and every other ONU's best-effort
+    // demand stays 0, so it never wants more.
+    if remaining > 0 {
+        for (i, d) in out.be_demand.iter_mut().enumerate() {
+            if onu(i).1 == ServiceClass::BestEffort {
+                *d = demand(i);
+            }
+        }
+    }
     for _round in 0..8 {
         if remaining == 0 {
             break;
         }
         let mut total_unmet = 0u64;
-        for (i, req) in requests.iter().enumerate() {
-            let want = if req.class == ServiceClass::BestEffort {
-                let got = out.be_award.get(i).copied().unwrap_or(0);
-                let already = out.fixed_award.get(i).copied().unwrap_or(0) + got;
-                let headroom = per_onu_cap.saturating_sub(already);
-                req.queued_bytes.saturating_sub(got).min(headroom)
-            } else {
-                0
-            };
-            if let Some(w) = out.wants.get_mut(i) {
-                *w = want;
-            }
-            total_unmet += want;
+        for ((want, &d), &got) in out.wants.iter_mut().zip(&out.be_demand).zip(&out.be_award) {
+            let headroom = per_onu_cap.saturating_sub(got);
+            *want = d.saturating_sub(got).min(headroom);
+            total_unmet += *want;
         }
         if total_unmet == 0 {
             break;
         }
         let pool = remaining;
         let mut progressed = false;
-        for (i, want) in out.wants.iter().copied().enumerate() {
+        for (&want, award) in out.wants.iter().zip(out.be_award.iter_mut()) {
             if want == 0 {
                 continue;
             }
             let fair = (pool as u128 * want as u128 / total_unmet as u128) as u64;
             let give = fair.max(1).min(want).min(remaining);
             if give > 0 {
-                if let Some(a) = out.be_award.get_mut(i) {
-                    *a += give;
-                }
+                *award += give;
                 remaining -= give;
                 progressed = true;
             }
@@ -353,14 +380,13 @@ pub fn compute_grants_into(
 
     // Window layout back-to-back in ONU-id (= input) order.
     let mut cursor_ns = 0u64;
-    for (i, req) in requests.iter().enumerate() {
-        let total = out.fixed_award.get(i).copied().unwrap_or(0)
-            + out.be_award.get(i).copied().unwrap_or(0);
+    for (i, (&fixed, &be)) in out.fixed_award.iter().zip(&out.be_award).enumerate() {
+        let total = fixed + be;
         if total == 0 {
             continue;
         }
         let duration_ns = (total as f64 / config.bytes_per_ns).ceil() as u64;
-        out.onus.push(req.onu);
+        out.onus.push(onu(i).0);
         out.bytes.push(total);
         out.start_ns.push(cursor_ns);
         out.duration_ns.push(duration_ns);

@@ -13,12 +13,15 @@
 //! * shard-count invariance: 1, 2 and 8 workers produce byte-identical
 //!   merged logs and telemetry counter totals;
 //! * the M3/M4 verdict matrix, pinned case by case on both paths;
-//! * the batched struct-of-arrays DBA against the per-call map DBA.
+//! * the batched struct-of-arrays DBA against the per-call map DBA, and
+//!   its demand-reading core's reads: each demand at most once, none
+//!   after the cycle is full.
 
 use genio_pon::engine::{self, EngineOptions, EventKind, FleetSimConfig};
 use genio_pon::reference;
 use genio_pon::tdma::{
-    compute_grants_into, compute_map, BandwidthRequest, BatchGrants, DbaConfig, ServiceClass,
+    compute_grants_into, compute_grants_lazy, compute_map, BandwidthRequest, BatchGrants,
+    DbaConfig, ServiceClass,
 };
 use genio_telemetry::Telemetry;
 use genio_testkit::prelude::*;
@@ -101,6 +104,14 @@ property! {
     }
 }
 
+fn class_of(c: u8) -> ServiceClass {
+    match c {
+        0 => ServiceClass::Fixed,
+        1 => ServiceClass::Assured,
+        _ => ServiceClass::BestEffort,
+    }
+}
+
 property! {
     /// The batched struct-of-arrays DBA grants exactly what the
     /// per-call map DBA grants, for arbitrary demands and classes.
@@ -111,11 +122,7 @@ property! {
             .map(|(i, &(bytes, class))| BandwidthRequest {
                 onu: u32::try_from(i).unwrap_or(u32::MAX) + 1,
                 queued_bytes: bytes,
-                class: match class {
-                    0 => ServiceClass::Fixed,
-                    1 => ServiceClass::Assured,
-                    _ => ServiceClass::BestEffort,
-                },
+                class: class_of(class),
             })
             .collect();
         let dba = DbaConfig::default();
@@ -129,6 +136,116 @@ property! {
         let from_batch: Vec<_> = batch.iter().collect();
         prop_assert_eq!(from_map, from_batch);
         prop_assert_eq!(map.total_bytes(), batch.total_bytes());
+    }
+}
+
+/// A DBA input of one of three kinds, each ONU a `(class, demand)`:
+/// kind 0, the Fixed pass fills the cycle; kind 1, Fixed leaves room
+/// and the Assured pass fills it; kind 2, neither fills it, so the
+/// best-effort water-fill runs. Three filler ONUs of the filling class
+/// (best effort for kind 2), each asking for at least 60,000 of the
+/// cycle's 156,250 bytes, go in at drawn places; the classes served
+/// before the filling one ask for under 3,000 bytes each.
+fn arb_dba_case() -> impl Strategy<Value = (u8, Vec<(ServiceClass, u64)>)> {
+    (
+        0u8..3,
+        vec((0u8..3, 0u64..2_000_000), 0..40),
+        vec((index(), 60_000u64..2_000_000), 3..4),
+    )
+        .prop_map(|(kind, drawn, fillers)| {
+            let mut onus: Vec<(ServiceClass, u64)> = drawn
+                .into_iter()
+                .map(|(c, demand)| {
+                    let class = class_of(c);
+                    let served_before = match kind {
+                        0 => false,
+                        1 => class == ServiceClass::Fixed,
+                        _ => class != ServiceClass::BestEffort,
+                    };
+                    (
+                        class,
+                        if served_before {
+                            demand % 3_000
+                        } else {
+                            demand
+                        },
+                    )
+                })
+                .collect();
+            for (at, demand) in fillers {
+                onus.insert(at.index(onus.len() + 1), (class_of(kind), demand));
+            }
+            (kind, onus)
+        })
+}
+
+property! {
+    /// The demand-reading core of the batched DBA grants exactly what
+    /// the map DBA grants, whichever pass fills the cycle. Counted in
+    /// its demand closure, it reads each demand at most once, none once
+    /// the Fixed and Assured grants of the demands read before it have
+    /// filled the cycle, and every demand when the cycle never fills.
+    fn lazy_dba_reads_each_demand_once_and_none_after_the_cycle_fills(case in arb_dba_case()) {
+        let (kind, onus) = case;
+        let dba = DbaConfig::default();
+        let capacity = (dba.cycle_ns as f64 * dba.bytes_per_ns) as u64;
+        let id = |i: usize| u32::try_from(i).unwrap_or(u32::MAX) + 1;
+        let requests: Vec<BandwidthRequest> = onus
+            .iter()
+            .enumerate()
+            .map(|(i, &(class, queued_bytes))| BandwidthRequest { onu: id(i), queued_bytes, class })
+            .collect();
+        let map = compute_map(&dba, &requests);
+        let mut reads: Vec<usize> = Vec::new();
+        let mut batch = BatchGrants::new();
+        compute_grants_lazy(
+            &dba,
+            onus.len(),
+            |i| (id(i), onus[i].0),
+            |i| {
+                reads.push(i);
+                onus[i].1
+            },
+            &mut batch,
+        );
+        let from_map: Vec<_> = map
+            .grants()
+            .map(|g| (g.onu, g.bytes, g.start_ns, g.duration_ns))
+            .collect();
+        prop_assert_eq!(from_map, batch.iter().collect::<Vec<_>>());
+
+        let granted = |i: usize| map.grant(id(i)).map_or(0, |g| g.bytes);
+        let granted_to = |class: ServiceClass| -> u64 {
+            (0..onus.len()).filter(|&i| onus[i].0 == class).map(granted).sum()
+        };
+        let (fixed, assured) = (granted_to(ServiceClass::Fixed), granted_to(ServiceClass::Assured));
+        match kind {
+            0 => prop_assert_eq!(fixed, capacity),
+            1 => {
+                prop_assert!(fixed < capacity);
+                prop_assert_eq!(fixed + assured, capacity);
+            }
+            _ => {
+                prop_assert!(fixed + assured < capacity);
+                prop_assert_eq!(reads.len(), onus.len(), "an unfilled cycle reads every demand");
+            }
+        }
+
+        let mut distinct = reads.clone();
+        distinct.sort_unstable();
+        distinct.dedup();
+        prop_assert_eq!(distinct.len(), reads.len(), "a demand was read twice: {:?}", reads);
+        // Fixed and Assured ONUs get their whole grant in their own pass,
+        // and best-effort demands are all read before any best-effort
+        // grant, so the capacity spent when a demand is read is the
+        // Fixed and Assured grants of the demands read before it.
+        let mut spent = 0u64;
+        for &i in &reads {
+            prop_assert!(spent < capacity, "demand {} read after the cycle filled", i);
+            if onus[i].0 != ServiceClass::BestEffort {
+                spent += granted(i);
+            }
+        }
     }
 }
 

@@ -2,6 +2,8 @@
 //! monotonicity, drawn GEM faults across burst boundaries and topology
 //! bounds.
 
+use std::collections::{HashMap, HashSet};
+
 use genio_testkit::prelude::*;
 
 use genio_crypto::gcm::TAG_LEN;
@@ -99,33 +101,69 @@ property! {
 const KEYED_PORTS: [u16; 2] = [1, 2];
 const UNKEYED_PORT: u16 = 9;
 
-/// One drawn frame of a burst: the fault kind, a port selector and two
+/// One drawn step of a burst: the fault kind, a port selector and two
 /// free positions (a frame, a byte, a length or a header bit, then a bit
 /// or a header field).
 type Draw = (u8, u8, Index, Index);
 
-/// A frame as delivered, and whether the receiver must reject it
-/// (tampered, cut, with a flipped header, or sent on a port it has no
-/// key for).
-type Delivered = (DownstreamFrame, bool);
+/// A frame as delivered, whether the receiver must reject it (tampered,
+/// cut, with a flipped header, or sent on a port it has no key for), and
+/// the key epoch of its port when the OLT sealed it.
+type Delivered = (DownstreamFrame, bool, u64);
+
+/// A burst as delivered: its frames, and the re-keys both receivers make
+/// on the way, each as `(frames delivered before it, port)`.
+struct Burst {
+    frames: Vec<Delivered>,
+    rekeys: Vec<(usize, u16)>,
+}
 
 /// The OLT side: seals a stream of frames and keeps every frame it sent,
-/// untampered, so a burst can replay any of them.
+/// untampered and with its key epoch, so a burst can replay any of them.
 struct GemStream {
     olt: GemCrypto,
-    sent: Vec<DownstreamFrame>,
+    sent: Vec<(DownstreamFrame, u64)>,
+    /// Key epoch of each port: 0 from its first key, one more a re-key.
+    epochs: HashMap<u16, u64>,
+    /// Every `(port, epoch, counter)` sealed so far, and how many seals
+    /// repeated one.
+    sealed: HashSet<(u16, u64, u64)>,
+    resealed: usize,
 }
 
 impl GemStream {
-    fn fresh(&mut self, port: u16) -> DownstreamFrame {
+    fn new(olt: GemCrypto) -> GemStream {
+        GemStream {
+            olt,
+            sent: Vec::new(),
+            epochs: HashMap::new(),
+            sealed: HashSet::new(),
+            resealed: 0,
+        }
+    }
+
+    fn epoch(&self, port: u16) -> u64 {
+        self.epochs.get(&port).copied().unwrap_or(0)
+    }
+
+    fn fresh(&mut self, port: u16) -> (DownstreamFrame, u64) {
         let n = self.sent.len();
         let payload = vec![n as u8; 1 + n * 7 % 80];
         let frame = self
             .olt
             .encrypt_downstream(port, 1, &payload)
             .expect("the OLT keys every port");
-        self.sent.push(frame.clone());
-        frame
+        let epoch = self.epoch(port);
+        if !self.sealed.insert((port, epoch, frame.counter)) {
+            self.resealed += 1;
+        }
+        self.sent.push((frame.clone(), epoch));
+        (frame, epoch)
+    }
+
+    fn rekey(&mut self, port: u16) {
+        self.olt.establish_key(port, 1);
+        *self.epochs.entry(port).or_insert(0) += 1;
     }
 }
 
@@ -137,32 +175,38 @@ fn gem_receiver() -> GemCrypto {
     onu
 }
 
-/// Builds one burst from `draws`. `earlier` is the previous burst and
-/// `marks` holds each port's highest accepted counter when this burst
-/// starts (the runs' starting `recv_high`).
+/// Builds one burst from `draws`. `earlier` is the previous burst's
+/// frames and `marks` holds each port's key epoch and highest accepted
+/// counter when this burst starts (the runs' starting `recv_high`).
 fn gem_burst(
     stream: &mut GemStream,
     draws: &[Draw],
     earlier: &[Delivered],
-    marks: &[(u16, u64)],
-) -> Vec<Delivered> {
+    marks: &[(u16, u64, u64)],
+) -> Burst {
     let mut burst: Vec<Delivered> = Vec::new();
+    let mut rekeys = Vec::new();
     for &(kind, sel, a, b) in draws {
         let port = KEYED_PORTS[usize::from(sel) % KEYED_PORTS.len()];
+        let fresh = |stream: &mut GemStream, must_fail| {
+            let (frame, epoch) = stream.fresh(port);
+            (frame, must_fail, epoch)
+        };
         match kind {
-            0..=3 => burst.push((stream.fresh(port), false)),
+            0..=3 => burst.push(fresh(stream, false)),
             // A replay of the frame at the port's starting mark.
             4 => {
-                let at_mark = marks
-                    .iter()
-                    .find(|(p, _)| *p == port)
-                    .and_then(|&(_, high)| {
-                        stream
-                            .sent
-                            .iter()
-                            .find(|f| f.port == port && f.counter == high)
-                    });
-                burst.extend(at_mark.map(|f| (f.clone(), false)));
+                let at_mark =
+                    marks
+                        .iter()
+                        .find(|(p, _, _)| *p == port)
+                        .and_then(|&(_, epoch, high)| {
+                            stream
+                                .sent
+                                .iter()
+                                .find(|(f, e)| f.port == port && *e == epoch && f.counter == high)
+                        });
+                burst.extend(at_mark.map(|(f, e)| (f.clone(), false, *e)));
             }
             // A replay of any frame of the earlier burst, as delivered.
             5 if !earlier.is_empty() => burst.push(earlier[a.index(earlier.len())].clone()),
@@ -173,34 +217,47 @@ fn gem_burst(
             // A fresh frame that overtakes the one before it.
             7 => {
                 let at = burst.len().saturating_sub(1);
-                burst.insert(at, (stream.fresh(port), false));
+                let frame = fresh(stream, false);
+                burst.insert(at, frame);
             }
             8 => {
-                let mut frame = stream.fresh(port);
+                let (mut frame, _, epoch) = fresh(stream, true);
                 let at = a.index(frame.payload.len());
                 frame.payload[at] ^= 1 << b.index(8);
-                burst.push((frame, true));
+                burst.push((frame, true, epoch));
             }
             9 => {
-                let mut frame = stream.fresh(port);
+                let (mut frame, _, epoch) = fresh(stream, true);
                 frame.payload.truncate(a.index(TAG_LEN));
-                burst.push((frame, true));
+                burst.push((frame, true, epoch));
             }
-            10 => burst.push((stream.fresh(UNKEYED_PORT), true)),
+            10 => {
+                let (frame, epoch) = stream.fresh(UNKEYED_PORT);
+                burst.push((frame, true, epoch));
+            }
             // A header bit flipped in flight: the counter or the target.
             11 => {
-                let mut frame = stream.fresh(port);
+                let (mut frame, _, epoch) = fresh(stream, true);
                 if b.index(2) == 0 {
                     frame.counter ^= 1 << a.index(64);
                 } else {
                     frame.target ^= 1 << a.index(32);
                 }
-                burst.push((frame, true));
+                burst.push((frame, true, epoch));
+            }
+            // A re-key of the port: the OLT now, both receivers once the
+            // frames delivered so far have arrived.
+            12 => {
+                stream.rekey(port);
+                rekeys.push((burst.len(), port));
             }
             _ => {}
         }
     }
-    burst
+    Burst {
+        frames: burst,
+        rekeys,
+    }
 }
 
 property! {
@@ -209,35 +266,65 @@ property! {
     /// ports, replays of the earlier burst at and below each run's
     /// starting `recv_high`, in-burst duplicates and reorders, bit flips
     /// in ciphertext or tag, payloads cut below the tag, flipped counter
-    /// or target bits and frames on a port the receiver has no key for.
-    /// Frame by frame, `decrypt_many` equals `decrypt` on a twin
-    /// receiver, and no tampered frame is ever accepted.
-    fn gem_burst_faults_match_one_at_a_time(first in vec((0u8..12, 0u8..2, index(), index()), 0..24),
-                                            second in vec((0u8..12, 0u8..2, index(), index()), 0..24)) {
+    /// or target bits, frames on a port the receiver has no key for, and
+    /// re-keys of a port on both ends, between bursts and inside them
+    /// (a receiver re-keys where the OLT did, in delivery order, so a
+    /// reordered frame can cross it). Frame by frame, `decrypt_many` over
+    /// the runs between re-keys equals `decrypt` on a twin receiver, no
+    /// tampered frame is ever accepted, no `(port, epoch, counter)` is
+    /// sealed twice, and every accepted frame was sealed in the
+    /// receiver's current key epoch: none sealed before a receiver's
+    /// re-key opens after it.
+    fn gem_burst_faults_match_one_at_a_time(first in vec((0u8..13, 0u8..2, index(), index()), 0..24),
+                                            second in vec((0u8..13, 0u8..2, index(), index()), 0..24)) {
         let mut olt = GemCrypto::new(b"faults");
         for port in KEYED_PORTS.into_iter().chain([UNKEYED_PORT]) {
             olt.establish_key(port, 1);
         }
-        let mut stream = GemStream { olt, sent: Vec::new() };
+        let mut stream = GemStream::new(olt);
         let (mut batch, mut twin) = (gem_receiver(), gem_receiver());
+        let mut receiver_epochs: HashMap<u16, u64> = HashMap::new();
         let mut earlier = Vec::new();
-        let mut marks: Vec<(u16, u64)> = Vec::new();
+        let mut marks: Vec<(u16, u64, u64)> = Vec::new();
         for draws in [first, second] {
             let burst = gem_burst(&mut stream, &draws, &earlier, &marks);
-            let frames: Vec<DownstreamFrame> = burst.iter().map(|(f, _)| f.clone()).collect();
-            let got = batch.decrypt_many(&frames);
-            let want: Vec<_> = frames.iter().map(|f| twin.decrypt(f)).collect();
+            let frames: Vec<DownstreamFrame> = burst.frames.iter().map(|(f, _, _)| f.clone()).collect();
+            // Cut the burst at its re-keys: both receivers re-key there,
+            // and each run between re-keys opens as one burst.
+            let mut got = Vec::new();
+            let mut want = Vec::new();
+            let mut opened_in = Vec::new();
+            let mut start = 0;
+            for cut in burst.rekeys.iter().copied().map(Some).chain([None]) {
+                let end = cut.map_or(frames.len(), |(at, _)| at);
+                let run = &frames[start..end];
+                got.extend(batch.decrypt_many(run));
+                want.extend(run.iter().map(|f| twin.decrypt(f)));
+                opened_in.extend(run.iter().map(|f| receiver_epochs.get(&f.port).copied().unwrap_or(0)));
+                start = end;
+                if let Some((_, port)) = cut {
+                    batch.establish_key(port, 1);
+                    twin.establish_key(port, 1);
+                    *receiver_epochs.entry(port).or_insert(0) += 1;
+                }
+            }
             prop_assert_eq!(&got, &want);
-            for ((frame, must_fail), result) in burst.iter().zip(&got) {
+            for (((frame, must_fail, sealed_in), result), opened_in) in
+                burst.frames.iter().zip(&got).zip(opened_in)
+            {
                 prop_assert!(!must_fail || result.is_err(),
                              "forged frame {} on port {} accepted", frame.counter, frame.port);
                 if result.is_ok() {
-                    marks.retain(|(p, _)| *p != frame.port);
-                    marks.push((frame.port, frame.counter));
+                    prop_assert_eq!(*sealed_in, opened_in,
+                                    "frame {} on port {} opened across a re-key",
+                                    frame.counter, frame.port);
+                    marks.retain(|(p, _, _)| *p != frame.port);
+                    marks.push((frame.port, *sealed_in, frame.counter));
                 }
             }
-            earlier = burst;
+            earlier = burst.frames;
         }
+        prop_assert_eq!(stream.resealed, 0, "a (port, epoch, counter) was sealed twice");
     }
 }
 

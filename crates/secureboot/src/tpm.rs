@@ -49,7 +49,8 @@ pub struct SealedBlob {
     pub policy: PcrPolicy,
     /// AES-GCM ciphertext of the secret under a TPM-internal key.
     ciphertext: Vec<u8>,
-    /// Nonce used at seal time.
+    /// Nonce used at seal time, derived from the blob's own inputs
+    /// (see [`Tpm::seal`]).
     nonce: [u8; 12],
 }
 
@@ -171,6 +172,18 @@ impl Tpm {
 
     /// Seals `secret` to the *current* values of the selected PCRs.
     ///
+    /// The AES-GCM key binds the storage key and the policy digest. The
+    /// nonce is the first 12 bytes of HMAC-SHA256, under a seal-IV key
+    /// derived from the storage key, over the policy digest, the seal
+    /// counter and the secret. The counter restarts at 0 in every
+    /// [`Tpm::new`] and a clone copies it, so two TPMs made from one
+    /// endorsement seed (two boots of one device) or a TPM and its clone
+    /// reach the same counter at the same PCR state; their nonces still
+    /// differ whenever their secrets do. A (key, nonce) pair repeats only
+    /// when the same secret is sealed again to the same policy at the
+    /// same counter, and then the whole blob repeats, which shows only
+    /// that the two secrets are equal.
+    ///
     /// # Errors
     ///
     /// Returns [`SecureBootError::InvalidPcr`] for bad selections.
@@ -181,8 +194,7 @@ impl Tpm {
             digest,
         };
         let aead = self.policy_aead(&policy.digest);
-        let mut nonce = [0u8; 12];
-        nonce[4..12].copy_from_slice(&self.seal_counter.to_be_bytes());
+        let nonce = self.seal_nonce(&policy.digest, secret);
         self.seal_counter += 1;
         let ciphertext = aead.seal(&nonce, secret, b"tpm-seal");
         Ok(SealedBlob {
@@ -208,6 +220,21 @@ impl Tpm {
         let aead = self.policy_aead(&blob.policy.digest);
         aead.open(&blob.nonce, &blob.ciphertext, b"tpm-seal")
             .map_err(|_| SecureBootError::UnsealFailed)
+    }
+
+    /// The nonce [`Tpm::seal`] seals `secret` under at the current
+    /// counter.
+    fn seal_nonce(&self, policy_digest: &Digest, secret: &[u8]) -> [u8; 12] {
+        let iv_key = hkdf::derive(&self.storage_key, b"tpm-seal-iv", b"seal-iv", 32);
+        let mut mac = HmacSha256::new(&iv_key);
+        mac.update(policy_digest);
+        mac.update(&self.seal_counter.to_be_bytes());
+        mac.update(secret);
+        let mut nonce = [0u8; 12];
+        for (n, t) in nonce.iter_mut().zip(mac.finalize()) {
+            *n = t;
+        }
+        nonce
     }
 
     fn policy_aead(&self, policy_digest: &Digest) -> AesGcm {
@@ -348,6 +375,35 @@ mod tests {
         let d1 = tpm.composite(&[1, 2]).unwrap();
         let d2 = tpm.composite(&[2, 1, 1]).unwrap();
         assert_eq!(d1, d2);
+    }
+
+    /// Two TPMs made from one endorsement seed (two boots of one device)
+    /// restart the seal counter, and a clone copies it: at one PCR
+    /// state they seal under one key at one counter. Different secrets
+    /// must still take different nonces, or the two ciphertexts XOR to
+    /// the XOR of the two secrets.
+    #[test]
+    fn same_seed_and_cloned_tpms_seal_different_secrets_under_different_nonces() {
+        let first_boot = Tpm::new(b"device");
+        let second_boot = Tpm::new(b"device");
+        let mut original = Tpm::new(b"device");
+        original.seal(&[7], b"earlier secret").unwrap();
+        let clone = original.clone();
+        let (a, b): (&[u8], &[u8]) = (b"luks master key A", b"luks master key B");
+        for (mut one, mut other) in [(first_boot, second_boot), (original, clone)] {
+            let (x, y) = (one.seal(&[7], a).unwrap(), other.seal(&[7], b).unwrap());
+            assert_ne!(x.nonce, y.nonce);
+            let ciphertext_xor: Vec<u8> = x
+                .ciphertext
+                .iter()
+                .zip(&y.ciphertext)
+                .map(|(p, q)| p ^ q)
+                .collect();
+            let plaintext_xor: Vec<u8> = a.iter().zip(b).map(|(p, q)| p ^ q).collect();
+            assert_ne!(ciphertext_xor.get(..a.len()), Some(&plaintext_xor[..]));
+            assert_eq!(one.unseal(&x).unwrap(), a);
+            assert_eq!(other.unseal(&y).unwrap(), b);
+        }
     }
 
     #[test]

@@ -39,7 +39,29 @@ done
 echo "==> cargo build --release"
 cargo build --release
 
-echo "==> cargo test --workspace -q  (builds examples; includes the examples smoke test)"
+# Determinism under load: the release trace_properties binary, built
+# once and called directly, runs under seeds 1-64 in 4 concurrent
+# background loops, once beside the workspace tests and once beside the
+# same-seed fleet and trace cmp pairs; any failed loop fails the gate
+# after the pairs.
+echo "==> determinism-under-load gate (trace properties under 64 seeds in 4 concurrent loops)"
+trace_properties=$(cargo test --release -q -p genio-pon --test trace_properties --no-run \
+    --message-format=json | sed -n 's/.*"executable":"\([^"]*\)".*/\1/p')
+[ -x "$trace_properties" ] || { echo "trace_properties test binary not found" >&2; exit 1; }
+loop_pids=()
+trap 'kill "${loop_pids[@]}" 2>/dev/null || true' EXIT
+start_trace_load() {
+    for lane in 1 2 3 4; do
+        for seed in $(seq "$lane" 4 64); do
+            GENIO_TEST_SEED=$seed "$trace_properties" -q >/dev/null ||
+                { echo "trace_properties failed under GENIO_TEST_SEED=$seed" >&2; exit 1; }
+        done &
+        loop_pids+=("$!")
+    done
+}
+start_trace_load
+
+echo "==> cargo test --workspace -q  (builds examples; includes the examples smoke test; under the trace load)"
 cargo test --workspace -q
 
 echo "==> GCM vector gate (committed KAT corpus, table paths AND their _reference twins)"
@@ -116,23 +138,11 @@ for spec in genio-pon:properties: genio-pon:engine_differential: \
 done
 echo "traffic fault, fleet engine and telemetry properties hold under all 64 seeds"
 
-echo "==> determinism-under-load gate (trace properties under 64 seeds in 4 concurrent loops)"
-# Build once, then call the test binary directly so the four loops
-# really overlap; the same-seed fleet and trace pairs below run while
-# the loops load the scheduler.
+echo "==> determinism-under-load gate, second pass (the trace load beside the fleet and trace cmp pairs)"
+# The same-seed fleet and trace pairs below run while the loops load
+# the scheduler.
 cargo build --release -q --example fleet_determinism --example trace_determinism
-trace_properties=$(cargo test --release -q -p genio-pon --test trace_properties --no-run \
-    --message-format=json | sed -n 's/.*"executable":"\([^"]*\)".*/\1/p')
-[ -x "$trace_properties" ] || { echo "trace_properties test binary not found" >&2; exit 1; }
-loop_pids=()
-trap 'kill "${loop_pids[@]}" 2>/dev/null || true' EXIT
-for lane in 1 2 3 4; do
-    for seed in $(seq "$lane" 4 64); do
-        GENIO_TEST_SEED=$seed "$trace_properties" -q >/dev/null ||
-            { echo "trace_properties failed under GENIO_TEST_SEED=$seed" >&2; exit 1; }
-    done &
-    loop_pids+=("$!")
-done
+start_trace_load
 
 echo "==> fleet-determinism gate (two same-seed engine runs must be byte-identical)"
 rm -rf target/genio-fleet
