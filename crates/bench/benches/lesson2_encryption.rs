@@ -13,7 +13,10 @@ use genio_testkit::bench::{BenchmarkId, Criterion, Throughput};
 use genio_bench::{gcm_round_trip, print_experiment_once};
 use genio_netsec::macsec::{MacsecConfig, MacsecPeer};
 use genio_netsec::onboarding::{onboard_with_ledger, DeviceClass, Enrollment};
+use genio_netsec::NetsecError;
+use genio_pon::frame::{DownstreamFrame, GemPort};
 use genio_pon::security::GemCrypto;
+use genio_pon::topology::OnuId;
 
 static PRINTED: Once = Once::new();
 static GATE_PRINTED: Once = Once::new();
@@ -26,6 +29,12 @@ const BURST: usize = 32;
 const SMALL_BURST: usize = 512;
 /// Payload bytes of the 64-byte row's frames.
 const SMALL_FRAME: usize = 64;
+
+/// Keyed GEM ports in the multi-key row: one OLT port per ONU of a
+/// `subscriber_1500` tree, each key live at both ends.
+const GEM_PORTS: usize = 32;
+/// Frames per port in one downstream burst of that row.
+const GEM_PER_PORT: usize = 2;
 
 /// Required speedup of the table-driven batched path over the bitwise/S-box
 /// reference path, per 1500-byte seal+open. Hardware-independent ratio gate:
@@ -163,6 +172,60 @@ fn bench(c: &mut Criterion) {
         gem.establish_key(1, 1);
         b.iter(|| std::hint::black_box(gem.encrypt_downstream_many(1, 1, &burst).unwrap()))
     });
+    // genio-perf `subscriber_1500`'s GEM pattern: one OLT burst over 32
+    // keyed ports, then each ONU opens its own two frames. 64 live keys,
+    // so unlike the single-key rows this one pays for each key's GHASH
+    // tables in the cache.
+    group.throughput(Throughput::Bytes((FRAME * GEM_PORTS * GEM_PER_PORT) as u64));
+    group.bench_function("gem_burst32x2_roundtrip", |b| {
+        let mut olt = GemCrypto::new(b"tree");
+        let ids: Vec<(GemPort, OnuId)> = (1..=GEM_PORTS as u16).map(|j| (j, j.into())).collect();
+        let mut onus: Vec<GemCrypto> = ids
+            .iter()
+            .map(|&(port, onu)| {
+                olt.establish_key(port, onu);
+                let mut end = GemCrypto::new(b"tree");
+                end.establish_key(port, onu);
+                end
+            })
+            .collect();
+        let items: Vec<(GemPort, OnuId, &[u8])> = ids
+            .iter()
+            .flat_map(|&(port, onu)| {
+                std::iter::repeat_n((port, onu, payload.as_slice()), GEM_PER_PORT)
+            })
+            .collect();
+        b.iter(|| {
+            let sealed: Vec<DownstreamFrame> = olt
+                .encrypt_downstream_burst(&items)
+                .into_iter()
+                .map(Result::unwrap)
+                .collect();
+            for (onu, frames) in onus.iter_mut().zip(sealed.chunks(GEM_PER_PORT)) {
+                for opened in onu.decrypt_many(frames) {
+                    std::hint::black_box(opened.unwrap());
+                }
+            }
+        })
+    });
+    // The receiver's price of an attacker's 64-byte frame whose SecTAG
+    // names an SCI it has never seen: a key derivation and an AEAD set-up
+    // per frame, all dropped again when the tag fails.
+    group.throughput(Throughput::Bytes((SMALL_FRAME * BURST) as u64));
+    group.bench_function("macsec_validate_forged_sci", |b| {
+        let cfg = MacsecConfig::default();
+        let mut tx = MacsecPeer::new(1, &cfg, b"cak").unwrap();
+        let mut rx = MacsecPeer::new(2, &cfg, b"cak").unwrap();
+        let small = vec![0x5au8; SMALL_FRAME];
+        let mut forged = tx.protect_many(&vec![small.as_slice(); BURST]).unwrap();
+        for (frame, sci) in forged.iter_mut().zip(0x1000u64..) {
+            frame.sci = sci;
+        }
+        for result in rx.validate_many(&forged) {
+            assert_eq!(result, Err(NetsecError::IntegrityFailure));
+        }
+        b.iter(|| std::hint::black_box(rx.validate_many(&forged)))
+    });
     group.finish();
 
     // The bitwise/S-box reference path on the same workload: the oracle the
@@ -234,12 +297,18 @@ fn bench(c: &mut Criterion) {
         Some(single_seal_ns),
         Some(batch_protect_ns),
         Some(small_ns),
+        Some(gem_batch_ns),
+        Some(gem_ports_ns),
+        Some(forged_ns),
     ) = (
         median("lesson2/dataplane_reference/gcm_seal_open_reference"),
         median("lesson2/dataplane_batched/gcm_seal_open_batch32"),
         median("lesson2/dataplane/macsec_roundtrip"),
         median("lesson2/dataplane_batched/macsec_protect_batch32"),
         median("lesson2/dataplane_batched/gcm_seal_open_batch512x64"),
+        median("lesson2/dataplane_batched/gem_encrypt_batch32"),
+        median("lesson2/dataplane_batched/gem_burst32x2_roundtrip"),
+        median("lesson2/dataplane_batched/macsec_validate_forged_sci"),
     )
     else {
         // A `--filter` run can skip rows; no verdict then.
@@ -261,6 +330,11 @@ fn bench(c: &mut Criterion) {
         ("fast batched (per frame)", fast_per_frame),
         ("macsec roundtrip (single)", single_seal_ns),
         ("macsec protect (batched)", batch_protect_ns / BURST as f64),
+        ("gem encrypt (batched)", gem_batch_ns / BURST as f64),
+        (
+            "gem 32 ports x 2 (per frame)",
+            gem_ports_ns / (GEM_PORTS * GEM_PER_PORT) as f64,
+        ),
     ] {
         body.push_str(&format!(
             "  {:<28} {:>11.2} us {:>13.2}x\n",
@@ -269,10 +343,17 @@ fn bench(c: &mut Criterion) {
             ref_ns / ns
         ));
     }
+    let small_per_frame = small_ns / SMALL_BURST as f64;
+    let forged_per_frame = forged_ns / BURST as f64;
     body.push_str(&format!(
         "\n{SMALL_FRAME}-byte frames, batch = {SMALL_BURST} frames/call: \
-         {:.1} ns per frame seal+open\n",
-        small_ns / SMALL_BURST as f64
+         {small_per_frame:.1} ns per frame seal+open\n"
+    ));
+    body.push_str(&format!(
+        "forged {SMALL_FRAME}-byte MACsec frame naming a new SCI: {:.2} us to reject, \
+         {:.1}x a genuine {SMALL_FRAME}-byte seal+open\n",
+        forged_per_frame / 1e3,
+        forged_per_frame / small_per_frame
     ));
     body.push_str(&format!(
         "\nbatched fast-path speedup over reference: {speedup:.1}x \

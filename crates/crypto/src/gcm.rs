@@ -20,10 +20,12 @@
 //!     ([`crate::aes`]) with their neighbours' blocks. A 64-byte frame is
 //!     five such blocks;
 //!   - the **GHASH pass** uses 8-bit windowed tables built once per key
-//!     ([`crate::ghash`]). Runs of four consecutive frames with
-//!     equal AAD and ciphertext block counts hash in lockstep, so their
-//!     table lookups overlap; any other frame hashes alone. The burst's
-//!     shapes make that choice; there is no setting.
+//!     ([`crate::ghash`]; 16 KiB, so the keys of a whole PON tree stay in
+//!     L2). Four consecutive frames with equal AAD and ciphertext block
+//!     counts hash in lockstep, so their table lookups overlap; failing
+//!     that, two such frames do (a GEM port's two-frame burst), and any
+//!     other frame hashes alone. The burst's shapes make that choice;
+//!     there is no setting.
 //!
 //!   Each frame's buffer ends in a tag slot that both passes XOR into, so
 //!   a seal runs AES then GHASH (over the fresh ciphertext) and an open
@@ -66,7 +68,7 @@ pub struct Input<'a> {
 
 /// An AES-GCM AEAD cipher bound to one key.
 ///
-/// Construction derives the AES key schedule and the 64 KiB GHASH tables
+/// Construction derives the AES key schedule and the 16 KiB GHASH tables
 /// once; both are reused for every subsequent seal/open, single or batched —
 /// sessions should build one `AesGcm` per key, not one per call.
 ///
@@ -343,33 +345,32 @@ impl AesGcm {
 
     /// The GHASH half of the kernel: XORs each frame's GHASH over
     /// `(aad, text)` into its tag slot. [`LOCKSTEP`] consecutive frames of
-    /// equal shape hash in lockstep; any other frame hashes alone.
+    /// equal shape hash in lockstep, else two of equal shape do; any
+    /// other frame hashes alone.
     fn hash_pass(&self, frames: &mut [Frame]) {
         let mut rest = frames;
-        while !rest.is_empty() {
-            let group = rest
-                .first_chunk::<LOCKSTEP>()
-                .and_then(|group| self.h.ghash_group(group.each_ref().map(Frame::hash_input)));
-            let step = match group {
-                Some(hashes) => {
-                    for (frame, s) in rest.iter_mut().zip(hashes) {
-                        frame.absorb(s);
-                    }
-                    LOCKSTEP
-                }
-                None => {
-                    if let Some(frame) = rest.first_mut() {
-                        let (aad, text) = frame.hash_input();
-                        let s = self.h.ghash(aad, text);
-                        frame.absorb(s);
-                    }
-                    1
-                }
-            };
+        while let Some(step) = self
+            .hash_group::<LOCKSTEP>(rest)
+            .or_else(|| self.hash_group::<2>(rest))
+            .or_else(|| self.hash_group::<1>(rest))
+        {
             rest = std::mem::take(&mut rest)
                 .get_mut(step..)
                 .unwrap_or_default();
         }
+    }
+
+    /// Hashes the first `W` frames in lockstep and returns `W`, or `None`
+    /// when there are fewer, or their shapes differ.
+    fn hash_group<const W: usize>(&self, frames: &mut [Frame]) -> Option<usize> {
+        let group = frames.first_chunk_mut::<W>()?;
+        let hashes = self
+            .h
+            .ghash_group(group.each_ref().map(Frame::hash_input))?;
+        for (frame, s) in group.iter_mut().zip(hashes) {
+            frame.absorb(s);
+        }
+        Some(W)
     }
 
     fn tag_reference(&self, j0: Block, aad: &[u8], ct: &[u8]) -> [u8; TAG_LEN] {

@@ -6,13 +6,21 @@
 //!   chain. Slow (128 shift/XOR steps per block) but transparently equal to
 //!   the specification; it is the oracle every fast path is differentially
 //!   tested against.
-//! * [`GhashKey`] — 8-bit windowed multiplication tables (16 rows × 256
-//!   entries × 16 bytes = 64 KiB), built once per key and amortized across a
-//!   session. A block multiply becomes 16 table lookups. One multiply
-//!   serves 1 or 4 chains: GCM's burst kernel hashes runs of four frames
-//!   with equal AAD and ciphertext block counts in lockstep, row by row,
-//!   so the chains' lookups (and cache misses on a table that another key
-//!   pushed out) overlap instead of each chain waiting on its own.
+//! * [`GhashKey`] — 8-bit windowed multiplication tables (4 rows × 256
+//!   entries × 16 bytes = 16 KiB), built once per key and amortized across a
+//!   session. Row `r` holds the products of H with every byte value at
+//!   operand byte position `r`; position `4g + r` reads the same row, and
+//!   its product is that entry times x^(32g). So a multiply XORs each
+//!   group's four lookups, shifts the group by 32g bits, and reduces the
+//!   bits that the shifts push past x^127, for all groups at once, with
+//!   one fold (x^128 = x^7 + x^2 + x + 1). A block multiply is still 16
+//!   table lookups, and the 32 GEM port keys of a PON tree hold 512 KiB of
+//!   tables, small enough to stay in a core's L2, where one row per byte
+//!   position would need 2 MiB. One multiply serves 1, 2 or 4 chains:
+//!   GCM's burst kernel hashes runs of four frames with equal AAD and
+//!   ciphertext block counts in lockstep, then pairs, row by row, so the
+//!   chains' lookups (and cache misses on a table that another key pushed
+//!   out) overlap instead of each chain waiting on its own.
 //!
 //! Building the tables is itself on the session-setup hot path (MACsec SAK
 //! installs, TLS-style handshakes, GEM port key establishment all construct
@@ -36,8 +44,16 @@ use std::sync::OnceLock;
 
 /// Number of GHASH chains the GCM burst kernel runs in lockstep: each
 /// table row then serves four independent lookups at once. A constant,
-/// not a setting; a frame outside such a group runs one chain.
+/// not a setting; frames outside such a group run as a pair of equal
+/// shape, or as one chain.
 pub(crate) const LOCKSTEP: usize = 4;
+
+/// Table rows per key. Operand byte position `4g + r` reads row `r`; the
+/// sixteen positions form four groups of 32 bits.
+const ROWS: usize = 4;
+
+// 16 KiB of tables per key.
+const _: () = assert!(std::mem::size_of::<[[u128; 256]; ROWS]>() == 16 * 1024);
 
 /// GCM's reduction constant: x^128 + x^7 + x^2 + x + 1 in the reflected bit
 /// order of SP 800-38D (bit 127 of the `u128` is the x^0 coefficient).
@@ -108,12 +124,15 @@ fn mul_x8(z: u128, sh8: &[u128; 256]) -> u128 {
 /// Precomputed multiplication tables for a fixed GHASH key `H`.
 ///
 /// `gf128_mul(x, h)` is GF(2)-linear in `x`, so `x·H` decomposes into the
-/// XOR of per-byte contributions: one 256-entry table per byte position
-/// (64 KiB per key) turns the 128-iteration bitwise multiply into 16 table
-/// lookups — the standard software-GHASH optimization.
+/// XOR of per-byte contributions, which turns the 128-iteration bitwise
+/// multiply into 16 table lookups — the standard software-GHASH
+/// optimization. The key keeps one 256-entry row for each of the first
+/// [`ROWS`] byte positions (16 KiB); the other twelve positions reuse
+/// those rows, a whole number of 32-bit groups further along, and one
+/// fold per multiply reduces what the group shifts push past x^127.
 #[derive(Clone)]
 pub struct GhashKey {
-    table: Box<[[u128; 256]; 16]>,
+    table: Box<[[u128; 256]; ROWS]>,
 }
 
 impl std::fmt::Debug for GhashKey {
@@ -131,7 +150,7 @@ impl GhashKey {
     /// key schedules, GEM port establishment).
     pub fn new(h: u128) -> Self {
         let sh8 = shift8_table();
-        let mut table = Box::new([[0u128; 256]; 16]);
+        let mut table = Box::new([[0u128; 256]; ROWS]);
         // Row 0 (the most-significant byte of the operand): basis bit 7 is
         // the multiplicative identity (bit 127 in the reflected order), so
         // its product is H itself, and each lower bit is one more factor of
@@ -151,10 +170,10 @@ impl GhashKey {
         for v in 1usize..256 {
             table[0][v] = table[0][v & (v - 1)] ^ powers[(v.trailing_zeros() & 7) as usize];
         }
-        // Rows 1..15: a byte one position lower represents the same element
-        // multiplied by x^8, and mul-by-x^8 commutes with mul-by-H, so each
-        // row is the previous one pushed through `mul_x8`.
-        for pos in 1..16 {
+        // Rows 1..ROWS: a byte one position lower represents the same
+        // element multiplied by x^8, and mul-by-x^8 commutes with mul-by-H,
+        // so each row is the previous one pushed through `mul_x8`.
+        for pos in 1..ROWS {
             for v in 1usize..256 {
                 let prev = table[pos - 1][v];
                 table[pos][v] = mul_x8(prev, sh8);
@@ -174,17 +193,38 @@ impl GhashKey {
     /// of one row do not depend on each other, so they overlap in the
     /// pipeline (and their cache misses overlap) instead of each chain
     /// waiting on its own.
+    ///
+    /// Byte position `4g + r` reads row `r`, which holds its product
+    /// without the factor x^(32g). Group `g`'s four lookups `a` therefore
+    /// add `a >> 32g` (multiplying by x is a right shift in GCM's bit
+    /// order) plus the `32g` bits shifted out, `a << (128 - 32g)`, times
+    /// x^128. Those spill bits gather in one word of degree at most 95,
+    /// and x^128 = x^7 + x^2 + x + 1 turns it into four shifts that
+    /// cannot pass x^127 again (95 + 7 < 128).
     #[inline]
     fn mul_lanes<const W: usize>(&self, x: [u128; W]) -> [u128; W] {
         let bytes = x.map(u128::to_be_bytes);
         let mut z = [0u128; W];
-        for (pos, row) in self.table.iter().enumerate() {
-            // 256 entries, so the masked byte below is always in range.
-            let row: &[u128; 256] = row;
-            for (acc, b) in z.iter_mut().zip(&bytes) {
-                let byte = b.get(pos).copied().unwrap_or(0);
-                *acc ^= row[usize::from(byte) & 0xff];
+        let mut spill = [0u128; W];
+        for g in 0..16 / ROWS {
+            let mut a = [0u128; W];
+            for (r, row) in self.table.iter().enumerate() {
+                // 256 entries, so the masked byte below is always in range.
+                let row: &[u128; 256] = row;
+                for (acc, b) in a.iter_mut().zip(&bytes) {
+                    let byte = b.get(ROWS * g + r).copied().unwrap_or(0);
+                    *acc ^= row[usize::from(byte) & 0xff];
+                }
             }
+            let shift = (8 * ROWS * g) as u32;
+            for ((zi, si), ai) in z.iter_mut().zip(&mut spill).zip(a) {
+                *zi ^= ai >> shift;
+                // Group 0 is not shifted and spills nothing.
+                *si ^= ai.checked_shl(128 - shift).unwrap_or(0);
+            }
+        }
+        for (zi, s) in z.iter_mut().zip(spill) {
+            *zi ^= s ^ (s >> 1) ^ (s >> 2) ^ (s >> 7);
         }
         z
     }
@@ -196,13 +236,14 @@ impl GhashKey {
         y
     }
 
-    /// GHASH of [`LOCKSTEP`] `(aad, ct)` pairs with their chains run in
-    /// lockstep, or `None` when the pairs differ in AAD or ciphertext
-    /// block count (the chains must take the same number of steps).
-    pub(crate) fn ghash_group(
+    /// GHASH of `W` `(aad, ct)` pairs with their chains run in lockstep
+    /// (the burst kernel uses [`LOCKSTEP`], 2 and 1), or `None` when the
+    /// pairs differ in AAD or ciphertext block count (the chains must take
+    /// the same number of steps).
+    pub(crate) fn ghash_group<const W: usize>(
         &self,
-        pairs: [(&[u8], &[u8]); LOCKSTEP],
-    ) -> Option<[u128; LOCKSTEP]> {
+        pairs: [(&[u8], &[u8]); W],
+    ) -> Option<[u128; W]> {
         let shape = |(aad, ct): &(&[u8], &[u8])| (aad.len().div_ceil(16), ct.len().div_ceil(16));
         let first = pairs.first().map(shape);
         if pairs.iter().any(|p| Some(shape(p)) != first) {
@@ -290,10 +331,10 @@ mod tests {
     fn fast_construction_matches_per_bit_construction() {
         // The original (slow) construction did one bitwise multiply per bit
         // of every byte position. The shift8-based construction must produce
-        // the identical 64 KiB of tables.
+        // the identical rows for the ROWS positions a key keeps.
         let h = 0xb83b_5337_08bf_535d_0aa6_e529_80d5_3b78_u128;
         let key = GhashKey::new(h);
-        for pos in 0..16 {
+        for pos in 0..ROWS {
             for v in 0..256usize {
                 let mut expected = 0u128;
                 for bit in 0..8 {
@@ -322,28 +363,52 @@ mod tests {
     }
 
     #[test]
+    fn table_mul_matches_bitwise_mul_on_every_basis_element() {
+        // Each basis element sets one bit of one group, so every group's
+        // spill bits and every term of the x^128 fold are reached; the
+        // all-ones operand sets them all at once.
+        for h in [
+            1u128 << 127,
+            u128::MAX,
+            0x9c1f_4e07_d2b8_6a35_e0f1_7c24_8b59_a3d6_u128,
+        ] {
+            let key = GhashKey::new(h);
+            for i in 0..128 {
+                let x = 1u128 << i;
+                assert_eq!(key.mul(x), gf128_mul(x, h), "h {h:#x} bit {i}");
+            }
+            assert_eq!(key.mul(u128::MAX), gf128_mul(u128::MAX, h), "h {h:#x}");
+        }
+    }
+
+    #[test]
     fn lockstep_group_needs_equal_block_counts() {
+        // Groups of W chains: each chain keeps its own bytes and length
+        // block, and one AAD block more (chain W - 2) or one ciphertext
+        // block more (chain W - 1) breaks the group.
+        fn check<const W: usize>(key: &GhashKey, pairs: [(&[u8], &[u8]); W], data: &[u8]) {
+            let group = key.ghash_group(pairs).expect("equal shapes group");
+            for (s, (aad, ct)) in group.iter().zip(pairs) {
+                assert_eq!(*s, key.ghash(aad, ct));
+            }
+            let mut odd = pairs;
+            odd[W - 2].0 = &data[..17];
+            assert_eq!(key.ghash_group(odd), None);
+            odd = pairs;
+            odd[W - 1].1 = &data[..33];
+            assert_eq!(key.ghash_group(odd), None);
+        }
         let key = GhashKey::new(0x0388_dace_60b6_a392_f328_c2b9_71b2_fe78_u128);
         let data: Vec<u8> = (0..64u8).collect();
-        // 17 and 32 bytes are both two blocks: one group, each chain with
-        // its own bytes and length block.
+        // 17 and 32 bytes are both two blocks.
         let pairs = [
             (&data[..6], &data[..17]),
             (&data[..1], &data[..32]),
             (&data[..16], &data[..20]),
             (&data[..3], &data[..31]),
         ];
-        let group = key.ghash_group(pairs).expect("equal shapes group");
-        for (s, (aad, ct)) in group.iter().zip(pairs) {
-            assert_eq!(*s, key.ghash(aad, ct));
-        }
-        // One AAD block more, or one ciphertext block more, breaks the group.
-        let mut odd = pairs;
-        odd[2].0 = &data[..17];
-        assert_eq!(key.ghash_group(odd), None);
-        odd = pairs;
-        odd[3].1 = &data[..33];
-        assert_eq!(key.ghash_group(odd), None);
+        check::<LOCKSTEP>(&key, pairs, &data);
+        check::<2>(&key, [pairs[0], pairs[1]], &data);
     }
 
     #[test]

@@ -163,11 +163,12 @@ property! {
     cases = 128;
     /// Bursts of 0–40 frames made of runs of 1–7 frames sharing one
     /// (length, AAD length) shape: runs of four or more take the lockstep
-    /// GHASH path, next to odd shapes that take the single chain. Frame
-    /// by frame, `seal_many` equals looped `seal_reference`, and
-    /// `open_many` equals looped `open_reference` on the sealed burst
-    /// after one bit flip (inside a run of four or more whenever there is
-    /// one) and after cutting some frames below the tag length.
+    /// GHASH path, what is left of a run in pairs takes the two-chain
+    /// path, and odd shapes take the single chain. Frame by frame,
+    /// `seal_many` equals looped `seal_reference`, and `open_many` equals
+    /// looped `open_reference` on the sealed burst after one bit flip
+    /// (inside a run of two or more whenever there is one) and after
+    /// cutting some frames below the tag length.
     fn burst_shapes_match_reference(key_sel in 0u8..3,
                                     key in bytes(32),
                                     runs in vec((0usize..12, 0usize..6, 1usize..8), 0..12),
@@ -178,7 +179,7 @@ property! {
         let mut grouped = Vec::new();
         for (len_sel, aad_sel, count) in runs {
             let count = count.min(BURST_MAX - shapes.len());
-            if count >= 4 {
+            if count >= 2 {
                 grouped.extend(shapes.len()..shapes.len() + count);
             }
             let shape = (BURST_LENS[len_sel], BURST_AAD_LENS[aad_sel]);

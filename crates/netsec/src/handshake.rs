@@ -95,7 +95,7 @@ pub struct Record {
 /// Directional record protection derived from a completed handshake.
 ///
 /// Each direction is a [`SeqAead`] (`genio_crypto::seq`) built once here at
-/// session setup, with its AES key schedule and 64 KiB GHASH tables, and
+/// session setup, with its AES key schedule and 16 KiB GHASH tables, and
 /// reused for every record; no per-record (or per-batch) key material is
 /// ever re-derived. A record's nonce is its sequence number under a zero
 /// salt, sequence numbers start at 0, and the receiving side's window

@@ -1,5 +1,6 @@
 //! Property-based tests for the MACsec anti-replay window and record
-//! protection, and drawn MACsec faults across burst boundaries.
+//! protection, drawn MACsec faults across burst boundaries, and drawn PN
+//! exhaustion.
 
 use std::collections::{HashMap, HashSet};
 
@@ -7,6 +8,7 @@ use genio_testkit::prelude::*;
 
 use genio_crypto::gcm::TAG_LEN;
 use genio_netsec::macsec::{An, MacsecConfig, MacsecFrame, MacsecPeer, Sci};
+use genio_netsec::NetsecError;
 
 property! {
     /// In-order delivery of any number of frames is always accepted, and a
@@ -234,5 +236,69 @@ property! {
             prop_assert!(sealed.insert((frame.sci, frame.an, frame.pn)),
                          "(SCI {:#x}, AN {}, PN {}) sealed twice", frame.sci, frame.an, frame.pn);
         }
+    }
+}
+
+property! {
+    /// PN exhaustion drawn at the limit and inside bursts: a PN limit of
+    /// 2–40, then bursts of 0–11 frames mixed with SAK rotations (wrapping
+    /// past AN 3, so an AN resumes its PNs). Each `protect_many` either
+    /// seals every frame under the current AN's next PNs, or, exactly when
+    /// the burst would reach the limit, returns `PnExhausted` and leaves
+    /// the next PN where it was: the next burst on that AN, and the final
+    /// one-frame drain of the current AN up to `pn_limit - 1`, continue
+    /// from it. No (SCI, AN, PN) is sealed twice, and a receiver opens
+    /// every sealed frame.
+    fn macsec_pn_exhaustion_is_all_or_nothing(pn_limit in 2u64..41,
+                                              steps in vec((0u8..4, 0usize..12), 0..32)) {
+        let cfg = MacsecConfig { replay_window: 64, pn_limit };
+        let mut tx = MacsecPeer::new(0xA, &cfg, b"cak").unwrap();
+        let mut rx = MacsecPeer::new(0xB, &cfg, b"cak").unwrap();
+        // The model: each AN's next PN. A burst returns the current AN's
+        // next PN after it.
+        let mut next: HashMap<An, u64> = HashMap::new();
+        let mut sealed = HashSet::new();
+        let mut seal = |tx: &mut MacsecPeer, rx: &mut MacsecPeer, size: usize| {
+            let an = tx.current_an();
+            let first = next.get(&an).copied().unwrap_or(1);
+            let payloads: Vec<Vec<u8>> = (0..size).map(|i| vec![i as u8; 1 + i * 7 % 40]).collect();
+            let texts: Vec<&[u8]> = payloads.iter().map(Vec::as_slice).collect();
+            let fits = size == 0 || first + size as u64 <= pn_limit;
+            match tx.protect_many(&texts) {
+                Ok(frames) => {
+                    prop_assert!(fits, "AN {} sealed PNs {}..{} past the limit {}",
+                                 an, first, first + size as u64, pn_limit);
+                    prop_assert_eq!(frames.len(), size);
+                    for (frame, pn) in frames.iter().zip(first..) {
+                        prop_assert_eq!((frame.sci, frame.an, frame.pn), (0xA, an, pn));
+                        prop_assert!(sealed.insert((frame.sci, frame.an, frame.pn)),
+                                     "(SCI {:#x}, AN {}, PN {}) sealed twice", frame.sci, frame.an, frame.pn);
+                    }
+                    next.insert(an, first + size as u64);
+                    let want: Vec<Result<Vec<u8>, NetsecError>> = payloads.into_iter().map(Ok).collect();
+                    prop_assert_eq!(rx.validate_many(&frames), want);
+                    Ok(first + size as u64)
+                }
+                Err(err) => {
+                    prop_assert_eq!(err, NetsecError::PnExhausted);
+                    prop_assert!(!fits, "AN {} refused PNs {}..{} under the limit {}",
+                                 an, first, first + size as u64, pn_limit);
+                    Ok(first)
+                }
+            }
+        };
+        for (kind, size) in steps {
+            if kind == 0 {
+                tx.rotate_sak().unwrap();
+            } else {
+                seal(&mut tx, &mut rx, size)?;
+            }
+        }
+        // Drain the current AN one frame at a time, up to its last PN.
+        let at = seal(&mut tx, &mut rx, 0)?;
+        for _ in at..pn_limit {
+            seal(&mut tx, &mut rx, 1)?;
+        }
+        prop_assert_eq!(tx.protect(b"past the limit"), Err(NetsecError::PnExhausted));
     }
 }

@@ -8,9 +8,10 @@
 #                               fail the build, and so do baseline entries
 #                               the scan no longer finds) + the traffic-
 #                               fault properties (GEM, MACsec, sequenced
-#                               AEAD), the fleet-engine differential tests
-#                               and the telemetry properties under seeds
-#                               1-64 + the genio-perf smoke digests
+#                               AEAD), the AES-GCM kernel's differential
+#                               properties, the fleet-engine differential
+#                               tests and the telemetry properties under
+#                               seeds 1-64 + the genio-perf smoke digests
 #                               (scripts/genio-perf-digests.txt)
 #   scripts/verify.sh --quick   the above, then a quick bench pass that
 #                               merges one experiment report per bench
@@ -41,28 +42,51 @@ cargo build --release
 
 # Determinism under load: the release trace_properties binary, built
 # once and called directly, runs under seeds 1-64 in 4 concurrent
-# background loops, once beside the workspace tests and once beside the
-# same-seed fleet and trace cmp pairs; any failed loop fails the gate
-# after the pairs.
-echo "==> determinism-under-load gate (trace properties under 64 seeds in 4 concurrent loops)"
+# background lanes, once beside the workspace tests and once beside the
+# same-seed fleet and trace cmp pairs. Everything those steps run is
+# built first, so the load meets the tests and the pairs themselves, not
+# their compilation. Each lane repeats its 16 seeds until the step it
+# covers has returned (a stop file, checked between passes), then prints
+# its pass count; a failed seed fails its lane, and a failed lane fails
+# the gate.
+echo "==> determinism-under-load gate (trace properties under 64 seeds in 4 concurrent lanes)"
 trace_properties=$(cargo test --release -q -p genio-pon --test trace_properties --no-run \
     --message-format=json | sed -n 's/.*"executable":"\([^"]*\)".*/\1/p')
 [ -x "$trace_properties" ] || { echo "trace_properties test binary not found" >&2; exit 1; }
+cargo test --workspace -q --no-run
+cargo build --release -q --example fleet_determinism --example trace_determinism
+stop_file=target/trace-load.stop
 loop_pids=()
 trap 'kill "${loop_pids[@]}" 2>/dev/null || true' EXIT
 start_trace_load() {
+    rm -f "$stop_file"
     for lane in 1 2 3 4; do
-        for seed in $(seq "$lane" 4 64); do
-            GENIO_TEST_SEED=$seed "$trace_properties" -q >/dev/null ||
-                { echo "trace_properties failed under GENIO_TEST_SEED=$seed" >&2; exit 1; }
-        done &
+        (
+            passes=0
+            until [ -e "$stop_file" ]; do
+                for seed in $(seq "$lane" 4 64); do
+                    GENIO_TEST_SEED=$seed "$trace_properties" -q >/dev/null ||
+                        { echo "trace_properties failed under GENIO_TEST_SEED=$seed" >&2; exit 1; }
+                done
+                passes=$((passes + 1))
+            done
+            echo "trace load lane $lane: $passes pass(es) of its 16 seeds"
+        ) &
         loop_pids+=("$!")
     done
 }
+stop_trace_load() {
+    touch "$stop_file"
+    for pid in "${loop_pids[@]}"; do
+        wait "$pid" || { echo "trace properties failed under concurrent load" >&2; exit 1; }
+    done
+    loop_pids=()
+}
 start_trace_load
 
-echo "==> cargo test --workspace -q  (builds examples; includes the examples smoke test; under the trace load)"
+echo "==> cargo test --workspace -q  (includes the examples smoke test; under the trace load)"
 cargo test --workspace -q
+stop_trace_load
 
 echo "==> GCM vector gate (committed KAT corpus, table paths AND their _reference twins)"
 cargo test --release -q -p genio-crypto --test gcm_vectors
@@ -114,17 +138,19 @@ echo "==> genio-analyzer SARIF export gate (document re-parses with the testkit 
 cargo test --release -q -p genio-analyzer --test sarif_export
 echo "SARIF 2.1.0 export validated"
 
-echo "==> seed gate (GEM, MACsec, sequenced-AEAD, fleet-engine and telemetry properties under seeds 1-64)"
+echo "==> seed gate (GEM, MACsec, sequenced-AEAD, AES-GCM kernel, fleet-engine and telemetry properties under seeds 1-64)"
 # Each spec is crate:test-binary:filter. Each test binary is built once
-# and called directly under every seed; the crypto binary runs only its
-# sequenced-AEAD property (its signature properties add half a minute
-# and no traffic faults), genio-pon's engine_differential binary checks
-# the fleet engine against the reference stepper, and genio-telemetry's
-# properties pin the exporter round trip and the ring accounting that
-# the trace drop counts rest on.
+# and called directly under every seed; the crypto properties binary
+# runs only its sequenced-AEAD property (its signature properties add
+# half a minute and no traffic faults), genio-crypto's gcm_differential
+# binary checks the burst kernel's lockstep groups, pairs and single
+# chains against the reference path (about 0.2 s a seed), genio-pon's
+# engine_differential binary checks the fleet engine against the
+# reference stepper, and genio-telemetry's properties pin the exporter
+# round trip and the ring accounting that the trace drop counts rest on.
 for spec in genio-pon:properties: genio-pon:engine_differential: \
     genio-netsec:properties: genio-crypto:properties:seq_aead \
-    genio-telemetry:properties:; do
+    genio-crypto:gcm_differential: genio-telemetry:properties:; do
     IFS=: read -r crate test filter <<<"$spec"
     binary=$(cargo test --release -q -p "$crate" --test "$test" --no-run \
         --message-format=json | sed -n 's/.*"executable":"\([^"]*\)".*/\1/p')
@@ -136,12 +162,11 @@ for spec in genio-pon:properties: genio-pon:engine_differential: \
             { echo "$crate $test failed under GENIO_TEST_SEED=$seed" >&2; exit 1; }
     done
 done
-echo "traffic fault, fleet engine and telemetry properties hold under all 64 seeds"
+echo "traffic fault, AES-GCM kernel, fleet engine and telemetry properties hold under all 64 seeds"
 
 echo "==> determinism-under-load gate, second pass (the trace load beside the fleet and trace cmp pairs)"
-# The same-seed fleet and trace pairs below run while the loops load
+# The same-seed fleet and trace pairs below run while the lanes load
 # the scheduler.
-cargo build --release -q --example fleet_determinism --example trace_determinism
 start_trace_load
 
 echo "==> fleet-determinism gate (two same-seed engine runs must be byte-identical)"
@@ -158,9 +183,7 @@ cargo run --release -q --example trace_determinism > target/genio-fleet/trace-b.
 cmp target/genio-fleet/trace-a.txt target/genio-fleet/trace-b.txt
 echo "same-seed traced runs export byte-identical genio-trace/v1 documents"
 
-for pid in "${loop_pids[@]}"; do
-    wait "$pid" || { echo "trace properties failed under concurrent load" >&2; exit 1; }
-done
+stop_trace_load
 trap - EXIT
 echo "fleet span trees validate and re-export byte-identically under all 64 seeds, under load"
 
