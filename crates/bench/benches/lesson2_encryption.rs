@@ -280,6 +280,17 @@ fn bench(c: &mut Criterion) {
             )
         })
     });
+    // One signature verify, most of a session's hash work: a device
+    // certificate's signature by a height-6 root over its `tbs.encode()`.
+    group.bench_function("merkle_verify", |b| {
+        let mut enrollment = Enrollment::new(b"verify", (0, 1_000_000), 6).unwrap();
+        let onu = enrollment.enroll("onu", DeviceClass::Onu, b"onu").unwrap();
+        let anchor = enrollment.trust_anchor();
+        let cert = &onu.chain[0];
+        let tbs = cert.tbs.encode();
+        assert!(cert.signature.verify(&tbs, &anchor));
+        b.iter(|| std::hint::black_box(cert.signature.verify(std::hint::black_box(&tbs), &anchor)))
+    });
     group.finish();
 
     // --- E-L2 verdict: table-driven batched path vs reference path, with

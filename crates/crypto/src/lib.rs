@@ -29,9 +29,10 @@
 //!   **Simulation-grade**: the group is far too small for real-world use
 //!   (~2^60 security) but exercises the exact same protocol logic (TLS-like
 //!   handshakes, MACsec key agreement) as a production group would.
-//! * [`sig`] — hash-based signatures: Lamport one-time signatures composed
-//!   into a Merkle many-time scheme, as the stand-in for the X.509/GPG RSA and
-//!   ECDSA signatures used by Secure Boot, APT, and ONIE in the paper.
+//! * [`sig`] — hash-based signatures: Winternitz one-time signatures (LM-OTS,
+//!   RFC 8554) composed into a Merkle many-time scheme, as the stand-in for
+//!   the X.509/GPG RSA and ECDSA signatures used by Secure Boot, APT, and
+//!   ONIE in the paper.
 //! * [`pki`] — certificates, chains, and revocation built on [`sig`].
 //! * [`drbg`] — HMAC-DRBG (NIST SP 800-90A) deterministic random bit
 //!   generator, used wherever the simulation needs reproducible randomness.

@@ -1,168 +1,100 @@
-//! Hash-based digital signatures: Lamport one-time signatures composed into
-//! a Merkle many-time scheme.
+//! Hash-based digital signatures: Winternitz one-time signatures (LM-OTS,
+//! RFC 8554 §4) composed into a Merkle many-time scheme.
 //!
 //! The paper's platform verifies RSA/ECDSA signatures everywhere — Shim and
 //! GRUB images at boot, APT repository metadata, ONIE firmware images, and
 //! GENIO's own binaries. Porting big-integer RSA is out of scope for the
 //! simulation, so we substitute a *hash-based* scheme whose security rests
 //! only on SHA-256 (which we already carry). The verification workflow —
-//! public key, detached signature, certificate binding — is identical.
+//! public key, detached signature, certificate binding — is identical, and
+//! NIST SP 800-208 approves stateful hash-based signatures of this shape
+//! for firmware and image signing.
 //!
-//! * [`LamportKeyPair`] — a one-time signature key (16 KiB private, 32-byte
-//!   compact public key).
-//! * [`MerkleSigner`] — `2^h` Lamport leaves under one Merkle root, good for
-//!   `2^h` signatures under a single 32-byte public key.
+//! A [`MerkleSigner`] holds `2^h` one-time leaves under one Merkle root,
+//! good for `2^h` signatures under a single 32-byte public key. Each leaf is
+//! an LM-OTS key with RFC 8554's `LMOTS_SHA256_N32_W2` parameters: `n` = 32,
+//! `w` = 2, `p` = 133 hash chains (128 message digits and 5 checksum
+//! digits), `ls` = 6.
+//!
+//! * **Key material.** HMAC-SHA256 of the signer's seed under two labels
+//!   gives a 16-byte identifier `I` and a 32-byte `SEED`.
+//! * **Chains.** Chain `i` of leaf `q` starts at
+//!   `x = H(I ‖ u32(q) ‖ u16(i) ‖ 0xff ‖ SEED)` (RFC 8554 Appendix A), and
+//!   step `j` maps `tmp` to `H(I ‖ u32(q) ‖ u16(i) ‖ u8(j) ‖ tmp)`. Both
+//!   inputs are 55 bytes, so each is one compression. After 3 steps a
+//!   chain reaches its public end `y[i]`.
+//! * **Leaf key.** `K = H(I ‖ u32(q) ‖ D_PBLC ‖ y[0] ‖ … ‖ y[132])`. The
+//!   tree's leaves are the `K`s and its nodes are `H(left ‖ right)`.
+//! * **Signing.** `Q = H(I ‖ u32(q) ‖ D_MESG ‖ message)`. Its 128 base-4
+//!   digits, then the 5 digits of the checksum `Σ(3 − aᵢ) << 6`, say how
+//!   far each chain is advanced from its head; the signature carries the
+//!   advanced values. The checksum stops a forger from advancing chains:
+//!   raising any message digit lowers the checksum, and a chain cannot be
+//!   walked back.
+//! * **Verifying** walks each chain the rest of the way to its end,
+//!   rebuilds `K` and climbs the auth path to the root.
+//!
+//! Unlike RFC 8554, `Q` takes no randomizer `C`, so security rests on
+//! SHA-256's collision resistance, not only on its second-preimage
+//! resistance. The wire format is
+//! `leaf_index u64 ‖ path_len u32 ‖ I ‖ y[0..133] ‖ auth path`: 4,476 bytes
+//! at height 6. `I` travels in the signature because the public key is only
+//! the root; a wrong `I` changes `K`, so verification fails at the root.
 //!
 //! # Cost model, in SHA-256 compressions
 //!
-//! Each leaf's 512 preimages are drawn from an [`HmacDrbg`] at 8
-//! compressions per 32-byte draw, and every other hash here is of at most
-//! 64 bytes.
+//! Every chain hash is one compression, `K` is 67 and `Q` is
+//! `⌈(len + 31) / 64⌉` for a `len`-byte message.
 //!
-//! * Sign: `512 × 8` for the preimage draws, plus 256 to hash the
-//!   complements the signature reveals — about 4.4k. A leaf's preimages
-//!   are drawn once per signature; the signer keeps only the Merkle tree.
-//! * Verify: 256 to hash the revealed preimages, 257 to hash the 16 KiB
-//!   compact-public-key preimage, and 2 per auth-path level: about
-//!   `256 + 257 + 2h`.
-//! * Key generation: per leaf, `512 × 8` draws, 512 preimage hashes and
-//!   257 for the compact public key — about 4.9k — plus `2^h − 1` node
-//!   hashes for the tree.
+//! * Sign: 133 chain heads plus `Σ aᵢ` steps (about 195 on average), plus
+//!   `Q`: about 333. The signer keeps only `I`, `SEED` and the tree.
+//! * Verify: `399 − Σ aᵢ` steps (about 205), 67 for `K`, `Q`, and 2 per
+//!   auth-path level: about 280 at height 6.
+//! * Key generation: per leaf, 133 heads, 399 steps and 67 for `K`, about
+//!   600, plus `2^h − 1` node hashes of 2 compressions for the tree.
 
-use crate::drbg::HmacDrbg;
+use std::ops::Range;
+
 use crate::hmac::HmacSha256;
 use crate::sha256::{sha256, sha256_pair, Digest, Sha256};
 use crate::CryptoError;
 
-/// Number of message bits signed (SHA-256 output).
-const BITS: usize = 256;
+/// Bytes of a hash output and of every chain value (RFC 8554's `n`).
+const N: usize = 32;
+/// Bits per Winternitz digit (RFC 8554's `w`).
+const W: usize = 2;
+/// The last step of a chain, `2^w − 1`, and the largest digit.
+const CHAIN_MAX: u8 = (1 << W) - 1;
+/// Digits of the message hash `Q`.
+const MSG_DIGITS: usize = N * 8 / W;
+/// Digits of the checksum, enough for `MSG_DIGITS × CHAIN_MAX` = 384.
+const CHECKSUM_DIGITS: usize = 5;
+/// Number of chains per leaf (RFC 8554's `p`).
+const P: usize = MSG_DIGITS + CHECKSUM_DIGITS;
+/// Left shift that puts the checksum's digits at the top of its 16 bits
+/// (RFC 8554's `ls`).
+const LS: usize = 16 - CHECKSUM_DIGITS * W;
+/// Bytes of a signature's header: `leaf_index u64 ‖ path_len u32`.
+const HEADER_LEN: usize = 8 + 4;
+/// Bytes of the key identifier `I`.
+const ID_LEN: usize = 16;
+/// `I ‖ u32(q)`, the prefix of every hash of leaf `q`.
+const PREFIX_LEN: usize = ID_LEN + 4;
+/// `I ‖ u32(q) ‖ u16(i) ‖ u8(j) ‖ value`, the input of a chain hash.
+const CHAIN_INPUT_LEN: usize = PREFIX_LEN + 3 + N;
+/// The `j` of a chain-head derivation (RFC 8554 Appendix A).
+const HEAD: u8 = 0xff;
+/// Domain separator of the leaf key `K` (RFC 8554 §4.3).
+const D_PBLC: [u8; 2] = [0x80, 0x80];
+/// Domain separator of the message hash `Q` (RFC 8554 §4.4).
+const D_MESG: [u8; 2] = [0x81, 0x81];
 
-/// A Lamport one-time key pair.
-///
-/// The private key is 256 pairs of 32-byte preimages; the compact public key
-/// is the SHA-256 digest of the 512 preimage hashes.
-#[derive(Clone)]
-pub struct LamportKeyPair {
-    // preimages[i][b] signs bit i having value b.
-    preimages: Vec<[[u8; 32]; 2]>,
-    public: Digest,
-    used: bool,
-}
+// A chain hash fits one block with its padding, and the shifted checksum
+// fits its 16 bits.
+const _: () = assert!(CHAIN_INPUT_LEN <= 64 - 9);
+const _: () = assert!((MSG_DIGITS * CHAIN_MAX as usize) << LS < 1 << 16);
 
-// The preimages are the private key, so only `used` is printed.
-impl std::fmt::Debug for LamportKeyPair {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("LamportKeyPair")
-            .field("used", &self.used)
-            .finish_non_exhaustive()
-    }
-}
-
-/// A Lamport signature: for each message bit, the revealed preimage plus the
-/// hash of the complementary preimage (needed to recompute the compact
-/// public key).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct LamportSignature {
-    revealed: Vec<[u8; 32]>,
-    complements: Vec<[u8; 32]>,
-}
-
-impl LamportKeyPair {
-    /// Derives a key pair deterministically from `seed`.
-    pub fn from_seed(seed: &[u8]) -> Self {
-        let preimages: Vec<_> = preimage_pairs(seed).collect();
-        let public = compact_public(preimages.iter().copied());
-        LamportKeyPair {
-            preimages,
-            public,
-            used: false,
-        }
-    }
-
-    /// The 32-byte compact public key.
-    pub fn public(&self) -> Digest {
-        self.public
-    }
-
-    /// Signs `message` (hashed internally with SHA-256).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CryptoError::KeyExhausted`] on a second signing attempt:
-    /// revealing two signatures under one Lamport key leaks enough preimages
-    /// to forge, so the API enforces one-time use.
-    pub fn sign(&mut self, message: &[u8]) -> crate::Result<LamportSignature> {
-        if self.used {
-            return Err(CryptoError::KeyExhausted);
-        }
-        self.used = true;
-        Ok(sign_with(message, self.preimages.iter().copied()))
-    }
-}
-
-impl LamportSignature {
-    /// Recomputes the compact public key this signature corresponds to for
-    /// `message`. Comparing the result against a trusted public key verifies
-    /// the signature.
-    pub fn recover_public(&self, message: &[u8]) -> Digest {
-        let digest = sha256(message);
-        let mut h = Sha256::new();
-        for (i, (revealed, complement)) in self.revealed.iter().zip(&self.complements).enumerate() {
-            let mut pair = [*complement; 2];
-            pair[bit_at(&digest, i)] = sha256(revealed);
-            h.update(&pair[0]);
-            h.update(&pair[1]);
-        }
-        h.finalize()
-    }
-
-    /// Verifies this signature over `message` against `public`.
-    #[must_use]
-    pub fn verify(&self, message: &[u8], public: &Digest) -> bool {
-        crate::ct::eq(&self.recover_public(message), public)
-    }
-}
-
-fn bit_at(digest: &Digest, i: usize) -> usize {
-    ((digest[i / 8] >> (7 - (i % 8))) & 1) as usize
-}
-
-/// The 256 preimage pairs of the Lamport key derived from `seed`, in bit
-/// order. Key generation and Merkle signing both draw them here.
-fn preimage_pairs(seed: &[u8]) -> impl Iterator<Item = [[u8; 32]; 2]> {
-    let mut rng = HmacDrbg::new(seed);
-    (0..BITS).map(move |_| [rng.array32(), rng.array32()])
-}
-
-/// The compact public key: SHA-256 over the hashes of every preimage,
-/// streamed into one hasher.
-fn compact_public(pairs: impl Iterator<Item = [[u8; 32]; 2]>) -> Digest {
-    let mut h = Sha256::new();
-    for [p0, p1] in pairs {
-        h.update(&sha256(&p0));
-        h.update(&sha256(&p1));
-    }
-    h.finalize()
-}
-
-/// Signs `message` with the key whose preimage pairs are `pairs`: reveals
-/// one preimage per digest bit and hashes only the other one.
-fn sign_with(message: &[u8], pairs: impl Iterator<Item = [[u8; 32]; 2]>) -> LamportSignature {
-    let digest = sha256(message);
-    let mut revealed = Vec::with_capacity(BITS);
-    let mut complements = Vec::with_capacity(BITS);
-    for (i, pair) in pairs.enumerate() {
-        let bit = bit_at(&digest, i);
-        revealed.push(pair[bit]);
-        complements.push(sha256(&pair[1 - bit]));
-    }
-    LamportSignature {
-        revealed,
-        complements,
-    }
-}
-
-/// A Merkle many-time signer: `2^height` Lamport leaves under one root.
+/// A Merkle many-time signer: `2^height` LM-OTS leaves under one root.
 ///
 /// # Example
 ///
@@ -179,14 +111,16 @@ fn sign_with(message: &[u8], pairs: impl Iterator<Item = [[u8; 32]; 2]>) -> Lamp
 /// ```
 #[derive(Clone)]
 pub struct MerkleSigner {
-    seed: Vec<u8>,
+    id: [u8; ID_LEN],
+    ots_seed: Digest,
     height: u32,
-    next_leaf: u64,
+    // RFC 8554's leaf number `q`; `height` ≤ 20 keeps it in a u32.
+    next_leaf: u32,
     // tree[0] = leaves, tree[h] = [root]
     tree: Vec<Vec<Digest>>,
 }
 
-// The seed is the whole private key, so only the key's shape and its use
+// `SEED` is the whole private key, so only the key's shape and its use
 // are printed.
 impl std::fmt::Debug for MerkleSigner {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
@@ -215,26 +149,130 @@ fn take_arr<const N: usize>(bytes: &[u8], off: usize) -> [u8; N] {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MerkleSignature {
     leaf_index: u64,
-    ots: LamportSignature,
+    id: [u8; ID_LEN],
+    // y[i]: chain i advanced by its digit.
+    ots: Box<[Digest; P]>,
     auth_path: Vec<Digest>,
+}
+
+/// `I ‖ u32(q)`.
+fn leaf_prefix(id: &[u8; ID_LEN], q: u32) -> [u8; PREFIX_LEN] {
+    let mut prefix = [0u8; PREFIX_LEN];
+    prefix[..ID_LEN].copy_from_slice(id);
+    prefix[ID_LEN..].copy_from_slice(&q.to_be_bytes());
+    prefix
+}
+
+/// `H(I ‖ u32(q) ‖ u16(i) ‖ u8(j) ‖ value)`: chain `i`'s step `j`, or,
+/// with `j` = [`HEAD`] and `value` = `SEED`, its head.
+fn chain_hash(prefix: &[u8; PREFIX_LEN], i: u16, j: u8, value: &Digest) -> Digest {
+    let mut input = [0u8; CHAIN_INPUT_LEN];
+    input[..PREFIX_LEN].copy_from_slice(prefix);
+    input[PREFIX_LEN..PREFIX_LEN + 2].copy_from_slice(&i.to_be_bytes());
+    input[PREFIX_LEN + 2] = j;
+    input[PREFIX_LEN + 3..].copy_from_slice(value);
+    sha256(&input)
+}
+
+/// Chain `i` taken from `value` through the steps in `steps`.
+fn chain(prefix: &[u8; PREFIX_LEN], i: u16, value: Digest, steps: Range<u8>) -> Digest {
+    steps.fold(value, |tmp, j| chain_hash(prefix, i, j, &tmp))
+}
+
+/// Digit `i` of `bytes` in base `2^w`, most significant first (RFC 8554's
+/// `coef`).
+fn coef(bytes: &[u8], i: usize) -> u8 {
+    (bytes[i * W / 8] >> (8 - W * (i % (8 / W) + 1))) & CHAIN_MAX
+}
+
+/// `Q = H(I ‖ u32(q) ‖ D_MESG ‖ message)`.
+fn message_hash(prefix: &[u8; PREFIX_LEN], message: &[u8]) -> Digest {
+    let mut h = Sha256::new();
+    h.update(prefix);
+    h.update(&D_MESG);
+    h.update(message);
+    h.finalize()
+}
+
+/// How far each chain is advanced to sign the message hash `q`: its
+/// digits, then those of its checksum (RFC 8554 §4.4).
+fn digits(q: &Digest) -> [u8; P] {
+    let checksum: u16 = (0..MSG_DIGITS)
+        .map(|i| u16::from(CHAIN_MAX - coef(q, i)))
+        .sum();
+    let mut s = [0u8; N + 2];
+    s[..N].copy_from_slice(q);
+    s[N..].copy_from_slice(&(checksum << LS).to_be_bytes());
+    std::array::from_fn(|i| coef(&s, i))
+}
+
+/// The chain ends a signature's `values` reach when chain `i`, advanced
+/// by `steps[i]` to sign, is walked the rest of the way.
+fn chain_ends<'a>(
+    prefix: &'a [u8; PREFIX_LEN],
+    values: &'a [Digest; P],
+    steps: [u8; P],
+) -> impl Iterator<Item = Digest> + 'a {
+    (0u16..)
+        .zip(values)
+        .zip(steps)
+        .map(|((i, y), a)| chain(prefix, i, *y, a..CHAIN_MAX))
+}
+
+/// `K = H(I ‖ u32(q) ‖ D_PBLC ‖ y[0] ‖ … ‖ y[p − 1])` over the chain ends.
+fn leaf_key(prefix: &[u8; PREFIX_LEN], ends: impl Iterator<Item = Digest>) -> Digest {
+    let mut h = Sha256::new();
+    h.update(prefix);
+    h.update(&D_PBLC);
+    for y in ends {
+        h.update(&y);
+    }
+    h.finalize()
+}
+
+/// The root reached from leaf key `node` at leaf `index` up `auth_path`.
+fn climb(mut node: Digest, mut index: u64, auth_path: &[Digest]) -> Digest {
+    for sibling in auth_path {
+        node = if index & 1 == 0 {
+            sha256_pair(&node, sibling)
+        } else {
+            sha256_pair(sibling, &node)
+        };
+        index >>= 1;
+    }
+    node
 }
 
 impl MerkleSigner {
     /// Builds a signer with `2^height` one-time leaves from `seed`.
     ///
-    /// Key generation derives every leaf's compact public key: per leaf
-    /// 512 DRBG draws (8 compressions each), 512 preimage hashes and the
-    /// 257-compression compact-key hash, about 4.9k SHA-256 compressions
-    /// in all, so keep `height` modest (≤ 10) in tests.
+    /// Key generation walks every chain of every leaf to its end, about
+    /// 600 SHA-256 compressions per leaf, so keep `height` modest (≤ 10)
+    /// in tests.
     ///
     /// # Panics
     ///
     /// Panics if `height > 20`.
     pub fn from_seed(seed: &[u8], height: u32) -> Self {
         assert!(height <= 20, "merkle tree height too large");
-        let leaves = 1u64 << height;
-        let mut level: Vec<Digest> = (0..leaves)
-            .map(|i| compact_public(preimage_pairs(&leaf_seed(seed, i))))
+        let labelled = |label: &[u8]| {
+            let mut mac = HmacSha256::new(seed);
+            mac.update(label);
+            mac.finalize()
+        };
+        let id = take_arr(&labelled(b"genio-lmots-id"), 0);
+        let ots_seed = labelled(b"genio-lmots-seed");
+        let mut level: Vec<Digest> = (0..1u32 << height)
+            .map(|q| {
+                let prefix = leaf_prefix(&id, q);
+                leaf_key(
+                    &prefix,
+                    (0..P as u16).map(|i| {
+                        let head = chain_hash(&prefix, i, HEAD, &ots_seed);
+                        chain(&prefix, i, head, 0..CHAIN_MAX)
+                    }),
+                )
+            })
             .collect();
         let mut tree = vec![level.clone()];
         while level.len() > 1 {
@@ -245,7 +283,8 @@ impl MerkleSigner {
             tree.push(level.clone());
         }
         MerkleSigner {
-            seed: seed.to_vec(),
+            id,
+            ots_seed,
             height,
             next_leaf: 0,
             tree,
@@ -265,7 +304,7 @@ impl MerkleSigner {
 
     /// Number of signatures still available.
     pub fn remaining(&self) -> u64 {
-        (1u64 << self.height) - self.next_leaf
+        (1u64 << self.height) - u64::from(self.next_leaf)
     }
 
     /// Signs `message` with the next unused leaf.
@@ -275,21 +314,28 @@ impl MerkleSigner {
     /// Returns [`CryptoError::KeyExhausted`] when all `2^height` leaves have
     /// been consumed.
     pub fn sign(&mut self, message: &[u8]) -> crate::Result<MerkleSignature> {
-        if self.next_leaf >= 1u64 << self.height {
+        if self.next_leaf >= 1 << self.height {
             return Err(CryptoError::KeyExhausted);
         }
-        let index = self.next_leaf;
+        let q = self.next_leaf;
         self.next_leaf += 1;
-        let ots = sign_with(message, preimage_pairs(&leaf_seed(&self.seed, index)));
+        let prefix = leaf_prefix(&self.id, q);
+        let mut ots = Box::new([[0u8; N]; P]);
+        let steps = digits(&message_hash(&prefix, message));
+        for ((i, y), a) in (0u16..).zip(ots.iter_mut()).zip(steps) {
+            let head = chain_hash(&prefix, i, HEAD, &self.ots_seed);
+            *y = chain(&prefix, i, head, 0..a);
+        }
         let mut auth_path = Vec::with_capacity(self.height as usize);
-        let mut node = index as usize;
+        let mut node = q as usize;
         for level in 0..self.height as usize {
             let sibling = node ^ 1;
             auth_path.push(self.tree[level][sibling]);
             node >>= 1;
         }
         Ok(MerkleSignature {
-            leaf_index: index,
+            leaf_index: u64::from(q),
+            id: self.id,
             ots,
             auth_path,
         })
@@ -302,24 +348,22 @@ impl MerkleSignature {
     ///
     /// A `leaf_index` with bits above the auth path's height names no
     /// leaf of the tree, so it fails: otherwise those bits could be set
-    /// freely and one signature would have many valid encodings.
+    /// freely and one signature would have many valid encodings. So does
+    /// one above `u32::MAX`, which no leaf number `q` can hold.
     #[must_use]
     pub fn verify(&self, message: &[u8], public: &MerklePublicKey) -> bool {
         let height = u32::try_from(self.auth_path.len()).unwrap_or(u32::MAX);
         if self.leaf_index.checked_shr(height).unwrap_or(0) != 0 {
             return false;
         }
-        let mut node = self.ots.recover_public(message);
-        let mut index = self.leaf_index;
-        for sibling in &self.auth_path {
-            node = if index & 1 == 0 {
-                sha256_pair(&node, sibling)
-            } else {
-                sha256_pair(sibling, &node)
-            };
-            index >>= 1;
-        }
-        crate::ct::eq(&node, public)
+        let Ok(q) = u32::try_from(self.leaf_index) else {
+            return false;
+        };
+        let prefix = leaf_prefix(&self.id, q);
+        let steps = digits(&message_hash(&prefix, message));
+        let ends = chain_ends(&prefix, &self.ots, steps);
+        let root = climb(leaf_key(&prefix, ends), self.leaf_index, &self.auth_path);
+        crate::ct::eq(&root, public)
     }
 
     /// The index of the one-time leaf that produced this signature.
@@ -330,17 +374,12 @@ impl MerkleSignature {
     /// Serializes to a self-describing byte string (for detached-signature
     /// files in the supply-chain substrate).
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::new();
+        let mut out = Vec::with_capacity(HEADER_LEN + ID_LEN + (P + self.auth_path.len()) * N);
         out.extend_from_slice(&self.leaf_index.to_be_bytes());
         out.extend_from_slice(&(self.auth_path.len() as u32).to_be_bytes());
-        for r in &self.ots.revealed {
-            out.extend_from_slice(r);
-        }
-        for c in &self.ots.complements {
-            out.extend_from_slice(c);
-        }
-        for a in &self.auth_path {
-            out.extend_from_slice(a);
+        out.extend_from_slice(&self.id);
+        for value in self.ots.iter().chain(&self.auth_path) {
+            out.extend_from_slice(value);
         }
         out
     }
@@ -351,11 +390,8 @@ impl MerkleSignature {
     ///
     /// Returns [`CryptoError::Malformed`] if the buffer has the wrong size or
     /// an implausible header.
-    // take_arr never panics on a short buffer (callers length-check
-    // first, so the zero-fill branch is dead in practice).
     pub fn from_bytes(bytes: &[u8]) -> crate::Result<Self> {
-        const HDR: usize = 8 + 4;
-        if bytes.len() < HDR {
+        if bytes.len() < HEADER_LEN {
             return Err(CryptoError::Malformed("merkle signature header"));
         }
         let leaf_index = u64::from_be_bytes(take_arr(bytes, 0));
@@ -363,65 +399,22 @@ impl MerkleSignature {
         if path_len > 64 {
             return Err(CryptoError::Malformed("merkle signature path length"));
         }
-        let expected = HDR + BITS * 32 * 2 + path_len * 32;
-        if bytes.len() != expected {
+        if bytes.len() != HEADER_LEN + ID_LEN + (P + path_len) * N {
             return Err(CryptoError::Malformed("merkle signature length"));
         }
-        let mut off = HDR;
-        let mut take32 = |bytes: &[u8]| -> [u8; 32] {
-            let arr: [u8; 32] = take_arr(bytes, off);
-            off += 32;
-            arr
-        };
-        let revealed: Vec<[u8; 32]> = (0..BITS).map(|_| take32(bytes)).collect();
-        let complements: Vec<[u8; 32]> = (0..BITS).map(|_| take32(bytes)).collect();
-        let auth_path: Vec<Digest> = (0..path_len).map(|_| take32(bytes)).collect();
+        let (values, _) = bytes[HEADER_LEN + ID_LEN..].as_chunks::<N>();
         Ok(MerkleSignature {
             leaf_index,
-            ots: LamportSignature {
-                revealed,
-                complements,
-            },
-            auth_path,
+            id: take_arr(bytes, HEADER_LEN),
+            ots: Box::new(std::array::from_fn(|i| values[i])),
+            auth_path: values[P..].to_vec(),
         })
     }
-}
-
-fn leaf_seed(seed: &[u8], index: u64) -> Vec<u8> {
-    let mut mac = HmacSha256::new(seed);
-    mac.update(b"genio-merkle-leaf");
-    mac.update(&index.to_be_bytes());
-    mac.finalize().to_vec()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn lamport_sign_verify() {
-        let mut kp = LamportKeyPair::from_seed(b"leaf-0");
-        let public = kp.public();
-        let sig = kp.sign(b"hello").unwrap();
-        assert!(sig.verify(b"hello", &public));
-        assert!(!sig.verify(b"hellp", &public));
-    }
-
-    #[test]
-    fn lamport_one_time_enforced() {
-        let mut kp = LamportKeyPair::from_seed(b"leaf-0");
-        kp.sign(b"first").unwrap();
-        assert_eq!(kp.sign(b"second"), Err(CryptoError::KeyExhausted));
-    }
-
-    #[test]
-    fn lamport_tampered_signature_fails() {
-        let mut kp = LamportKeyPair::from_seed(b"leaf-1");
-        let public = kp.public();
-        let mut sig = kp.sign(b"msg").unwrap();
-        sig.revealed[0][0] ^= 1;
-        assert!(!sig.verify(b"msg", &public));
-    }
 
     #[test]
     fn merkle_multiple_signatures() {
@@ -461,11 +454,77 @@ mod tests {
     }
 
     #[test]
+    fn tampered_chain_value_fails() {
+        let mut signer = MerkleSigner::from_seed(b"leaf-1", 1);
+        let public = signer.public();
+        let mut sig = signer.sign(b"msg").unwrap();
+        sig.ots[0][0] ^= 1;
+        assert!(!sig.verify(b"msg", &public));
+    }
+
+    #[test]
+    fn the_checksum_stops_a_chain_from_being_advanced() {
+        // A forger who sees a signature can walk any chain further. Raise
+        // a message digit that is below the top, advance its chain one
+        // step to match, and recompute the checksum honestly: every
+        // message chain still reaches its end, but the checksum fell, its
+        // chains would have to walk back, and the leaf key differs.
+        let mut signer = MerkleSigner::from_seed(b"checksum", 1);
+        let message = b"firmware-v1";
+        let sig = signer.sign(message).unwrap();
+        let prefix = leaf_prefix(&sig.id, 0);
+        let q = message_hash(&prefix, message);
+        let honest = digits(&q);
+        let i = honest[..MSG_DIGITS]
+            .iter()
+            .position(|&a| a < CHAIN_MAX)
+            .unwrap();
+        let mut raised = q;
+        raised[i / 4] += 1 << (6 - 2 * (i % 4));
+        let forged = digits(&raised);
+        assert_eq!(forged[..i], honest[..i]);
+        assert_eq!(forged[i], honest[i] + 1);
+        assert_eq!(forged[i + 1..MSG_DIGITS], honest[i + 1..MSG_DIGITS]);
+        let mut values = sig.ots.clone();
+        values[i] = chain_hash(&prefix, i as u16, honest[i], &values[i]);
+        let genuine: Vec<Digest> = chain_ends(&prefix, &sig.ots, honest).collect();
+        let advanced: Vec<Digest> = chain_ends(&prefix, &values, forged).collect();
+        assert_eq!(
+            leaf_key(&prefix, genuine.iter().copied()),
+            signer.tree[0][0]
+        );
+        assert_eq!(advanced[..MSG_DIGITS], genuine[..MSG_DIGITS]);
+        assert_ne!(advanced[MSG_DIGITS..], genuine[MSG_DIGITS..]);
+        assert_ne!(leaf_key(&prefix, advanced.into_iter()), signer.tree[0][0]);
+    }
+
+    #[test]
+    fn chain_hashes_are_the_rfc_8554_inputs_streamed() {
+        let signer = MerkleSigner::from_seed(b"prf", 1);
+        let (q, i, j) = (1u32, 132u16, 2u8);
+        let prefix = leaf_prefix(&signer.id, q);
+        let streamed = |j: u8, value: &[u8]| {
+            let mut h = Sha256::new();
+            h.update(&signer.id);
+            h.update(&q.to_be_bytes());
+            h.update(&i.to_be_bytes());
+            h.update(&[j]);
+            h.update(value);
+            h.finalize()
+        };
+        let head = chain_hash(&prefix, i, HEAD, &signer.ots_seed);
+        assert_eq!(head, streamed(0xff, &signer.ots_seed));
+        assert_eq!(chain_hash(&prefix, i, j, &head), streamed(j, &head));
+        assert_eq!(chain(&prefix, i, head, j..j + 1), streamed(j, &head));
+    }
+
+    #[test]
     fn signature_roundtrips_through_bytes() {
         let mut signer = MerkleSigner::from_seed(b"serialize", 2);
         let public = signer.public();
         let sig = signer.sign(b"payload").unwrap();
         let bytes = sig.to_bytes();
+        assert_eq!(bytes.len(), 12 + 16 + 133 * 32 + 2 * 32);
         let parsed = MerkleSignature::from_bytes(&bytes).unwrap();
         assert_eq!(parsed, sig);
         assert!(parsed.verify(b"payload", &public));
@@ -513,6 +572,24 @@ mod tests {
     }
 
     #[test]
+    fn leaf_index_beyond_u32_is_refused_not_truncated() {
+        // Leaf 2^32 + 1 would truncate to leaf 1 under `as u32`. Give leaf
+        // 1's genuine signature a 64-entry path, so the tree-height check
+        // lets any index by, and a root that its chain values reach when
+        // `q` is leaf 1's while the climb follows the wide index.
+        let mut signer = MerkleSigner::from_seed(b"wide", 1);
+        signer.sign(b"m").unwrap();
+        let mut sig = signer.sign(b"m").unwrap();
+        sig.auth_path.resize(64, [0u8; 32]);
+        let root_at = |index| climb(signer.tree[0][1], index, &sig.auth_path);
+        assert!(sig.verify(b"m", &root_at(1)));
+        sig.leaf_index = (1 << 32) + 1;
+        let parsed = MerkleSignature::from_bytes(&sig.to_bytes()).unwrap();
+        assert_eq!(parsed.leaf_index(), (1 << 32) + 1);
+        assert!(!parsed.verify(b"m", &root_at((1 << 32) + 1)));
+    }
+
+    #[test]
     fn debug_does_not_depend_on_the_seed() {
         let a = MerkleSigner::from_seed(b"seed-a", 1);
         let b = MerkleSigner::from_seed(b"seed-b", 1);
@@ -522,10 +599,6 @@ mod tests {
             format!("{a:?}"),
             "MerkleSigner { height: 1, next_leaf: 0, .. }"
         );
-        let a = LamportKeyPair::from_seed(b"seed-a");
-        let b = LamportKeyPair::from_seed(b"seed-b");
-        assert_eq!(format!("{a:?}"), format!("{b:?}"));
-        assert_eq!(format!("{a:?}"), "LamportKeyPair { used: false, .. }");
     }
 
     #[test]

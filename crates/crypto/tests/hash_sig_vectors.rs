@@ -1,17 +1,19 @@
-//! Known-answer tests that pin the byte output of SHA-256, HMAC-DRBG,
-//! Lamport key generation and Merkle signing.
+//! Known-answer tests that pin the byte output of SHA-256, HMAC-DRBG and
+//! Merkle signing.
 //!
 //! Every key, nonce and signature in the workspace is derived from these
-//! primitives, so any change to how they compute (block handling,
-//! padding, keyed-MAC reuse, how a signature draws its preimages) must
-//! leave these digests untouched. The expected values were also produced
-//! by an independent Python `hashlib`/`hmac` implementation of SP 800-90A
-//! HMAC-DRBG, Lamport and Merkle signing.
+//! primitives. A change to how SHA-256 or HMAC-DRBG compute (block
+//! handling, padding, keyed-MAC reuse) must leave their digests
+//! untouched. The Merkle row pins the signature scheme itself (LM-OTS,
+//! RFC 8554 §4, with `w` = 2, under a Merkle tree), so it moves only with
+//! a change of scheme. The expected values were also produced by an
+//! independent Python `hashlib`/`hmac` implementation of SP 800-90A
+//! HMAC-DRBG and of the signatures, written from RFC 8554's text.
 
 use genio_crypto::drbg::HmacDrbg;
 use genio_crypto::hex;
 use genio_crypto::sha256::sha256;
-use genio_crypto::sig::{LamportKeyPair, MerkleSigner};
+use genio_crypto::sig::MerkleSigner;
 
 /// SHA-256 of `[0, 1, …, n−1] (mod 256)` for every `n` in `0..=300`,
 /// digests concatenated and hashed: every padding case (1 to 64 zero
@@ -48,22 +50,16 @@ fn hmac_drbg_stream() {
     );
 }
 
-#[test]
-fn lamport_public_key() {
-    let kp = LamportKeyPair::from_seed(b"genio-lamport-kat");
-    assert_eq!(
-        hex::encode(&kp.public()),
-        "57897bec3fb779139870e8d469f54638cc49a0bf2f8f3f95fd4d8899d1a9ec26"
-    );
-}
-
+/// A height-4 tree: its root, then all 16 leaves' signatures hashed
+/// together, so every chain head, chain step, checksum digit, leaf key,
+/// auth path and byte of the wire format is covered.
 #[test]
 fn merkle_root_and_every_leaf_signature() {
     let mut signer = MerkleSigner::from_seed(b"genio-merkle-kat", 4);
     let public = signer.public();
     assert_eq!(
         hex::encode(&public),
-        "8fe20ddc1b9cfab9a027752220b4cc103e6f3184e7de2b91169710711d17fdd6"
+        "c2b82cdd48473f53ad5fd31e6d54cca471f5cbd5fe6ea6d3a5ff255f6f472e16"
     );
     let mut all = Vec::new();
     for i in 0..16 {
@@ -75,6 +71,6 @@ fn merkle_root_and_every_leaf_signature() {
     assert!(signer.sign(b"kat-16").is_err());
     assert_eq!(
         hex::encode(&sha256(&all)),
-        "e90901a1d5310d20bfa153b93bac5a09b75464b6f28be77de76e8dced1099031"
+        "38ab28038075d727441f176a944ade8aa381d9c7507640e19be070b032ed2b1d"
     );
 }

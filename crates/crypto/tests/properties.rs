@@ -160,6 +160,33 @@ property! {
     }
 }
 
+property! {
+    /// A one-bit flip anywhere in a signature's bytes is refused:
+    /// `from_bytes` rejects it or the parsed signature does not verify.
+    /// The flip lands in one of four drawn regions, so each case meets
+    /// one: the header (leaf index and path length), `I`, the 133 chain
+    /// values, or the auth path; the signing leaf is drawn too.
+    fn merkle_signature_bit_flip_rejected(seed in bytes(1..16),
+                                          msg in bytes(0..64),
+                                          leaf in 0u8..2,
+                                          region in 0usize..4,
+                                          at in index(),
+                                          bit in 0u8..8) {
+        let mut signer = MerkleSigner::from_seed(&seed, 1);
+        let public = signer.public();
+        for _ in 0..leaf {
+            signer.sign(b"spent").unwrap();
+        }
+        let mut bytes = signer.sign(&msg).unwrap().to_bytes();
+        let len = bytes.len();
+        let range = [0..12, 12..28, 28..len - 32, len - 32..len][region].clone();
+        bytes[range.start + at.index(range.len())] ^= 1 << bit;
+        if let Ok(parsed) = MerkleSignature::from_bytes(&bytes) {
+            prop_assert!(!parsed.verify(&msg, &public));
+        }
+    }
+}
+
 /// Replay windows the sequenced-AEAD fault property draws from: strict
 /// ordering twice over (0 and 1 behave alike), a window narrower than a
 /// run, the MACsec default, the widest window and one past it.

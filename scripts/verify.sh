@@ -8,7 +8,8 @@
 #                               fail the build, and so do baseline entries
 #                               the scan no longer finds) + the traffic-
 #                               fault properties (GEM, MACsec, sequenced
-#                               AEAD), the AES-GCM kernel's differential
+#                               AEAD), the signature properties, the
+#                               AES-GCM kernel's differential
 #                               properties, the fleet-engine differential
 #                               tests and the telemetry properties under
 #                               seeds 1-64 + the genio-perf smoke digests
@@ -138,18 +139,19 @@ echo "==> genio-analyzer SARIF export gate (document re-parses with the testkit 
 cargo test --release -q -p genio-analyzer --test sarif_export
 echo "SARIF 2.1.0 export validated"
 
-echo "==> seed gate (GEM, MACsec, sequenced-AEAD, AES-GCM kernel, fleet-engine and telemetry properties under seeds 1-64)"
+echo "==> seed gate (GEM, MACsec, crypto, AES-GCM kernel, fleet-engine and telemetry properties under seeds 1-64)"
 # Each spec is crate:test-binary:filter. Each test binary is built once
 # and called directly under every seed; the crypto properties binary
-# runs only its sequenced-AEAD property (its signature properties add
-# half a minute and no traffic faults), genio-crypto's gcm_differential
-# binary checks the burst kernel's lockstep groups, pairs and single
-# chains against the reference path (about 0.2 s a seed), genio-pon's
-# engine_differential binary checks the fleet engine against the
-# reference stepper, and genio-telemetry's properties pin the exporter
-# round trip and the ring accounting that the trace drop counts rest on.
+# runs whole (the sequenced-AEAD property beside the signature
+# serialization and one-bit-flip properties, about 0.1 s a seed),
+# genio-crypto's gcm_differential binary checks the burst kernel's
+# lockstep groups, pairs and single chains against the reference path
+# (about 0.2 s a seed), genio-pon's engine_differential binary checks
+# the fleet engine against the reference stepper, and genio-telemetry's
+# properties pin the exporter round trip and the ring accounting that
+# the trace drop counts rest on.
 for spec in genio-pon:properties: genio-pon:engine_differential: \
-    genio-netsec:properties: genio-crypto:properties:seq_aead \
+    genio-netsec:properties: genio-crypto:properties: \
     genio-crypto:gcm_differential: genio-telemetry:properties:; do
     IFS=: read -r crate test filter <<<"$spec"
     binary=$(cargo test --release -q -p "$crate" --test "$test" --no-run \
@@ -162,7 +164,7 @@ for spec in genio-pon:properties: genio-pon:engine_differential: \
             { echo "$crate $test failed under GENIO_TEST_SEED=$seed" >&2; exit 1; }
     done
 done
-echo "traffic fault, AES-GCM kernel, fleet engine and telemetry properties hold under all 64 seeds"
+echo "traffic fault, crypto, AES-GCM kernel, fleet engine and telemetry properties hold under all 64 seeds"
 
 echo "==> determinism-under-load gate, second pass (the trace load beside the fleet and trace cmp pairs)"
 # The same-seed fleet and trace pairs below run while the lanes load
