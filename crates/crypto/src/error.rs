@@ -31,6 +31,13 @@ pub enum CryptoError {
     /// A one-time key was asked to sign more than once, or a Merkle signer
     /// ran out of leaf keys.
     KeyExhausted,
+    /// A Merkle key was asked for a tree taller than a signer builds.
+    HeightTooLarge {
+        /// The height asked for.
+        height: u32,
+        /// The tallest tree a signer builds.
+        max: u32,
+    },
     /// Hex input had odd length or non-hex characters.
     InvalidHex,
     /// A certificate failed validation.
@@ -79,6 +86,9 @@ impl fmt::Display for CryptoError {
             CryptoError::SequenceExhausted => write!(f, "sequence numbers exhausted"),
             CryptoError::BadSignature => write!(f, "signature verification failed"),
             CryptoError::KeyExhausted => write!(f, "signing key exhausted"),
+            CryptoError::HeightTooLarge { height, max } => {
+                write!(f, "merkle tree height {height} above the limit {max}")
+            }
             CryptoError::InvalidHex => write!(f, "invalid hex input"),
             CryptoError::CertificateInvalid(e) => write!(f, "certificate invalid: {e}"),
             CryptoError::InvalidPublicValue => write!(f, "invalid public value"),

@@ -11,7 +11,7 @@
 use std::collections::HashSet;
 
 use crate::error::CertError;
-use crate::sig::{MerklePublicKey, MerkleSignature, MerkleSigner};
+use crate::sig::{MerklePublicKey, MerkleSignature, MerkleSigner, MAX_HEIGHT};
 use crate::CryptoError;
 
 /// What a certified key is allowed to do.
@@ -90,7 +90,9 @@ impl Certificate {
     }
 
     /// Verifies the signature under the issuer public key (no time or
-    /// revocation checks — see [`validate_chain`] for full validation).
+    /// revocation checks — see [`validate_chain`] for full validation). A
+    /// repeat under the same key and `tbs` is answered by the signature's
+    /// memo ([`MerkleSignature::verify`]).
     #[must_use]
     pub fn verify_signature(&self, issuer_key: &MerklePublicKey) -> bool {
         self.signature.verify(&self.tbs.encode(), issuer_key)
@@ -114,13 +116,20 @@ impl CertificateAuthority {
     ///
     /// # Errors
     ///
-    /// Returns [`CryptoError::KeyExhausted`] only if `capacity_log2 == 0`.
+    /// * [`CryptoError::HeightTooLarge`] if `capacity_log2` is above 20,
+    ///   before any key is generated.
+    /// * [`CryptoError::KeyExhausted`] if `capacity_log2 == 0`: the one leaf
+    ///   would go to the self-signature, leaving none to issue with.
     pub fn self_signed(
         name: &str,
         seed: &[u8],
         validity: (u64, u64),
         capacity_log2: u32,
     ) -> crate::Result<Self> {
+        check_capacity(capacity_log2)?;
+        if capacity_log2 == 0 {
+            return Err(CryptoError::KeyExhausted);
+        }
         let mut signer = MerkleSigner::from_seed(seed, capacity_log2);
         let tbs = TbsCertificate {
             subject: name.to_string(),
@@ -177,11 +186,14 @@ impl CertificateAuthority {
         Ok(Certificate { tbs, signature })
     }
 
-    /// Creates an intermediate CA certified by `self`.
+    /// Creates an intermediate CA certified by `self`, able to issue
+    /// `2^capacity_log2` certificates.
     ///
     /// # Errors
     ///
-    /// Propagates [`CryptoError::KeyExhausted`] from either signer.
+    /// * [`CryptoError::HeightTooLarge`] if `capacity_log2` is above 20,
+    ///   before any key is generated or any leaf of `self` is spent.
+    /// * [`CryptoError::KeyExhausted`] when `self`'s leaves are spent.
     pub fn issue_intermediate(
         &mut self,
         name: &str,
@@ -189,6 +201,7 @@ impl CertificateAuthority {
         validity: (u64, u64),
         capacity_log2: u32,
     ) -> crate::Result<CertificateAuthority> {
+        check_capacity(capacity_log2)?;
         let signer = MerkleSigner::from_seed(seed, capacity_log2);
         let cert = self.issue(name, signer.public(), validity, vec![KeyUsage::CertSign])?;
         Ok(CertificateAuthority {
@@ -202,6 +215,17 @@ impl CertificateAuthority {
     pub fn remaining(&self) -> u64 {
         self.signer.remaining()
     }
+}
+
+/// Refuses a CA key taller than [`MerkleSigner::from_seed`] builds.
+fn check_capacity(capacity_log2: u32) -> crate::Result<()> {
+    if capacity_log2 > MAX_HEIGHT {
+        return Err(CryptoError::HeightTooLarge {
+            height: capacity_log2,
+            max: MAX_HEIGHT,
+        });
+    }
+    Ok(())
 }
 
 /// A certificate revocation list: revoked `(issuer, serial)` pairs.
@@ -252,6 +276,15 @@ pub const MAX_CHAIN_LEN: usize = 8;
 /// verified, leaf first: each element under its parent's key, the last
 /// under its own (self-signed). A chain that fails several checks reports
 /// the first in that order.
+///
+/// Every call runs every window, revocation, issuer, key-usage and anchor
+/// check afresh, before it touches a signature. Only the signature math can
+/// be answered from memory: a certificate whose signature, or a clone of
+/// it, already verified under the same issuer key over the same
+/// [`TbsCertificate::encode`] costs that encoding's message hash, 1–2
+/// SHA-256 compressions instead of about 280 ([`crate::sig`]). A changed
+/// `tbs` or issuer key misses that memory and is verified in full, so a
+/// chain is refused exactly when a cold validation would refuse it.
 ///
 /// # Errors
 ///
@@ -551,6 +584,42 @@ mod tests {
             err,
             Err(CryptoError::CertificateInvalid(CertError::EmptyChain))
         );
+    }
+
+    #[test]
+    fn self_signed_refuses_a_height_above_the_limit() {
+        let err = CertificateAuthority::self_signed("r", b"s", (0, 1), 21).unwrap_err();
+        assert_eq!(
+            err,
+            CryptoError::HeightTooLarge {
+                height: 21,
+                max: 20
+            }
+        );
+        assert_eq!(err.to_string(), "merkle tree height 21 above the limit 20");
+    }
+
+    #[test]
+    fn self_signed_with_one_leaf_is_exhausted() {
+        let err = CertificateAuthority::self_signed("r", b"s", (0, 1), 0).unwrap_err();
+        assert_eq!(err, CryptoError::KeyExhausted);
+    }
+
+    #[test]
+    fn issue_intermediate_refuses_a_height_above_the_limit_before_signing() {
+        let mut ca = root();
+        let remaining = ca.remaining();
+        let err = ca
+            .issue_intermediate("edge", b"edge-seed", (0, 1), 21)
+            .unwrap_err();
+        assert_eq!(
+            err,
+            CryptoError::HeightTooLarge {
+                height: 21,
+                max: 20
+            }
+        );
+        assert_eq!(ca.remaining(), remaining);
     }
 
     #[test]

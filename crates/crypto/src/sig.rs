@@ -48,12 +48,37 @@
 //!
 //! * Sign: 133 chain heads plus `Σ aᵢ` steps (about 195 on average), plus
 //!   `Q`: about 333. The signer keeps only `I`, `SEED` and the tree.
-//! * Verify: `399 − Σ aᵢ` steps (about 205), 67 for `K`, `Q`, and 2 per
-//!   auth-path level: about 280 at height 6.
+//! * Verify, cold: `399 − Σ aᵢ` steps (about 205), 67 for `K`, `Q`, and 2
+//!   per auth-path level: about 280 at height 6.
+//! * Verify, answered by the memo below: `Q` alone, 1–2 compressions for a
+//!   certificate's `tbs` or a transcript hash.
 //! * Key generation: per leaf, 133 heads, 399 steps and 67 for `K`, about
 //!   600, plus `2^h − 1` node hashes of 2 compressions for the tree.
+//!
+//! # A signature remembers the key and `Q` it verified
+//!
+//! A [`MerkleSignature`] is an immutable, shared value. Only
+//! [`MerkleSigner::sign`] and [`MerkleSignature::from_bytes`] build its
+//! payload (the leaf index, `I`, the 133 chain values and the auth path),
+//! behind one `Arc` that clones share. The same `Arc` holds a memo of one
+//! key and one `Q`. [`MerkleSignature::verify`] computes `Q` first; if the
+//! memo holds the same key and the same `Q`, it returns `true` there.
+//! Otherwise it walks the chains and climbs, and only a climb that reaches
+//! the key fills the memo, with that key and `Q`. A failed verify records
+//! nothing, and a signature parsed from bytes starts with an empty memo.
+//!
+//! The memo changes no answer. A verify's outcome is a pure function of the
+//! payload's bytes, `Q` and the key. The payload cannot change once built,
+//! and `Q` binds the message to the payload's own `I` and leaf. So a (key,
+//! `Q`) that verified once verifies again, and a memo kept beside the bytes
+//! it is about cannot vouch for other bytes. Nothing outside `verify` can
+//! set a memo: a clone that carries one across the simulated wire carries a
+//! fact about its bytes that any holder would recompute, not a claim made
+//! by its sender. Equality, `Debug` and [`MerkleSignature::to_bytes`]
+//! ignore the memo. Bitcoin Core's signature cache rests on the same fact.
 
 use std::ops::Range;
+use std::sync::{Arc, OnceLock};
 
 use crate::hmac::HmacSha256;
 use crate::sha256::{sha256, sha256_pair, Digest, Sha256};
@@ -88,6 +113,9 @@ const HEAD: u8 = 0xff;
 const D_PBLC: [u8; 2] = [0x80, 0x80];
 /// Domain separator of the message hash `Q` (RFC 8554 §4.4).
 const D_MESG: [u8; 2] = [0x81, 0x81];
+/// The tallest tree a [`MerkleSigner`] builds: it keeps every leaf number
+/// `q` in a `u32` and key generation within about 6.3 × 10⁸ compressions.
+pub(crate) const MAX_HEIGHT: u32 = 20;
 
 // A chain hash fits one block with its padding, and the shifted checksum
 // fits its 16 bits.
@@ -145,14 +173,44 @@ fn take_arr<const N: usize>(bytes: &[u8], off: usize) -> [u8; N] {
     out
 }
 
-/// A signature produced by [`MerkleSigner::sign`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct MerkleSignature {
+/// A signature produced by [`MerkleSigner::sign`] or parsed by
+/// [`MerkleSignature::from_bytes`].
+///
+/// Immutable: clones share one payload and one memo of the key and message
+/// hash that a verify reached (see the module doc). Equality, `Debug` and
+/// [`MerkleSignature::to_bytes`] see the payload alone.
+#[derive(Clone)]
+pub struct MerkleSignature(Arc<Signed>);
+
+/// A signature's payload, fixed when it is built, and its memo.
+struct Signed {
     leaf_index: u64,
     id: [u8; ID_LEN],
     // y[i]: chain i advanced by its digit.
-    ots: Box<[Digest; P]>,
+    ots: [Digest; P],
     auth_path: Vec<Digest>,
+    // The key and `Q` of the first verify that climbed to its key.
+    verified: OnceLock<(MerklePublicKey, Digest)>,
+}
+
+impl PartialEq for MerkleSignature {
+    fn eq(&self, other: &Self) -> bool {
+        let (a, b) = (&*self.0, &*other.0);
+        a.leaf_index == b.leaf_index && a.id == b.id && a.ots == b.ots && a.auth_path == b.auth_path
+    }
+}
+
+impl Eq for MerkleSignature {}
+
+impl std::fmt::Debug for MerkleSignature {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("MerkleSignature")
+            .field("leaf_index", &self.0.leaf_index)
+            .field("id", &self.0.id)
+            .field("ots", &self.0.ots)
+            .field("auth_path", &self.0.auth_path)
+            .finish()
+    }
 }
 
 /// `I ‖ u32(q)`.
@@ -254,7 +312,7 @@ impl MerkleSigner {
     ///
     /// Panics if `height > 20`.
     pub fn from_seed(seed: &[u8], height: u32) -> Self {
-        assert!(height <= 20, "merkle tree height too large");
+        assert!(height <= MAX_HEIGHT, "merkle tree height too large");
         let labelled = |label: &[u8]| {
             let mut mac = HmacSha256::new(seed);
             mac.update(label);
@@ -320,7 +378,7 @@ impl MerkleSigner {
         let q = self.next_leaf;
         self.next_leaf += 1;
         let prefix = leaf_prefix(&self.id, q);
-        let mut ots = Box::new([[0u8; N]; P]);
+        let mut ots = [[0u8; N]; P];
         let steps = digits(&message_hash(&prefix, message));
         for ((i, y), a) in (0u16..).zip(ots.iter_mut()).zip(steps) {
             let head = chain_hash(&prefix, i, HEAD, &self.ots_seed);
@@ -333,12 +391,13 @@ impl MerkleSigner {
             auth_path.push(self.tree[level][sibling]);
             node >>= 1;
         }
-        Ok(MerkleSignature {
+        Ok(MerkleSignature(Arc::new(Signed {
             leaf_index: u64::from(q),
             id: self.id,
             ots,
             auth_path,
-        })
+            verified: OnceLock::new(),
+        })))
     }
 }
 
@@ -350,35 +409,51 @@ impl MerkleSignature {
     /// leaf of the tree, so it fails: otherwise those bits could be set
     /// freely and one signature would have many valid encodings. So does
     /// one above `u32::MAX`, which no leaf number `q` can hold.
+    ///
+    /// If this signature, or a clone of it, already verified under `public`
+    /// with the same message hash `Q`, the answer is `true` once `Q` is
+    /// computed; otherwise a climb that reaches `public` records the pair
+    /// (see the module doc).
     #[must_use]
     pub fn verify(&self, message: &[u8], public: &MerklePublicKey) -> bool {
-        let height = u32::try_from(self.auth_path.len()).unwrap_or(u32::MAX);
-        if self.leaf_index.checked_shr(height).unwrap_or(0) != 0 {
+        let sig = &*self.0;
+        let height = u32::try_from(sig.auth_path.len()).unwrap_or(u32::MAX);
+        if sig.leaf_index.checked_shr(height).unwrap_or(0) != 0 {
             return false;
         }
-        let Ok(q) = u32::try_from(self.leaf_index) else {
+        let Ok(q) = u32::try_from(sig.leaf_index) else {
             return false;
         };
-        let prefix = leaf_prefix(&self.id, q);
-        let steps = digits(&message_hash(&prefix, message));
-        let ends = chain_ends(&prefix, &self.ots, steps);
-        let root = climb(leaf_key(&prefix, ends), self.leaf_index, &self.auth_path);
-        crate::ct::eq(&root, public)
+        let prefix = leaf_prefix(&sig.id, q);
+        let msg_hash = message_hash(&prefix, message);
+        if let Some((key, seen)) = sig.verified.get() {
+            if crate::ct::eq(key, public) && crate::ct::eq(seen, &msg_hash) {
+                return true;
+            }
+        }
+        let ends = chain_ends(&prefix, &sig.ots, digits(&msg_hash));
+        let root = climb(leaf_key(&prefix, ends), sig.leaf_index, &sig.auth_path);
+        let genuine = crate::ct::eq(&root, public);
+        if genuine {
+            sig.verified.get_or_init(|| (*public, msg_hash));
+        }
+        genuine
     }
 
     /// The index of the one-time leaf that produced this signature.
     pub fn leaf_index(&self) -> u64 {
-        self.leaf_index
+        self.0.leaf_index
     }
 
     /// Serializes to a self-describing byte string (for detached-signature
     /// files in the supply-chain substrate).
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(HEADER_LEN + ID_LEN + (P + self.auth_path.len()) * N);
-        out.extend_from_slice(&self.leaf_index.to_be_bytes());
-        out.extend_from_slice(&(self.auth_path.len() as u32).to_be_bytes());
-        out.extend_from_slice(&self.id);
-        for value in self.ots.iter().chain(&self.auth_path) {
+        let sig = &*self.0;
+        let mut out = Vec::with_capacity(HEADER_LEN + ID_LEN + (P + sig.auth_path.len()) * N);
+        out.extend_from_slice(&sig.leaf_index.to_be_bytes());
+        out.extend_from_slice(&(sig.auth_path.len() as u32).to_be_bytes());
+        out.extend_from_slice(&sig.id);
+        for value in sig.ots.iter().chain(&sig.auth_path) {
             out.extend_from_slice(value);
         }
         out
@@ -403,12 +478,13 @@ impl MerkleSignature {
             return Err(CryptoError::Malformed("merkle signature length"));
         }
         let (values, _) = bytes[HEADER_LEN + ID_LEN..].as_chunks::<N>();
-        Ok(MerkleSignature {
+        Ok(MerkleSignature(Arc::new(Signed {
             leaf_index,
             id: take_arr(bytes, HEADER_LEN),
-            ots: Box::new(std::array::from_fn(|i| values[i])),
+            ots: std::array::from_fn(|i| values[i]),
             auth_path: values[P..].to_vec(),
-        })
+            verified: OnceLock::new(),
+        })))
     }
 }
 
@@ -453,12 +529,23 @@ mod tests {
         assert!(!sig.verify(b"msg", &other.public()));
     }
 
+    /// `sig` re-encoded under `leaf_index`, its auth path zero-padded to
+    /// 64 entries.
+    fn widened(sig: &MerkleSignature, leaf_index: u64) -> MerkleSignature {
+        let mut bytes = sig.to_bytes();
+        bytes[..8].copy_from_slice(&leaf_index.to_be_bytes());
+        bytes[8..12].copy_from_slice(&64u32.to_be_bytes());
+        bytes.resize(HEADER_LEN + ID_LEN + (P + 64) * N, 0);
+        MerkleSignature::from_bytes(&bytes).unwrap()
+    }
+
     #[test]
     fn tampered_chain_value_fails() {
         let mut signer = MerkleSigner::from_seed(b"leaf-1", 1);
         let public = signer.public();
-        let mut sig = signer.sign(b"msg").unwrap();
-        sig.ots[0][0] ^= 1;
+        let mut bytes = signer.sign(b"msg").unwrap().to_bytes();
+        bytes[HEADER_LEN + ID_LEN] ^= 1; // y[0]
+        let sig = MerkleSignature::from_bytes(&bytes).unwrap();
         assert!(!sig.verify(b"msg", &public));
     }
 
@@ -472,7 +559,7 @@ mod tests {
         let mut signer = MerkleSigner::from_seed(b"checksum", 1);
         let message = b"firmware-v1";
         let sig = signer.sign(message).unwrap();
-        let prefix = leaf_prefix(&sig.id, 0);
+        let prefix = leaf_prefix(&sig.0.id, 0);
         let q = message_hash(&prefix, message);
         let honest = digits(&q);
         let i = honest[..MSG_DIGITS]
@@ -485,9 +572,9 @@ mod tests {
         assert_eq!(forged[..i], honest[..i]);
         assert_eq!(forged[i], honest[i] + 1);
         assert_eq!(forged[i + 1..MSG_DIGITS], honest[i + 1..MSG_DIGITS]);
-        let mut values = sig.ots.clone();
+        let mut values = sig.0.ots;
         values[i] = chain_hash(&prefix, i as u16, honest[i], &values[i]);
-        let genuine: Vec<Digest> = chain_ends(&prefix, &sig.ots, honest).collect();
+        let genuine: Vec<Digest> = chain_ends(&prefix, &sig.0.ots, honest).collect();
         let advanced: Vec<Digest> = chain_ends(&prefix, &values, forged).collect();
         assert_eq!(
             leaf_key(&prefix, genuine.iter().copied()),
@@ -563,12 +650,10 @@ mod tests {
         // With 64 auth-path entries every u64 index fits, and the check
         // must not shift by 64.
         let mut signer = MerkleSigner::from_seed(b"tall", 1);
-        let mut sig = signer.sign(b"m").unwrap();
-        sig.auth_path.resize(64, [0u8; 32]);
-        sig.leaf_index = u64::MAX;
-        let parsed = MerkleSignature::from_bytes(&sig.to_bytes()).unwrap();
-        assert_eq!(parsed, sig);
-        assert!(!parsed.verify(b"m", &signer.public()));
+        let sig = widened(&signer.sign(b"m").unwrap(), u64::MAX);
+        assert_eq!(sig.leaf_index(), u64::MAX);
+        assert_eq!(MerkleSignature::from_bytes(&sig.to_bytes()).unwrap(), sig);
+        assert!(!sig.verify(b"m", &signer.public()));
     }
 
     #[test]
@@ -579,14 +664,67 @@ mod tests {
         // `q` is leaf 1's while the climb follows the wide index.
         let mut signer = MerkleSigner::from_seed(b"wide", 1);
         signer.sign(b"m").unwrap();
-        let mut sig = signer.sign(b"m").unwrap();
-        sig.auth_path.resize(64, [0u8; 32]);
-        let root_at = |index| climb(signer.tree[0][1], index, &sig.auth_path);
+        let sig = widened(&signer.sign(b"m").unwrap(), 1);
+        let root_at = |index| climb(signer.tree[0][1], index, &sig.0.auth_path);
         assert!(sig.verify(b"m", &root_at(1)));
-        sig.leaf_index = (1 << 32) + 1;
-        let parsed = MerkleSignature::from_bytes(&sig.to_bytes()).unwrap();
-        assert_eq!(parsed.leaf_index(), (1 << 32) + 1);
-        assert!(!parsed.verify(b"m", &root_at((1 << 32) + 1)));
+        let wide = widened(&sig, (1 << 32) + 1);
+        assert_eq!(wide.leaf_index(), (1 << 32) + 1);
+        assert!(!wide.verify(b"m", &root_at((1 << 32) + 1)));
+    }
+
+    #[test]
+    fn a_failed_verify_leaves_the_memo_empty() {
+        let mut signer = MerkleSigner::from_seed(b"memo", 1);
+        let public = signer.public();
+        let sig = signer.sign(b"genuine").unwrap();
+        let other = MerkleSigner::from_seed(b"memo-other", 1).public();
+        assert!(!sig.verify(b"forged", &public));
+        assert!(!sig.verify(b"genuine", &other));
+        assert_eq!(sig.0.verified.get(), None);
+        assert!(sig.verify(b"genuine", &public));
+        let q = message_hash(&leaf_prefix(&sig.0.id, 0), b"genuine");
+        assert_eq!(sig.0.verified.get(), Some(&(public, q)));
+    }
+
+    #[test]
+    fn a_clone_hits_the_memo() {
+        // A clone taken before the verify shares the payload and the memo
+        // that the verify fills. Planting a memo on tampered bytes shows a
+        // hit answers without the climb, and only for its own key and `Q`.
+        let mut signer = MerkleSigner::from_seed(b"memo", 1);
+        let public = signer.public();
+        let sig = signer.sign(b"genuine").unwrap();
+        let clone = sig.clone();
+        assert!(sig.verify(b"genuine", &public));
+        assert!(Arc::ptr_eq(&sig.0, &clone.0));
+        let q = message_hash(&leaf_prefix(&sig.0.id, 0), b"genuine");
+        assert_eq!(clone.0.verified.get(), Some(&(public, q)));
+        assert!(clone.verify(b"genuine", &public));
+
+        let mut bytes = sig.to_bytes();
+        bytes[HEADER_LEN + ID_LEN] ^= 1;
+        let tampered = MerkleSignature::from_bytes(&bytes).unwrap();
+        assert!(!tampered.verify(b"genuine", &public));
+        tampered.0.verified.get_or_init(|| (public, q));
+        assert!(tampered.verify(b"genuine", &public));
+        assert!(!tampered.verify(b"forged", &public));
+        assert!(!tampered.verify(b"genuine", &[0u8; N]));
+    }
+
+    #[test]
+    fn equality_and_debug_ignore_the_memo() {
+        let mut signer = MerkleSigner::from_seed(b"memo", 1);
+        let sig = signer.sign(b"genuine").unwrap();
+        let cold = MerkleSignature::from_bytes(&sig.to_bytes()).unwrap();
+        let before = format!("{sig:?}");
+        assert!(sig.verify(b"genuine", &signer.public()));
+        assert!(cold.0.verified.get().is_none());
+        assert_eq!(sig, cold);
+        assert_eq!(format!("{sig:?}"), before);
+        assert_eq!(format!("{cold:?}"), before);
+        assert_eq!(sig.to_bytes(), cold.to_bytes());
+        assert!(before.starts_with("MerkleSignature { leaf_index: 0, id: ["));
+        assert!(!before.contains("verified"));
     }
 
     #[test]

@@ -187,6 +187,49 @@ property! {
     }
 }
 
+property! {
+    /// A signature's memo agrees with a fresh parse. Four verifies are
+    /// answered cold first, each by a fresh `from_bytes` parse, before any
+    /// memo exists: the genuine message, another message, another key, and
+    /// a one-bit flip of the signature's bytes under the genuine message
+    /// and key. After a genuine verify fills the memo, the memoized
+    /// signature gives the same answers for the first three, and the
+    /// flipped bytes, parsed again, still give theirs: a memo vouches only
+    /// for the bytes it sits beside, though the flip leaves `Q` as it was
+    /// whenever it misses the header and `I`.
+    fn merkle_memo_agrees_with_a_fresh_parse(seed in bytes(1..16),
+                                             msg in bytes(0..64),
+                                             at in index(),
+                                             bit in 0u8..8) {
+        let mut signer = MerkleSigner::from_seed(&seed, 1);
+        let public = signer.public();
+        let sig = signer.sign(&msg).unwrap();
+        let bytes = sig.to_bytes();
+        let mut other_msg = msg.clone();
+        other_msg.push(0);
+        let mut other_key = public;
+        other_key[0] ^= 1;
+        let mut flipped = bytes.clone();
+        flipped[at.index(bytes.len())] ^= 1 << bit;
+        let cases = [
+            (&bytes, &msg, &public),
+            (&bytes, &other_msg, &public),
+            (&bytes, &msg, &other_key),
+            (&flipped, &msg, &public),
+        ];
+        let fresh = |b: &[u8], m: &[u8], k| {
+            MerkleSignature::from_bytes(b).is_ok_and(|parsed| parsed.verify(m, k))
+        };
+        let cold: Vec<bool> = cases.iter().map(|&(b, m, k)| fresh(b, m, k)).collect();
+        prop_assert_eq!(&cold, &[true, false, false, false]);
+        prop_assert!(sig.verify(&msg, &public));
+        for (&(b, m, k), want) in cases.iter().zip(cold) {
+            let warm = if *b == bytes { sig.verify(m, k) } else { fresh(b, m, k) };
+            prop_assert_eq!(warm, want);
+        }
+    }
+}
+
 /// Replay windows the sequenced-AEAD fault property draws from: strict
 /// ordering twice over (0 and 1 behave alike), a window narrower than a
 /// run, the MACsec default, the widest window and one past it.

@@ -95,7 +95,10 @@ impl Enrollment {
     ///
     /// # Errors
     ///
-    /// Propagates CA key-generation failures.
+    /// Propagates [`CertificateAuthority::self_signed`]'s refusals:
+    /// [`genio_crypto::CryptoError::HeightTooLarge`] for a `capacity_log2`
+    /// above 20, and [`genio_crypto::CryptoError::KeyExhausted`] for 0,
+    /// which leaves no leaf to enrol with.
     pub fn new(seed: &[u8], validity: (u64, u64), capacity_log2: u32) -> crate::Result<Self> {
         let root_validity = (validity.0, validity.1.saturating_mul(10));
         let ca =
@@ -299,12 +302,28 @@ pub fn validate_device_chain(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::NetsecError;
+    use genio_crypto::CryptoError;
 
     fn setup() -> (Enrollment, NodeIdentity, NodeIdentity) {
         let mut e = Enrollment::new(b"fleet-seed", (0, 100_000), 6).unwrap();
         let onu = e.enroll("onu-1", DeviceClass::Onu, b"onu-1-key").unwrap();
         let olt = e.enroll("olt-1", DeviceClass::Olt, b"olt-1-key").unwrap();
         (e, onu, olt)
+    }
+
+    #[test]
+    fn enrollment_refuses_a_ca_it_cannot_build_or_use() {
+        let err = Enrollment::new(b"fleet-seed", (0, 1), 21).unwrap_err();
+        assert_eq!(
+            err,
+            NetsecError::Crypto(CryptoError::HeightTooLarge {
+                height: 21,
+                max: 20
+            })
+        );
+        let err = Enrollment::new(b"fleet-seed", (0, 1), 0).unwrap_err();
+        assert_eq!(err, NetsecError::Crypto(CryptoError::KeyExhausted));
     }
 
     #[test]

@@ -1,13 +1,17 @@
 //! Property-based tests for the MACsec anti-replay window and record
-//! protection, drawn MACsec faults across burst boundaries, and drawn PN
-//! exhaustion.
+//! protection, drawn MACsec faults across burst boundaries, drawn PN
+//! exhaustion, and certificate faults met by warm signature memos.
 
 use std::collections::{HashMap, HashSet};
 
 use genio_testkit::prelude::*;
 
 use genio_crypto::gcm::TAG_LEN;
+use genio_crypto::pki::{Certificate, CertificateAuthority, KeyUsage, RevocationList};
+use genio_crypto::sig::{MerklePublicKey, MerkleSignature, MerkleSigner};
+use genio_netsec::handshake::{ClientSession, HandshakeConfig, ServerSession};
 use genio_netsec::macsec::{An, MacsecConfig, MacsecFrame, MacsecPeer, Sci};
+use genio_netsec::onboarding::{validate_device_chain, DeviceClass, NodeIdentity};
 use genio_netsec::NetsecError;
 
 property! {
@@ -300,5 +304,157 @@ property! {
             seal(&mut tx, &mut rx, 1)?;
         }
         prop_assert_eq!(tx.protect(b"past the limit"), Err(NetsecError::PnExhausted));
+    }
+}
+
+/// Validity window of the memo property's device certificates.
+const LEAF_WINDOW: (u64, u64) = (100, 10_000);
+/// Validity window of its root certificates.
+const ROOT_WINDOW: (u64, u64) = (100, 100_000);
+/// Its sessions' time, until a fault moves it.
+const NOW: u64 = 5_000;
+
+/// One enrolment seen from the OLT: an ONU and an OLT identity, and the
+/// anchor, CRL and time both ends validate under.
+struct Fleet {
+    onu: NodeIdentity,
+    olt: NodeIdentity,
+    anchor: MerklePublicKey,
+    crl: RevocationList,
+    now: u64,
+}
+
+impl Fleet {
+    fn enrol(seed: &[u8]) -> Fleet {
+        let mut ca = CertificateAuthority::self_signed("genio-root", seed, ROOT_WINDOW, 2).unwrap();
+        let mut identity = |name: &str, class: DeviceClass| {
+            // Four leaves: up to three warm sessions and the faulted one.
+            let signer = MerkleSigner::from_seed(&[seed, name.as_bytes()].concat(), 2);
+            let usages = vec![class.key_usage()];
+            let leaf = ca
+                .issue(name, signer.public(), LEAF_WINDOW, usages)
+                .unwrap();
+            NodeIdentity {
+                name: name.into(),
+                class,
+                chain: vec![leaf, ca.certificate().clone()],
+                signer,
+            }
+        };
+        let onu = identity("onu-1", DeviceClass::Onu);
+        let olt = identity("olt-1", DeviceClass::Olt);
+        Fleet {
+            onu,
+            olt,
+            anchor: ca.public(),
+            crl: RevocationList::new(),
+            now: NOW,
+        }
+    }
+
+    /// The same fleet with every signature parsed afresh from its bytes,
+    /// so no memo answers, and each signer a copy at the same leaf.
+    fn cold(&self) -> Fleet {
+        let twin = |id: &NodeIdentity| NodeIdentity {
+            name: id.name.clone(),
+            class: id.class,
+            chain: id
+                .chain
+                .iter()
+                .map(|cert| Certificate {
+                    tbs: cert.tbs.clone(),
+                    signature: MerkleSignature::from_bytes(&cert.signature.to_bytes()).unwrap(),
+                })
+                .collect(),
+            signer: id.signer.clone(),
+        };
+        Fleet {
+            onu: twin(&self.onu),
+            olt: twin(&self.olt),
+            anchor: self.anchor,
+            crl: self.crl.clone(),
+            now: self.now,
+        }
+    }
+
+    /// The admission check of the ONU's chain, as the OLT's
+    /// `CertificateAdmission` runs it.
+    fn admit(&self) -> Result<(), NetsecError> {
+        validate_device_chain(&self.onu.chain, &self.anchor, &self.crl, self.now)
+    }
+
+    /// One join, as genio-perf's `join_storm` runs it: the mutual-auth
+    /// handshake, then the admission check.
+    fn session(&mut self, seed: u64) -> Result<(), NetsecError> {
+        let config = HandshakeConfig {
+            require_client_auth: true,
+            now: self.now,
+        };
+        let anchors = [self.anchor];
+        let seed = seed.to_be_bytes();
+        let (hello, client) = ClientSession::start(&config, &seed)?;
+        let (flight, server) = ServerSession::respond(&config, &hello, &mut self.olt, &seed)?;
+        let (answer, _) =
+            client.finish(&config, &flight, Some(&mut self.onu), &anchors, &self.crl)?;
+        server.finish(&config, &answer, &anchors, &self.crl)?;
+        self.admit()
+    }
+}
+
+property! {
+    /// A warm memo never admits what a cold check refuses. After 1–3
+    /// sessions over one enrolment, which leave every certificate
+    /// signature's memo warm, one drawn fault: the ONU or the OLT revoked;
+    /// the time moved past `not_after` or before `not_before`; one `tbs`
+    /// field of a leaf or root (serial, subject, usages or public key)
+    /// changed under its old signature; or both chains' roots swapped for
+    /// another CA's of the same name, trusted or not. The next session
+    /// fails with exactly the error of a cold session over the same chains
+    /// with freshly parsed signatures, and so does the admission check.
+    fn warm_memos_refuse_what_cold_checks_refuse(seed in bytes(1..16),
+                                                 warm in 1u64..4,
+                                                 fault in 0u8..6,
+                                                 side in 0usize..2,
+                                                 at in 0usize..2,
+                                                 field in 0u8..4,
+                                                 offset in 0u64..100) {
+        let mut fleet = Fleet::enrol(&seed);
+        for s in 0..warm {
+            prop_assert_eq!(fleet.session(s), Ok(()));
+        }
+        let target = if side == 0 { &mut fleet.onu } else { &mut fleet.olt };
+        match fault {
+            0 => {
+                let leaf = &target.chain[0].tbs;
+                fleet.crl.revoke(&leaf.issuer, leaf.serial);
+            }
+            1 => fleet.now = LEAF_WINDOW.1 + 1 + offset * 1_000,
+            2 => fleet.now = offset,
+            3 => {
+                let tbs = &mut target.chain[at].tbs;
+                match field {
+                    0 => tbs.serial += 1,
+                    1 => tbs.subject.push('x'),
+                    2 => tbs.usages.push(KeyUsage::CodeSign),
+                    _ => tbs.public_key[0] ^= 1,
+                }
+            }
+            _ => {
+                let other = CertificateAuthority::self_signed(
+                    "genio-root", &[&seed[..], b"-other"].concat(), ROOT_WINDOW, 1,
+                ).unwrap();
+                for id in [&mut fleet.onu, &mut fleet.olt] {
+                    id.chain[1] = other.certificate().clone();
+                }
+                if fault == 5 {
+                    fleet.anchor = other.public();
+                }
+            }
+        }
+        let mut cold = fleet.cold();
+        let want = cold.session(warm);
+        prop_assert!(want.is_err(), "fault {} on side {} admitted cold", fault, side);
+        prop_assert_eq!(fleet.session(warm), want);
+        prop_assert_eq!(fleet.admit(), cold.admit());
     }
 }
